@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from ..domain import ContextFeatures, Device, ObjectiveVector, PageLayout
+from ..domain import ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from ..errors import DomainError
 from ..metrics import RegionWeights
 from .features import build_features, feature_schema
@@ -38,6 +38,7 @@ SATISFACTION = "satisfaction"
 OBJECTIVE_ORDER = (REVENUE, NON_ABANDONMENT, SATISFACTION)
 
 DEFAULT_SAMPLE_FRACTION = 0.5
+STD_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,37 +178,41 @@ class CandidateScore:
     chosen: bool
 
 
+Candidate = TypeVar("Candidate", PageLayout, PageTemplate)
+
+
 def select_template(
     context: ContextFeatures,
-    candidates: list[PageLayout],
+    candidates: Sequence[Candidate],
     bundle: RankerBundle,
     rng: np.random.Generator,
-) -> tuple[PageLayout, list[CandidateScore]]:
+) -> tuple[Candidate, list[CandidateScore]]:
     """Thompson-sample every objective per candidate and take the argmax.
 
-    Exact score ties break toward the lowest template_id. One weight vector
-    is drawn per (candidate, objective) pair, in candidate order.
+    Only a candidate's ``template_id`` is read; the chosen candidate itself
+    is returned. Exact score ties break toward the lowest template_id. One
+    weight vector is drawn per (candidate, objective) pair, in candidate
+    order.
     """
     if not candidates:
         raise DomainError("candidate list is empty")
     objectives = bundle.active_objectives(context.device)
     traces: list[tuple[str, dict[str, float], float]] = []
     best_idx = -1
-    for i, layout in enumerate(candidates):
-        x = build_features(context, layout.template_id, bundle.categories, bundle.signal_names)
+    for i, candidate in enumerate(candidates):
+        tid = candidate.template_id
+        x = build_features(context, tid, bundle.categories, bundle.signal_names)
         samples = {
             name: thompson_sample_predict(bundle.model_for(name), x, rng)
             for name in objectives
         }
         score = scalarize(samples, bundle.reward)
-        traces.append((layout.template_id, samples, score))
+        traces.append((tid, samples, score))
         if best_idx < 0:
             best_idx = i
             continue
         best_score = traces[best_idx][2]
-        if score > best_score or (
-            score == best_score and layout.template_id < traces[best_idx][0]
-        ):
+        if score > best_score or (score == best_score and tid < traces[best_idx][0]):
             best_idx = i
     trace = [
         CandidateScore(template_id=tid, samples=samples, score=score, chosen=(i == best_idx))
@@ -235,6 +240,31 @@ class ImpressionRecord:
     def __post_init__(self) -> None:
         if self.long_term_available_on < self.ts:
             raise DomainError("long-term availability precedes the impression day")
+
+
+def frozen_reward(
+    weights: Mapping[str, float],
+    log: Sequence[ImpressionRecord],
+    with_satisfaction: bool,
+) -> RewardWeights:
+    """Scalarization whose stats are frozen from the targets in `log`.
+
+    Each weighted objective is standardized by its mean and spread over the
+    log, the spread floored at STD_FLOOR; satisfaction counts only when
+    `with_satisfaction` is set.
+    """
+    values = {
+        REVENUE: np.array([r.targets.revenue for r in log]),
+        NON_ABANDONMENT: np.array([float(r.targets.non_abandonment) for r in log]),
+    }
+    if with_satisfaction:
+        values[SATISFACTION] = np.array([r.targets.satisfaction for r in log])
+    stats = {
+        name: ObjectiveStats(float(v.mean()), max(float(v.std()), STD_FLOOR))
+        for name, v in values.items()
+        if name in weights
+    }
+    return RewardWeights(weights=weights, stats=stats)
 
 
 def sample_rows(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Causal estimation of page-quality effects on long-horizon revenue."""
 
 from .deaverage import DeaverageDiagnostics, deaverage
-from .linear import lasso_cv, lasso_cv_path, lasso_fit, lasso_lambda_max, ols_fit
+from .linear import lasso_cv_path, lasso_fit, lasso_lambda_max, ols_fit
 from .panel import (
     KEY_COLUMNS,
     TARGET_COLUMN,
@@ -17,7 +17,6 @@ from .pipeline import (
     DvwpxModel,
     crossfit_residualize,
     derive_region_weights,
-    dvwpx_score,
     estimate_dvwpx,
     fixed_effects_ols,
     load_model,
@@ -30,7 +29,6 @@ from .pipeline import (
 __all__ = [
     "DeaverageDiagnostics",
     "deaverage",
-    "lasso_cv",
     "lasso_cv_path",
     "lasso_fit",
     "lasso_lambda_max",
@@ -47,7 +45,6 @@ __all__ = [
     "DvwpxModel",
     "crossfit_residualize",
     "derive_region_weights",
-    "dvwpx_score",
     "estimate_dvwpx",
     "fixed_effects_ols",
     "load_model",

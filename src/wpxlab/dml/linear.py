@@ -165,15 +165,3 @@ def lasso_cv_path(
     lam_star = float(grid[best])
     beta = lasso_fit(X, y, lam_star)
     return grid, mean_mse, lam_star, beta
-
-
-def lasso_cv(
-    X: np.ndarray,
-    y: np.ndarray,
-    grid_points: int = 20,
-    folds: int = 3,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Select the penalty by cross-validation and refit on all rows."""
-    _, _, lam_star, beta = lasso_cv_path(X, y, grid_points, folds, seed)
-    return lam_star, beta

@@ -348,17 +348,6 @@ def naive_ols(dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
     return coef[1 : 1 + s], coef[1 + s :]
 
 
-def dvwpx_score(model: DvwpxModel, x: np.ndarray) -> float:
-    """Aggregate a surrogate vector into the downstream-value score."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(model.surrogate_schema),):
-        raise DomainError(
-            f"surrogate vector has shape {x.shape}, schema expects "
-            f"({len(model.surrogate_schema)},)"
-        )
-    return float(model.estimate.beta @ x)
-
-
 def derive_region_weights(
     model: DvwpxModel, region_surrogate_names: tuple[str, str, str]
 ) -> RegionWeights:

@@ -17,38 +17,37 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..bandit.ranker import (
-    ImpressionRecord,
-    ObjectiveStats,
-    RewardWeights,
+    NON_ABANDONMENT,
+    REVENUE,
+    frozen_reward,
     incremental_retrain,
     new_bundle,
     select_template,
 )
 from ..dml.panel import read_panel_csv, write_panel_csv
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
+from ..domain import ContextFeatures, Device, HorizonConfig
 from ..errors import DomainError, EstimationError, InvariantViolation
-from ..metrics import CTR_REGION_WEIGHTS, layout_region_bmrs, weighted_bmr
+from ..metrics import CTR_REGION_WEIGHTS
 from ..rng import stream
 from ..sim.panel import CONFOUNDED, RANDOMIZED, X_COLUMNS, simulate_panel
-from ..sim.session import (
-    build_layout,
-    draw_availability,
-    realize_long_term,
-    simulate_session,
-)
+from ..sim.session import draw_availability
 from ..sim.world import WorldConfig, generate_world
 from .experiment import (
+    SATISFACTION_CTR,
+    SATISFACTION_DVWPX,
+    SATISFACTION_NONE,
+    ArmConfig,
     ExperimentConfig,
     default_experiment_config,
     experiment_config_from_dict,
     load_report,
     render_report,
+    request_context,
     run_experiment,
     save_report,
+    serve_page,
     world_config_from_dict,
     world_config_to_dict,
     write_per_day_csv,
@@ -186,74 +185,39 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _train_rank_bundle(world, cfg: dict[str, Any], seed: int):
-    """Fit a quick bundle on randomized sessions so `rank` has posteriors."""
-    arm = cfg.get("arm", {})
-    reward_weights = dict(arm.get("reward_weights", {"revenue": 0.5, "non_abandonment": 0.2}))
-    region_weights = CTR_REGION_WEIGHTS if arm.get("satisfaction_mode") == "ctr" else None
-    if arm.get("satisfaction_mode") == "dvwpx":
+    """Fit a quick bundle on uniformly served sessions so `rank` has posteriors."""
+    block = cfg.get("arm", {})
+    arm = ArmConfig(
+        name="rank",
+        satisfaction_mode=block.get("satisfaction_mode", SATISFACTION_NONE),
+        reward_weights=block.get("reward_weights", {REVENUE: 0.5, NON_ABANDONMENT: 0.2}),
+    )
+    if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
+    region_weights = CTR_REGION_WEIGHTS if arm.satisfaction_mode == SATISFACTION_CTR else None
     n_sessions = int(cfg.get("warmup_sessions", 400))
     if n_sessions < 1:
         raise DomainError("warmup_sessions must be >= 1")
 
     wc = world.config
-    n_templates = len(world.templates)
-    log: list[ImpressionRecord] = []
+    log = []
     for s in range(n_sessions):
         r = stream(seed, "rank_warmup", s)
         ci = int(r.integers(0, wc.n_customers))
         qi = int(r.integers(0, wc.n_queries))
-        ti = int(r.integers(0, n_templates))
+        ti = int(r.integers(0, len(world.templates)))
         device = Device.MOBILE if r.random() < wc.mobile_fraction else Device.DESKTOP
         available = draw_availability(world, r)
-        layout = build_layout(world, qi, ti, available)
-        session = simulate_session(world, ci, qi, layout, r)
-        query = world.queries[qi]
-        bmrs = layout_region_bmrs(layout, world.brands[query.brand_index])
-        context = ContextFeatures(
-            device=device,
-            query_specificity=query.specificity,
-            category_id=query.category_id,
-            membership=int(world.customers.membership[ci]),
-            content_signals={
-                t.template_id: tuple(world.content_signals[qi, i])
-                for i, t in enumerate(world.templates)
-            },
+        context = request_context(world, qi, device, int(world.customers.membership[ci]))
+        record, _, _ = serve_page(
+            world, ci, qi, ti, available, context, 1, HorizonConfig(), region_weights, r, r
         )
-        long_term = realize_long_term(world, ci, qi, layout, session, r)
-        log.append(
-            ImpressionRecord(
-                ts=1,
-                context=context,
-                template_id=world.templates[ti].template_id,
-                targets=ObjectiveVector(
-                    revenue=session.short_term_revenue,
-                    non_abandonment=session.non_abandonment,
-                    satisfaction=(
-                        None if region_weights is None else weighted_bmr(bmrs, region_weights)
-                    ),
-                ),
-                long_term_revenue=long_term.long_term_revenue,
-                long_term_available_on=1 + HorizonConfig().delta_long_days,
-            )
-        )
+        log.append(record)
 
-    stats = {"revenue": np.array([r.targets.revenue for r in log])}
-    stats["non_abandonment"] = np.array([float(r.targets.non_abandonment) for r in log])
-    if region_weights is not None:
-        stats["satisfaction"] = np.array([r.targets.satisfaction for r in log])
-    reward = RewardWeights(
-        weights=reward_weights,
-        stats={
-            name: ObjectiveStats(float(v.mean()), max(float(v.std()), 1e-6))
-            for name, v in stats.items()
-            if name in reward_weights
-        },
-    )
     bundle = new_bundle(
         categories=world.categories,
         signal_names=world.signal_names,
-        reward=reward,
+        reward=frozen_reward(arm.reward_weights, log, region_weights is not None),
         region_weights=region_weights,
         with_satisfaction=region_weights is not None,
     )
@@ -278,17 +242,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
         qi = int(cfg["query_index"])
         if not 0 <= qi < world.config.n_queries:
             raise DomainError(f"query_index out of range: {qi}")
-        query = world.queries[qi]
-        signals = {
-            t.template_id: tuple(world.content_signals[qi, i])
-            for i, t in enumerate(world.templates)
-        }
-        context = ContextFeatures(
-            device=Device(cfg.get("device", "desktop")),
-            query_specificity=float(cfg.get("query_specificity", query.specificity)),
-            category_id=cfg.get("category_id", query.category_id),
-            membership=int(cfg.get("membership", 0)),
-            content_signals=signals,
+        context = request_context(
+            world, qi, Device(cfg.get("device", "desktop")), int(cfg.get("membership", 0))
+        )
+        context = replace(
+            context,
+            query_specificity=float(cfg.get("query_specificity", context.query_specificity)),
+            category_id=cfg.get("category_id", context.category_id),
         )
     else:
         try:
@@ -304,14 +264,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         except KeyError as exc:
             raise DomainError(f"context file missing field {exc}") from exc
 
-    candidate_ids = cfg.get("templates", [t.template_id for t in world.templates])
-    known = {t.template_id for t in world.templates}
-    unknown = [t for t in candidate_ids if t not in known]
+    by_id = {t.template_id: t for t in world.templates}
+    candidate_ids = cfg.get("templates", list(by_id))
+    unknown = [t for t in candidate_ids if t not in by_id]
     if unknown:
         raise DomainError(f"unknown template ids: {unknown}")
-    from ..domain import PageLayout
-
-    candidates = [PageLayout(template_id=t, slots=()) for t in candidate_ids]
+    candidates = [by_id[t] for t in candidate_ids]
     chosen, scores = select_template(
         context, candidates, bundle, stream(seed, "rank_select")
     )

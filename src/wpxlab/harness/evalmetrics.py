@@ -6,7 +6,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ..bandit.features import build_features
 from ..bandit.posteriors import predict_mean
@@ -49,6 +48,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise EstimationError("auc needs at least one positive and one negative label")
     if pos.sum() + neg.sum() != len(labels):
         raise DomainError("labels must be 0 or 1")
+    # imported here: scipy.stats dominates the package import and only auc needs it
+    from scipy.stats import rankdata
+
     ranks = rankdata(scores)
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())

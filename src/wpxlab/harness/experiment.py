@@ -26,6 +26,7 @@ from ..bandit.ranker import (
     ObjectiveStats,
     RankerBundle,
     RewardWeights,
+    frozen_reward,
     incremental_retrain,
     new_bundle,
     select_template,
@@ -37,7 +38,6 @@ from ..domain import (
     Device,
     HorizonConfig,
     ObjectiveVector,
-    PageLayout,
     PageRegion,
     region_of_position,
 )
@@ -55,7 +55,6 @@ SATISFACTION_MODES = (SATISFACTION_NONE, SATISFACTION_CTR, SATISFACTION_DVWPX)
 
 METRIC_NAMES = ("revenue", "long_term_revenue", "ctr", "pr_wp_bmr")
 
-STD_FLOOR = 1e-6
 NOISE_VARIANCE_FLOOR = 1e-6
 
 
@@ -258,19 +257,63 @@ def _initial_reward(arm: ArmConfig) -> RewardWeights:
     )
 
 
-def _frozen_stats(arm: ArmConfig, log: list[ImpressionRecord]) -> RewardWeights:
-    values: dict[str, np.ndarray] = {
-        REVENUE: np.array([r.targets.revenue for r in log]),
-        NON_ABANDONMENT: np.array([float(r.targets.non_abandonment) for r in log]),
-    }
-    if arm.satisfaction_mode != SATISFACTION_NONE:
-        values[SATISFACTION] = np.array([r.targets.satisfaction for r in log])
-    stats = {
-        name: ObjectiveStats(float(v.mean()), max(float(v.std()), STD_FLOOR))
-        for name, v in values.items()
-        if name in arm.reward_weights
-    }
-    return RewardWeights(weights=arm.reward_weights, stats=stats)
+def request_context(
+    world: World, query_index: int, device: Device, membership: int
+) -> ContextFeatures:
+    """Request features for a query: its specificity, category and the
+    per-template content signals, plus the caller's device and membership."""
+    query = world.queries[query_index]
+    return ContextFeatures(
+        device=device,
+        query_specificity=query.specificity,
+        category_id=query.category_id,
+        membership=membership,
+        content_signals={
+            t.template_id: tuple(world.content_signals[query_index, ti])
+            for ti, t in enumerate(world.templates)
+        },
+    )
+
+
+def serve_page(
+    world: World,
+    customer_index: int,
+    query_index: int,
+    template_index: int,
+    available: np.ndarray,
+    context: ContextFeatures,
+    day: int,
+    horizon: HorizonConfig,
+    region_weights: RegionWeights | None,
+    session_rng: np.random.Generator,
+    long_term_rng: np.random.Generator,
+) -> tuple[ImpressionRecord, float, tuple[float, float, float]]:
+    """Serve one template to one request and log the impression.
+
+    The session draws from `session_rng`, the long-term revenue from
+    `long_term_rng`; satisfaction is the region-weighted brand match rate
+    when `region_weights` is set. Returns the impression, the session's
+    engagement and the page's (top, middle, bottom) brand match rates.
+    """
+    layout = build_layout(world, query_index, template_index, available)
+    session = simulate_session(world, customer_index, query_index, layout, session_rng)
+    long_term = realize_long_term(
+        world, customer_index, query_index, layout, session, long_term_rng
+    )
+    bmrs = layout_region_bmrs(layout, world.brands[world.queries[query_index].brand_index])
+    record = ImpressionRecord(
+        ts=day,
+        context=context,
+        template_id=world.templates[template_index].template_id,
+        targets=ObjectiveVector(
+            revenue=session.short_term_revenue,
+            non_abandonment=session.non_abandonment,
+            satisfaction=None if region_weights is None else weighted_bmr(bmrs, region_weights),
+        ),
+        long_term_revenue=long_term.long_term_revenue,
+        long_term_available_on=day + horizon.delta_long_days,
+    )
+    return record, session.engagement_a, bmrs
 
 
 def estimate_dvwpx_region_weights(
@@ -325,9 +368,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     n_templates = len(world.templates)
-    candidate_stubs = tuple(
-        PageLayout(template_id=t.template_id, slots=()) for t in world.templates
-    )
     warmup_log: dict[str, list[ImpressionRecord]] = {arm.name: [] for arm in config.arms}
     metric_rows: dict[str, dict[str, list[float]]] = {
         arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
@@ -353,59 +393,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             device = Device.MOBILE if base.random() < cfg.mobile_fraction else Device.DESKTOP
             warmup_choice = int(base.integers(0, n_templates))
             available = draw_availability(world, base)
-            query = world.queries[qi]
-            context = ContextFeatures(
-                device=device,
-                query_specificity=query.specificity,
-                category_id=query.category_id,
-                membership=int(world.customers.membership[ci]),
-                content_signals={
-                    t.template_id: tuple(world.content_signals[qi, ti])
-                    for ti, t in enumerate(world.templates)
-                },
-            )
+            context = request_context(world, qi, device, int(world.customers.membership[ci]))
             for arm in config.arms:
                 if warmup:
                     ti = warmup_choice
                 else:
                     chosen, _ = select_template(
                         context,
-                        list(candidate_stubs),
+                        world.templates,
                         bundles[arm.name],
                         stream(seed, "exp_thompson", arm.name, day, s),
                     )
-                    ti = next(
-                        i
-                        for i, t in enumerate(world.templates)
-                        if t.template_id == chosen.template_id
-                    )
-                layout = build_layout(world, qi, ti, available)
-                session = simulate_session(
-                    world, ci, qi, layout, stream(seed, "exp_outcome", day, s)
-                )
-                long_term = realize_long_term(
-                    world, ci, qi, layout, session, stream(seed, "exp_longterm", day, s)
-                )
-                bmrs = layout_region_bmrs(layout, world.brands[query.brand_index])
-                rw = arm_region_weights[arm.name]
-                satisfaction = None if rw is None else weighted_bmr(bmrs, rw)
-                record = ImpressionRecord(
-                    ts=day,
-                    context=context,
-                    template_id=world.templates[ti].template_id,
-                    targets=ObjectiveVector(
-                        revenue=session.short_term_revenue,
-                        non_abandonment=session.non_abandonment,
-                        satisfaction=satisfaction,
-                    ),
-                    long_term_revenue=long_term.long_term_revenue,
-                    long_term_available_on=day + config.horizon.delta_long_days,
+                    ti = world.templates.index(chosen)
+                record, engagement, bmrs = serve_page(
+                    world,
+                    ci,
+                    qi,
+                    ti,
+                    available,
+                    context,
+                    day,
+                    config.horizon,
+                    arm_region_weights[arm.name],
+                    stream(seed, "exp_outcome", day, s),
+                    stream(seed, "exp_longterm", day, s),
                 )
                 day_logs[arm.name].append(record)
                 rows = day_metrics[arm.name]
-                rows["revenue"].append(session.short_term_revenue)
-                rows["long_term_revenue"].append(long_term.long_term_revenue)
-                rows["ctr"].append(session.engagement_a / world.n_slots)
+                rows["revenue"].append(record.targets.revenue)
+                rows["long_term_revenue"].append(record.long_term_revenue)
+                rows["ctr"].append(engagement / world.n_slots)
                 rows["pr_wp_bmr"].append(weighted_bmr(bmrs, CTR_REGION_WEIGHTS))
 
         for arm in config.arms:
@@ -462,7 +479,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if day == config.warmup_days:
             for arm in config.arms:
                 bundles[arm.name] = replace(
-                    bundles[arm.name], reward=_frozen_stats(arm, warmup_log[arm.name])
+                    bundles[arm.name],
+                    reward=frozen_reward(
+                        arm.reward_weights,
+                        warmup_log[arm.name],
+                        arm.satisfaction_mode != SATISFACTION_NONE,
+                    ),
                 )
 
     # no post-warmup days: fall back to the warmup window for reporting

@@ -27,7 +27,6 @@ from .world import (
     QueryGroup,
     World,
     WorldConfig,
-    eligible_item_mask,
     generate_world,
     layout_item_indices,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "QueryGroup",
     "World",
     "WorldConfig",
-    "eligible_item_mask",
     "generate_world",
     "layout_item_indices",
 ]

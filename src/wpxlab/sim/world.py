@@ -300,17 +300,6 @@ def generate_world(config: WorldConfig) -> World:
     return replace(world, content_signals=_content_signal_table(world))
 
 
-def eligible_item_mask(world: World, item_filter: str, query_index: int) -> np.ndarray:
-    """Boolean catalog mask for a template's widget-item predicate."""
-    if item_filter == "any":
-        return np.ones(world.config.n_items, dtype=bool)
-    if item_filter == "query_brand":
-        return world.item_brand == world.queries[query_index].brand_index
-    if item_filter == "high_appeal":
-        return world.item_appeal >= world.config.high_appeal_threshold
-    raise DomainError(f"unknown item filter {item_filter!r}")
-
-
 def _widget_source(world: World, item_filter: str, query_index: int) -> np.ndarray:
     """Widget fill order: predicate pool by descending appeal."""
     if item_filter == "query_brand":

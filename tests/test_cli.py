@@ -16,6 +16,8 @@ SIM_CONFIG = {
     "event_seed": 3,
 }
 
+SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}
+
 EXP_CONFIG = {
     "world": {"seed": 6},
     "arms": [
@@ -135,6 +137,28 @@ class TestRank:
         )
         assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
 
+    @pytest.mark.parametrize(
+        "arm, code, message",
+        [
+            ({"satisfaction_mode": "ctr", "reward_weights": SAT_WEIGHTS}, 0, ""),
+            ({"satisfaction_mode": "bogus"}, 1, "satisfaction_mode must be one of"),
+            ({"satisfaction_mode": "ctr"}, 1, "needs a nonzero satisfaction weight"),
+            (
+                {"satisfaction_mode": "dvwpx", "reward_weights": SAT_WEIGHTS},
+                1,
+                "run `experiment` for dvwpx arms",
+            ),
+        ],
+    )
+    def test_rank_validates_its_arm(self, tmp_path, capsys, arm, code, message):
+        cfg = _write(
+            tmp_path,
+            "ctx.json",
+            {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 30, "arm": arm},
+        )
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == code
+        assert message in capsys.readouterr().err
+
     def test_rank_requires_config(self):
         assert cli.main(["rank"]) == 1
 
@@ -236,6 +260,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_report", boom)
         assert cli.main(["report", "--out", str(tmp_path)]) == 3
+
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, wpxlab.harness.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_entry_point_runs_in_subprocess(self, tmp_path):
         cfg = tmp_path / "sim.json"

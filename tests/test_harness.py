@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wpxlab.bandit.ranker import NON_ABANDONMENT, REVENUE, SATISFACTION
+from wpxlab.domain import Device, HorizonConfig, ObjectiveVector
 from wpxlab.errors import DomainError, EstimationError
 from wpxlab.harness.experiment import (
     METRIC_NAMES,
@@ -19,11 +20,19 @@ from wpxlab.harness.experiment import (
     load_report,
     render_report,
     report_json,
+    request_context,
     run_experiment,
     save_report,
+    serve_page,
     write_per_day_csv,
 )
-from wpxlab.metrics import CTR_REGION_WEIGHTS
+from wpxlab.metrics import CTR_REGION_WEIGHTS, layout_region_bmrs, weighted_bmr
+from wpxlab.sim.session import (
+    build_layout,
+    draw_availability,
+    realize_long_term,
+    simulate_session,
+)
 from wpxlab.sim.world import WorldConfig, generate_world
 
 BASE_WEIGHTS = {REVENUE: 0.5, NON_ABANDONMENT: 0.2}
@@ -193,6 +202,56 @@ class TestRunExperiment:
         path.write_text(json.dumps({"kind": "other"}))
         with pytest.raises(DomainError):
             load_report(path)
+
+
+class TestServing:
+    def test_request_context_reads_the_query_row(self, default_world):
+        world, qi = default_world, 5
+        context = request_context(world, qi, Device.MOBILE, 1)
+        query = world.queries[qi]
+        assert (context.device, context.membership) == (Device.MOBILE, 1)
+        assert context.query_specificity == query.specificity
+        assert context.category_id == query.category_id
+        assert list(context.content_signals) == [t.template_id for t in world.templates]
+        for ti, t in enumerate(world.templates):
+            assert context.content_signals[t.template_id] == tuple(world.content_signals[qi, ti])
+
+    @pytest.mark.parametrize(
+        "shared_rng, region_weights", [(False, CTR_REGION_WEIGHTS), (True, None)]
+    )
+    def test_serve_page_matches_the_explicit_chain(
+        self, default_world, shared_rng, region_weights
+    ):
+        world, ci, qi, ti, day = default_world, 7, 3, 2, 4
+        horizon = HorizonConfig()
+        available = draw_availability(world, np.random.default_rng(1))
+        context = request_context(world, qi, Device.DESKTOP, 0)
+
+        def rngs():
+            session_rng = np.random.default_rng(8)
+            return session_rng, session_rng if shared_rng else np.random.default_rng(9)
+
+        record, engagement, bmrs = serve_page(
+            world, ci, qi, ti, available, context, day, horizon, region_weights, *rngs()
+        )
+        session_rng, long_term_rng = rngs()
+        layout = build_layout(world, qi, ti, available)
+        session = simulate_session(world, ci, qi, layout, session_rng)
+        long_term = realize_long_term(world, ci, qi, layout, session, long_term_rng)
+        expected_bmrs = layout_region_bmrs(layout, world.brands[world.queries[qi].brand_index])
+        assert record.context is context
+        assert record.template_id == world.templates[ti].template_id
+        assert record.targets == ObjectiveVector(
+            revenue=session.short_term_revenue,
+            non_abandonment=session.non_abandonment,
+            satisfaction=(
+                None if region_weights is None else weighted_bmr(expected_bmrs, region_weights)
+            ),
+        )
+        assert record.long_term_revenue == long_term.long_term_revenue
+        assert (record.ts, record.long_term_available_on) == (day, day + horizon.delta_long_days)
+        assert engagement == session.engagement_a
+        assert bmrs == expected_bmrs
 
 
 class TestRegionWeightEstimation:

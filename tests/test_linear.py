@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wpxlab.dml.linear import (
-    lasso_cv,
     lasso_cv_path,
     lasso_fit,
     lasso_lambda_max,
@@ -137,7 +136,7 @@ class TestLassoCv:
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(60, 4))
             y = rng.normal(size=60)
-            _, beta = lasso_cv(X, y, grid_points=20, folds=3, seed=seed)
+            *_, beta = lasso_cv_path(X, y, grid_points=20, folds=3, seed=seed)
             zero_count += int(np.all(beta == 0.0))
         assert zero_count >= 11
 
@@ -155,13 +154,13 @@ class TestLassoCv:
 
     def test_zero_variance_target_rejected(self):
         with pytest.raises(EstimationError):
-            lasso_cv(np.random.default_rng(0).normal(size=(30, 2)), np.ones(30))
+            lasso_cv_path(np.random.default_rng(0).normal(size=(30, 2)), np.ones(30))
 
     def test_fold_count_guards(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         with pytest.raises(DomainError):
-            lasso_cv(X, y, folds=1)
+            lasso_cv_path(X, y, folds=1)
         with pytest.raises(EstimationError):
-            lasso_cv(X[:2], y[:2], folds=3)
+            lasso_cv_path(X[:2], y[:2], folds=3)

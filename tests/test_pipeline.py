@@ -10,7 +10,6 @@ from wpxlab.dml.pipeline import (
     DvwpxModel,
     crossfit_residualize,
     derive_region_weights,
-    dvwpx_score,
     estimate_dvwpx,
     fixed_effects_ols,
     load_model,
@@ -223,38 +222,6 @@ class TestReferenceEstimators:
         naive_err = np.max(np.abs(beta_naive - TRUE_BETA))
         dml_err = np.max(np.abs(model.estimate.beta - TRUE_BETA))
         assert naive_err > dml_err
-
-
-class TestDvwpxScore:
-    def test_zero_vector_scores_zero(self):
-        model = _model_with_beta([1.0, 0.6, 0.0])
-        assert dvwpx_score(model, np.zeros(3)) == 0.0
-
-    def test_unit_vector_extracts_coefficient(self):
-        model = _model_with_beta([1.0, 0.6, 0.0])
-        assert dvwpx_score(model, np.array([0.0, 1.0, 0.0])) == 0.6
-
-    def test_homogeneous_scaling(self):
-        rng = np.random.default_rng(55)
-        model = _model_with_beta(rng.normal(size=3))
-        x = rng.normal(size=3)
-        assert dvwpx_score(model, 2.0 * x) == pytest.approx(
-            2.0 * dvwpx_score(model, x), abs=1e-12
-        )
-
-    def test_linearity_to_machine_precision(self):
-        rng = np.random.default_rng(57)
-        model = _model_with_beta(rng.normal(size=3))
-        x, y = rng.normal(size=3), rng.normal(size=3)
-        a, b = 1.75, -0.5
-        combined = dvwpx_score(model, a * x + b * y)
-        separate = a * dvwpx_score(model, x) + b * dvwpx_score(model, y)
-        assert combined == pytest.approx(separate, abs=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        model = _model_with_beta([1.0, 0.6, 0.0])
-        with pytest.raises(DomainError):
-            dvwpx_score(model, np.zeros(4))
 
 
 class TestDeriveRegionWeights:

@@ -12,12 +12,14 @@ from wpxlab.bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
     SATISFACTION,
+    STD_FLOOR,
     ImpressionRecord,
     ObjectiveStats,
     RewardWeights,
     apply_impression,
     bundle_from_dict,
     bundle_to_dict,
+    frozen_reward,
     incremental_retrain,
     load_bundle,
     new_bundle,
@@ -29,7 +31,7 @@ from wpxlab.bandit.ranker import (
     with_noise_variances,
     write_impressions,
 )
-from wpxlab.domain import ContextFeatures, Device, ObjectiveVector, PageLayout
+from wpxlab.domain import ContentKind, ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
 from wpxlab.metrics import CTR_REGION_WEIGHTS
 
@@ -233,9 +235,45 @@ class TestSelectTemplate:
         )
         assert NON_ABANDONMENT not in trace[0].samples
 
+    def test_page_templates_are_candidates_and_the_chosen_one_is_returned(self):
+        plan = ((ContentKind.ORGANIC, 1.0),)
+        candidates = (PageTemplate("a", plan), PageTemplate("b", plan))
+        chosen, trace = select_template(
+            _context(), candidates, _bundle(), np.random.default_rng(3)
+        )
+        starred = next(sc.template_id for sc in trace if sc.chosen)
+        assert chosen is candidates[[c.template_id for c in candidates].index(starred)]
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(DomainError):
             select_template(_context(), [], _bundle(), np.random.default_rng(0))
+
+
+class TestFrozenReward:
+    def test_zero_variance_objective_std_is_floored(self):
+        context = _context()
+        log = [_record(context, "a", 2.0, 1), _record(context, "b", 2.0, 0)]
+        reward = frozen_reward({REVENUE: 0.5, NON_ABANDONMENT: 0.2}, log, False)
+        assert STD_FLOOR == 1e-6
+        assert reward.stats == {
+            REVENUE: ObjectiveStats(2.0, STD_FLOOR),
+            NON_ABANDONMENT: ObjectiveStats(0.5, 0.5),
+        }
+
+    def test_satisfaction_and_unweighted_objectives_are_omitted(self):
+        context = _context()
+        log = [
+            _record(context, "a", 1.0, 1, satisfaction=0.2),
+            _record(context, "b", 3.0, 0, satisfaction=0.6),
+        ]
+        assert set(frozen_reward({REVENUE: 1.0}, log, True).stats) == {REVENUE}
+        weights = {REVENUE: 1.0, SATISFACTION: 0.3}
+        reward = frozen_reward(weights, log, True)
+        assert set(reward.stats) == {REVENUE, SATISFACTION}
+        assert reward.stats[SATISFACTION].mean == pytest.approx(0.4)
+        assert reward.stats[SATISFACTION].std == pytest.approx(0.2)
+        with pytest.raises(DomainError):
+            frozen_reward(weights, log, False)
 
 
 class TestImpressionRecord:

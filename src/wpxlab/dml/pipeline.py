@@ -265,9 +265,14 @@ def estimate_dvwpx(
             coef = coef_all[1:]
             stderr = stderr_all[1:]
         else:
+            # unit-RMS columns, so the penalty grid is not set by whichever
+            # residual has the largest scale (short-term revenue's, by far)
+            rms = np.sqrt(np.mean(rxm**2, axis=0))
+            rms[rms == 0.0] = 1.0
             grid, _, lam_star, coef = lasso_cv_path(
-                rxm, ry, config.lasso_grid_points, config.lasso_cv_folds, config.seed
+                rxm / rms, ry, config.lasso_grid_points, config.lasso_cv_folds, config.seed
             )
+            coef = coef / rms
             lambda_selected = lam_star
             # classical covariance evaluated at the lasso fit, for scale only
             resid = ry - rxm @ coef

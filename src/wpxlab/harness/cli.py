@@ -79,6 +79,21 @@ def _load_json(path: str, what: str) -> dict[str, Any]:
     return payload
 
 
+_MISSING = object()
+
+
+def _config_value(cfg: dict[str, Any], key: str, kind: Any = int, default: Any = _MISSING) -> Any:
+    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent. A missing
+    required key or a value ``kind`` rejects is a usage error naming the key."""
+    value = cfg.get(key, default)
+    if value is _MISSING:
+        raise DomainError(f"missing field {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{key} has the wrong type or value: {value!r}") from exc
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -88,15 +103,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config, "config file") if args.config else {}
     world_cfg = (
-        world_config_from_dict(cfg["world"]) if "world" in cfg else WorldConfig(seed=args.seed)
+        world_config_from_dict(cfg["world"])
+        if "world" in cfg
+        else WorldConfig(seed=0 if args.seed is None else args.seed)
     )
-    if args.seed is not None and "world" not in cfg:
-        world_cfg = replace(world_cfg, seed=args.seed)
-    n_events = int(cfg.get("n_events", 20_000))
+    n_events = _config_value(cfg, "n_events", default=20_000)
     policy = cfg.get("policy", CONFOUNDED)
     if policy not in (CONFOUNDED, RANDOMIZED):
         raise DomainError(f"policy must be '{CONFOUNDED}' or '{RANDOMIZED}', got {policy!r}")
-    event_seed = int(cfg.get("event_seed", args.seed if args.seed is not None else world_cfg.seed))
+    event_seed = _config_value(
+        cfg, "event_seed", default=world_cfg.seed if args.seed is None else args.seed
+    )
 
     world = generate_world(world_cfg)
     panel = simulate_panel(world, n_events, policy, event_seed)
@@ -187,15 +204,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def _train_rank_bundle(world, cfg: dict[str, Any], seed: int):
     """Fit a quick bundle on uniformly served sessions so `rank` has posteriors."""
     block = cfg.get("arm", {})
+    if not isinstance(block, dict):
+        raise DomainError(f"arm must be a JSON object, got {block!r}")
     arm = ArmConfig(
         name="rank",
         satisfaction_mode=block.get("satisfaction_mode", SATISFACTION_NONE),
-        reward_weights=block.get("reward_weights", {REVENUE: 0.5, NON_ABANDONMENT: 0.2}),
+        reward_weights=_config_value(
+            block, "reward_weights", dict, {REVENUE: 0.5, NON_ABANDONMENT: 0.2}
+        ),
     )
     if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
     region_weights = CTR_REGION_WEIGHTS if arm.satisfaction_mode == SATISFACTION_CTR else None
-    n_sessions = int(cfg.get("warmup_sessions", 400))
+    n_sessions = _config_value(cfg, "warmup_sessions", default=400)
     if n_sessions < 1:
         raise DomainError("warmup_sessions must be >= 1")
 
@@ -230,7 +251,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if not args.config:
         raise DomainError("rank needs --config pointing at a context file")
     cfg = _load_json(args.config, "context file")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", default=0)
 
     world_cfg = (
         world_config_from_dict(cfg["world"]) if "world" in cfg else WorldConfig(seed=seed)
@@ -239,30 +260,31 @@ def cmd_rank(args: argparse.Namespace) -> int:
     bundle = _train_rank_bundle(world, cfg, seed)
 
     if "query_index" in cfg:
-        qi = int(cfg["query_index"])
+        qi = _config_value(cfg, "query_index")
         if not 0 <= qi < world.config.n_queries:
             raise DomainError(f"query_index out of range: {qi}")
         context = request_context(
-            world, qi, Device(cfg.get("device", "desktop")), int(cfg.get("membership", 0))
+            world,
+            qi,
+            _config_value(cfg, "device", Device, "desktop"),
+            _config_value(cfg, "membership", default=0),
         )
         context = replace(
             context,
-            query_specificity=float(cfg.get("query_specificity", context.query_specificity)),
+            query_specificity=_config_value(
+                cfg, "query_specificity", float, context.query_specificity
+            ),
             category_id=cfg.get("category_id", context.category_id),
         )
     else:
-        try:
-            context = ContextFeatures(
-                device=Device(cfg["device"]),
-                query_specificity=float(cfg["query_specificity"]),
-                category_id=cfg["category_id"],
-                membership=int(cfg["membership"]),
-                content_signals={
-                    k: tuple(v) for k, v in cfg["content_signals"].items()
-                },
-            )
-        except KeyError as exc:
-            raise DomainError(f"context file missing field {exc}") from exc
+        signals = _config_value(cfg, "content_signals", dict)
+        context = ContextFeatures(
+            device=_config_value(cfg, "device", Device),
+            query_specificity=_config_value(cfg, "query_specificity", float),
+            category_id=_config_value(cfg, "category_id", str),
+            membership=_config_value(cfg, "membership"),
+            content_signals={k: _config_value(signals, k, tuple) for k in signals},
+        )
 
     by_id = {t.template_id: t for t in world.templates}
     candidate_ids = cfg.get("templates", list(by_id))

@@ -33,20 +33,19 @@ from ..bandit.ranker import (
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import (
-    ContextFeatures,
-    Device,
-    HorizonConfig,
-    ObjectiveVector,
-    PageRegion,
-    region_of_position,
-)
+from ..domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
 from ..errors import DomainError, EstimationError, InvariantViolation
-from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, layout_region_bmrs, weighted_bmr
+from ..metrics import CTR_REGION_WEIGHTS, REGION_ORDER, RegionWeights, weighted_bmr
 from ..rng import stream
-from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
-from ..sim.session import build_layout, draw_availability, realize_long_term, simulate_session
-from ..sim.world import World, WorldConfig, generate_world
+from ..sim.panel import CHUNK_EVENTS, RANDOMIZED, X_COLUMNS, simulate_panel
+from ..sim.session import draw_availability, page_long_term, page_sessions
+from ..sim.world import (
+    World,
+    WorldConfig,
+    generate_world,
+    layout_item_indices,
+    page_item_indices,
+)
 
 SATISFACTION_NONE = "none"
 SATISFACTION_CTR = "ctr"
@@ -221,27 +220,32 @@ def _region_weights_for(
     return dvwpx_weights
 
 
-_REGION_INDEX = {PageRegion.TOP: 0, PageRegion.MIDDLE: 1, PageRegion.BOTTOM: 2}
-
-
 def estimate_ctr_region_weights(
     world: World, n_sessions: int, seed: int
 ) -> RegionWeights:
     """Region weights proportional to click share under randomized serving."""
     if n_sessions < 1:
         raise DomainError("n_sessions must be >= 1")
-    counts = np.zeros(3)
-    for s in range(n_sessions):
-        r = stream(seed, "ctr_weights", s)
-        ci = int(r.integers(0, world.config.n_customers))
-        qi = int(r.integers(0, world.config.n_queries))
-        ti = int(r.integers(0, len(world.templates)))
-        available = draw_availability(world, r)
-        layout = build_layout(world, qi, ti, available)
-        outcome = simulate_session(world, ci, qi, layout, r)
-        for slot, clicked in zip(layout.slots, outcome.clicks):
-            if clicked:
-                counts[_REGION_INDEX[region_of_position(slot.position)]] += 1
+    cfg = world.config
+    counts = np.zeros(len(REGION_ORDER))
+    for start in range(0, n_sessions, CHUNK_EVENTS):
+        block = range(start, min(start + CHUNK_EVENTS, n_sessions))
+        picks = np.empty((len(block), 3), dtype=np.intp)  # customer, query, template
+        available = np.empty((len(block), cfg.n_items), dtype=bool)
+        u = np.empty((len(block), 3, world.n_slots))
+        for j, s in enumerate(block):
+            r = stream(seed, "ctr_weights", s)
+            picks[j] = [
+                r.integers(0, cfg.n_customers),
+                r.integers(0, cfg.n_queries),
+                r.integers(0, len(world.templates)),
+            ]
+            available[j] = draw_availability(world, r)
+            u[j] = r.random((3, world.n_slots))
+        ci, qi, ti = picks.T
+        items = page_item_indices(world, qi, ti, available)
+        clicked = page_sessions(world, ci, qi, ti, items, u).clicked
+        counts += np.bincount(world.slots.region[ti][clicked], minlength=len(REGION_ORDER))
     total = float(counts.sum())
     if total == 0.0:
         raise EstimationError("no clicks observed; cannot derive click weights")
@@ -295,25 +299,28 @@ def serve_page(
     when `region_weights` is set. Returns the impression, the session's
     engagement and the page's (top, middle, bottom) brand match rates.
     """
-    layout = build_layout(world, query_index, template_index, available)
-    session = simulate_session(world, customer_index, query_index, layout, session_rng)
-    long_term = realize_long_term(
-        world, customer_index, query_index, layout, session, long_term_rng
+    ci, qi, ti = np.array([customer_index]), np.array([query_index]), np.array([template_index])
+    items = layout_item_indices(world, query_index, template_index, available)[None, :]
+    sessions = page_sessions(
+        world, ci, qi, ti, items, session_rng.random((1, 3, world.n_slots))
     )
-    bmrs = layout_region_bmrs(layout, world.brands[world.queries[query_index].brand_index])
+    long_term = page_long_term(
+        world, ci, qi, sessions, np.array([long_term_rng.standard_normal()])
+    )
+    bmrs = tuple(float(b) for b in sessions.region_bmrs[0])
     record = ImpressionRecord(
         ts=day,
         context=context,
         template_id=world.templates[template_index].template_id,
         targets=ObjectiveVector(
-            revenue=session.short_term_revenue,
-            non_abandonment=session.non_abandonment,
+            revenue=float(sessions.short_term_revenue[0]),
+            non_abandonment=int(sessions.clicked[0].any()),
             satisfaction=None if region_weights is None else weighted_bmr(bmrs, region_weights),
         ),
-        long_term_revenue=long_term.long_term_revenue,
+        long_term_revenue=float(long_term[0]),
         long_term_available_on=day + horizon.delta_long_days,
     )
-    return record, session.engagement_a, bmrs
+    return record, float(sessions.engagement[0]), bmrs
 
 
 def estimate_dvwpx_region_weights(

@@ -10,10 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import Item, PageLayout, PageRegion
 from .errors import DomainError
 
 _WEIGHT_SUM_TOL = 1e-12
+
+#: Order of the three region rates everywhere they travel as a triple or array.
+REGION_ORDER = (PageRegion.TOP, PageRegion.MIDDLE, PageRegion.BOTTOM)
 
 
 @dataclass(frozen=True)
@@ -101,11 +106,29 @@ def pr_wp_bmr(page: BrandMatchPage, weights: RegionWeights) -> float:
 def layout_region_bmrs(layout: PageLayout, query_brand: str) -> tuple[float, float, float]:
     """(top, middle, bottom) pixel-weighted brand match rates of a layout."""
     page = brand_match_page(layout, query_brand)
-    return (
-        region_bmr(page, PageRegion.TOP),
-        region_bmr(page, PageRegion.MIDDLE),
-        region_bmr(page, PageRegion.BOTTOM),
+    return tuple(region_bmr(page, region) for region in REGION_ORDER)
+
+
+def region_bmr_columns(
+    region: np.ndarray, area: np.ndarray, match: np.ndarray
+) -> np.ndarray:
+    """:func:`region_bmr` for every region of a block of pages held as slot
+    columns of shape ``(..., n_slots)``: region codes into ``REGION_ORDER``,
+    pixel areas and 0/1 (or bool) brand matches. Returns ``(..., 3)``.
+
+    Areas accumulate in slot order, as :func:`region_bmr` adds them, so the
+    rates equal it bit for bit.
+    """
+    codes = np.arange(len(REGION_ORDER))
+    # (..., n_slots, 3): each slot's area in its own region's column, else 0
+    in_region = np.where(
+        np.asarray(region)[..., None] == codes, np.asarray(area)[..., None], 0.0
     )
+    total = np.cumsum(in_region, axis=-2)[..., -1, :]
+    matched = np.cumsum(
+        np.where(np.asarray(match)[..., None], in_region, 0.0), axis=-2
+    )[..., -1, :]
+    return np.divide(matched, total, out=np.zeros(matched.shape), where=total > 0.0)
 
 
 def weighted_bmr(bmrs: tuple[float, float, float], weights: RegionWeights) -> float:

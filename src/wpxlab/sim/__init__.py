@@ -5,7 +5,7 @@ from .panel import (
     M_COLUMNS,
     RANDOMIZED,
     X_COLUMNS,
-    SimulatedEvent,
+    EventBatch,
     assign_templates,
     emit_panel,
     generate_events,
@@ -36,7 +36,7 @@ __all__ = [
     "M_COLUMNS",
     "RANDOMIZED",
     "X_COLUMNS",
-    "SimulatedEvent",
+    "EventBatch",
     "assign_templates",
     "emit_panel",
     "generate_events",

@@ -8,23 +8,14 @@ traffic looks like), and a randomized one that assigns templates uniformly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..domain import PageLayout
 from ..errors import DomainError
-from ..metrics import layout_region_bmrs
-from ..rng import event_stream, stream
-from .world import HISTORY_COLUMNS, World
-from .session import (
-    LongTermOutcome,
-    SessionOutcome,
-    build_layout,
-    draw_availability,
-    realize_long_term,
-    simulate_session,
-)
+from ..rng import event_normals, event_uniforms, stream
+from .world import HISTORY_COLUMNS, World, page_item_indices
+from .session import page_long_term, page_sessions
 from ..dml.panel import PanelDataset
 
 X_COLUMNS = ("x_bmr_top", "x_bmr_mid", "x_bmr_bot")
@@ -33,18 +24,30 @@ M_COLUMNS = ("m_short_rev", "m_engagement")
 CONFOUNDED = "confounded"
 RANDOMIZED = "randomized"
 
+#: Events realized per block; bounds the simulator's working memory.
+CHUNK_EVENTS = 4096
+
 
 @dataclass(frozen=True)
-class SimulatedEvent:
-    """One logged search event with its page and both horizons' outcomes."""
+class EventBatch:
+    """Logged search events as columns: one row per event, with its page and
+    both horizons' outcomes."""
 
-    event_id: str
-    customer_index: int
-    query_index: int
-    template_id: str
-    layout: PageLayout
-    session: SessionOutcome
-    long_term: LongTermOutcome | None
+    event_index: np.ndarray  # position in the generated sequence; names the event
+    customer_index: np.ndarray
+    query_index: np.ndarray
+    template_index: np.ndarray
+    items: np.ndarray  # (n, n_slots) catalog item per page position
+    region_bmrs: np.ndarray  # (n, 3) top, middle, bottom
+    short_term_revenue: np.ndarray
+    engagement: np.ndarray
+    long_term_revenue: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.event_index)
+
+    def take(self, idx: np.ndarray) -> "EventBatch":
+        return EventBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
 def assign_templates(
@@ -78,8 +81,13 @@ def generate_events(
     n_events: int,
     policy: str,
     seed: int,
-) -> list[SimulatedEvent]:
-    """Draw customers and queries, assign templates, realize both horizons."""
+) -> EventBatch:
+    """Draw customers and queries, assign templates, realize both horizons.
+
+    Event ``i`` draws its availability, session and long-term noise from
+    ``event_stream(seed, i, purpose)``, so an event's outcome does not depend
+    on how the events are blocked.
+    """
     if n_events < 1:
         raise DomainError("n_events must be >= 1")
     cfg = world.config
@@ -89,74 +97,60 @@ def generate_events(
     template_idx = assign_templates(
         world, customer_idx, query_idx, policy, stream(seed, "panel_assignment")
     )
-    events = []
-    for i in range(n_events):
-        ci = int(customer_idx[i])
-        qi = int(query_idx[i])
-        ti = int(template_idx[i])
-        available = draw_availability(world, event_stream(seed, i, "availability"))
-        layout = build_layout(world, qi, ti, available)
-        session = simulate_session(
-            world, ci, qi, layout, event_stream(seed, i, "session")
+    blocks = []
+    for start in range(0, n_events, CHUNK_EVENTS):
+        ids = np.arange(start, min(start + CHUNK_EVENTS, n_events))
+        ci, qi, ti = customer_idx[ids], query_idx[ids], template_idx[ids]
+        # draw_availability's coin, replayed for every event of the block
+        available = (
+            event_uniforms(seed, ids, "availability", cfg.n_items) < cfg.availability_rate
         )
-        long_term = realize_long_term(
-            world, ci, qi, layout, session, event_stream(seed, i, "long_term")
-        )
-        events.append(
-            SimulatedEvent(
-                event_id=f"e{i:08d}",
+        items = page_item_indices(world, qi, ti, available)
+        u = event_uniforms(seed, ids, "session", 3 * world.n_slots)
+        sessions = page_sessions(world, ci, qi, ti, items, u.reshape(len(ids), 3, -1))
+        blocks.append(
+            EventBatch(
+                event_index=ids,
                 customer_index=ci,
                 query_index=qi,
-                template_id=world.templates[ti].template_id,
-                layout=layout,
-                session=session,
-                long_term=long_term,
+                template_index=ti,
+                items=items,
+                region_bmrs=sessions.region_bmrs,
+                short_term_revenue=sessions.short_term_revenue,
+                engagement=sessions.engagement,
+                long_term_revenue=page_long_term(
+                    world, ci, qi, sessions, event_normals(seed, ids, "long_term")
+                ),
             )
         )
-    return events
+    return EventBatch(
+        **{
+            f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+            for f in fields(EventBatch)
+        }
+    )
 
 
-def emit_panel(world: World, events: list[SimulatedEvent]) -> PanelDataset:
+def emit_panel(world: World, events: EventBatch) -> PanelDataset:
     """Flatten events into the estimator's panel: keys, target, X, M, H.
 
-    Rows are ordered by event_id regardless of input order, so parallel
-    generation cannot change the output.
+    Rows are ordered by event index regardless of input order, so blocked or
+    parallel generation cannot change the output.
     """
-    if not events:
+    if len(events) == 0:
         raise DomainError("no events to emit")
-    events = sorted(events, key=lambda e: e.event_id)
-    n = len(events)
-    x = np.empty((n, len(X_COLUMNS)))
-    m = np.empty((n, len(M_COLUMNS)))
-    h = np.empty((n, len(HISTORY_COLUMNS)))
-    drev = np.empty(n)
-    event_id = []
-    customer_id = []
-    query_group = []
-    zip_code = []
-    for i, ev in enumerate(events):
-        if ev.long_term is None:
-            raise DomainError(
-                f"event {ev.event_id} lacks its long-term outcome"
-            )
-        query = world.queries[ev.query_index]
-        x[i] = layout_region_bmrs(ev.layout, world.brands[query.brand_index])
-        m[i] = (ev.session.short_term_revenue, ev.session.engagement_a)
-        h[i] = world.customers.history[ev.customer_index]
-        drev[i] = ev.long_term.long_term_revenue
-        event_id.append(ev.event_id)
-        customer_id.append(f"c{ev.customer_index:06d}")
-        query_group.append(query.query_id)
-        zip_code.append(world.zip_ids[world.customers.zip_index[ev.customer_index]])
+    events = events.take(np.argsort(events.event_index, kind="stable"))
+    customers = world.customers
+    query_ids = np.array([q.query_id for q in world.queries])
     return PanelDataset(
-        event_id=np.array(event_id),
-        customer_id=np.array(customer_id),
-        query_group=np.array(query_group),
-        zip_code=np.array(zip_code),
-        drev=drev,
-        x=x,
-        m=m,
-        h=h,
+        event_id=np.array([f"e{i:08d}" for i in events.event_index.tolist()]),
+        customer_id=np.array([f"c{c:06d}" for c in events.customer_index.tolist()]),
+        query_group=query_ids[events.query_index],
+        zip_code=np.array(world.zip_ids)[customers.zip_index[events.customer_index]],
+        drev=events.long_term_revenue,
+        x=events.region_bmrs,
+        m=np.column_stack([events.short_term_revenue, events.engagement]),
+        h=customers.history[events.customer_index],
         x_names=X_COLUMNS,
         m_names=M_COLUMNS,
         h_names=HISTORY_COLUMNS,

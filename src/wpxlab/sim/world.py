@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..domain import ContentKind, Item, PageTemplate
+from ..domain import ContentKind, Item, PageTemplate, region_of_position
 from ..errors import DomainError
+from ..metrics import REGION_ORDER, region_bmr_columns
 from ..rng import stream
 
 HISTORY_COLUMNS = ("h_spend", "h_orders", "h_engage", "h_tenure")
@@ -126,6 +127,18 @@ class CustomerTable:
     propensity: np.ndarray  # u_lin plus private noise
     zip_index: np.ndarray
     membership: np.ndarray  # 0/1
+    spend_multiplier: np.ndarray  # exp(spend_sensitivity * propensity)
+    history_effect: np.ndarray  # history_effects @ history row
+
+
+@dataclass(frozen=True)
+class SlotTable:
+    """Per-template slot columns: one row per template, one column per position."""
+
+    region: np.ndarray  # code into metrics.REGION_ORDER
+    area: np.ndarray  # pixel area
+    widget: np.ndarray  # True for widget slots
+    examination: np.ndarray  # examination probability of the click model
 
 
 @dataclass(frozen=True)
@@ -150,16 +163,18 @@ class World:
     customers: CustomerTable
     queries: tuple[QueryGroup, ...]
     query_alpha: np.ndarray
+    query_brand: np.ndarray  # brand index per query
     zip_ids: tuple[str, ...]
     zip_zeta: np.ndarray
     categories: tuple[str, ...]
     templates: tuple[PageTemplate, ...]
-    template_widget_filter: tuple[str, ...]
     template_affinity: np.ndarray
     template_fe_loading: np.ndarray
+    slots: SlotTable = field(repr=False)
     organic_order: np.ndarray = field(repr=False)  # (n_queries, n_items)
     appeal_order: np.ndarray = field(repr=False)  # (n_items,)
-    brand_orders: tuple[np.ndarray, ...] = field(repr=False)
+    # per template, (n_queries, pool size) widget fill order padded with n_items
+    widget_order: tuple[np.ndarray, ...] = field(repr=False)
     content_signals: np.ndarray = field(repr=False)  # (n_queries, n_templates, 6)
     signal_names: tuple[str, ...] = SIGNAL_NAMES
 
@@ -167,16 +182,18 @@ class World:
     def n_slots(self) -> int:
         return PAGE_SLOTS
 
-    def history_effect(self, customer_index: int) -> float:
-        return float(
-            np.asarray(self.config.history_effects)
-            @ self.customers.history[customer_index]
-        )
+
+def examination_probability(config: WorldConfig, position: int, widget: bool) -> float:
+    """Click-model examination probability of a 1-based page position: geometric
+    position decay, widget slots drawing extra attention, capped at 1."""
+    e = config.position_bias_decay ** (position - 1)
+    if widget:
+        e *= config.widget_attention_multiplier
+    return min(e, 1.0)
 
 
-def _make_templates(n_templates: int) -> tuple[tuple[PageTemplate, ...], tuple[str, ...]]:
+def _make_templates(n_templates: int) -> tuple[PageTemplate, ...]:
     templates = []
-    filters = []
     for template_id, widget_range, item_filter, _, _ in TEMPLATE_TABLE[:n_templates]:
         plan = []
         for pos in range(1, PAGE_SLOTS + 1):
@@ -191,8 +208,59 @@ def _make_templates(n_templates: int) -> tuple[tuple[PageTemplate, ...], tuple[s
                 eligible_item_filter=item_filter,
             )
         )
-        filters.append(item_filter)
-    return tuple(templates), tuple(filters)
+    return tuple(templates)
+
+
+def _slot_table(config: WorldConfig, templates: tuple[PageTemplate, ...]) -> SlotTable:
+    plans = [t.slot_plan for t in templates]
+    widget = np.array([[kind is ContentKind.WIDGET for kind, _ in plan] for plan in plans])
+    return SlotTable(
+        region=np.array(
+            [
+                [REGION_ORDER.index(region_of_position(p + 1)) for p in range(len(plan))]
+                for plan in plans
+            ]
+        ),
+        area=np.array([[area for _, area in plan] for plan in plans]),
+        widget=widget,
+        examination=np.array(
+            [
+                [examination_probability(config, p + 1, w) for p, w in enumerate(row)]
+                for row in widget
+            ]
+        ),
+    )
+
+
+def _widget_orders(
+    config: WorldConfig,
+    templates: tuple[PageTemplate, ...],
+    query_brand: np.ndarray,
+    item_brand: np.ndarray,
+    item_appeal: np.ndarray,
+    appeal_order: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Each template's widget pool per query, by descending appeal, padded with
+    ``n_items`` to the largest pool: ``query_brand`` keeps the query's brand,
+    ``high_appeal`` items at or above the threshold, ``any`` every item."""
+    orders = []
+    for template in templates:
+        item_filter = template.eligible_item_filter
+        if item_filter == "query_brand":
+            keep = item_brand[appeal_order] == query_brand[:, None]
+        elif item_filter == "high_appeal":
+            keep = np.broadcast_to(
+                item_appeal[appeal_order] >= config.high_appeal_threshold,
+                (config.n_queries, config.n_items),
+            )
+        else:
+            keep = np.ones((config.n_queries, config.n_items), dtype=bool)
+        pools = [appeal_order[row] for row in keep]
+        order = np.full((config.n_queries, max(map(len, pools))), config.n_items)
+        for qi, pool in enumerate(pools):
+            order[qi, : len(pool)] = pool
+        orders.append(order)
+    return tuple(orders)
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
@@ -229,6 +297,9 @@ def generate_world(config: WorldConfig) -> World:
     propensity = u_lin + config.propensity_noise * r_cust.standard_normal(
         config.n_customers
     )
+    # per-customer scalars, each evaluated as a scalar expression per row so the
+    # batch and single-page paths of the session model read identical floats
+    history_weights = np.asarray(config.history_effects)
     customers = CustomerTable(
         history=history,
         u_lin=u_lin,
@@ -237,6 +308,10 @@ def generate_world(config: WorldConfig) -> World:
         membership=(r_cust.random(config.n_customers) < config.membership_rate).astype(
             np.int64
         ),
+        spend_multiplier=np.array(
+            [float(np.exp(config.spend_sensitivity * p)) for p in propensity]
+        ),
+        history_effect=np.array([float(history_weights @ row) for row in history]),
     )
 
     r_fe = stream(seed, "world", "fixed_effects")
@@ -261,7 +336,7 @@ def generate_world(config: WorldConfig) -> World:
         for i in range(config.n_queries)
     )
 
-    templates, widget_filters = _make_templates(config.n_templates)
+    templates = _make_templates(config.n_templates)
     affinity = np.array([row[3] for row in TEMPLATE_TABLE[: config.n_templates]])
     fe_loading = np.array([row[4] for row in TEMPLATE_TABLE[: config.n_templates]])
 
@@ -271,9 +346,6 @@ def generate_world(config: WorldConfig) -> World:
         score = appeal + config.organic_brand_bonus * (brand_idx == query.brand_index)
         organic_order[qi] = np.lexsort((idx, -score))
     appeal_order = np.lexsort((idx, -appeal))
-    brand_orders = tuple(
-        appeal_order[brand_idx[appeal_order] == b] for b in range(config.n_brands)
-    )
 
     world = World(
         config=config,
@@ -285,30 +357,28 @@ def generate_world(config: WorldConfig) -> World:
         customers=customers,
         queries=queries,
         query_alpha=query_alpha,
+        query_brand=q_brand,
         zip_ids=zip_ids,
         zip_zeta=zip_zeta,
         categories=categories,
         templates=templates,
-        template_widget_filter=widget_filters,
         template_affinity=affinity,
         template_fe_loading=fe_loading,
+        slots=_slot_table(config, templates),
         organic_order=organic_order,
         appeal_order=appeal_order,
-        brand_orders=brand_orders,
+        widget_order=_widget_orders(
+            config, templates, q_brand, brand_idx, appeal, appeal_order
+        ),
         content_signals=np.zeros((config.n_queries, config.n_templates, len(SIGNAL_NAMES))),
     )
     return replace(world, content_signals=_content_signal_table(world))
 
 
-def _widget_source(world: World, item_filter: str, query_index: int) -> np.ndarray:
+def _widget_source(world: World, template_index: int, query_index: int) -> np.ndarray:
     """Widget fill order: predicate pool by descending appeal."""
-    if item_filter == "query_brand":
-        return world.brand_orders[world.queries[query_index].brand_index]
-    if item_filter == "high_appeal":
-        order = world.appeal_order
-        keep = world.item_appeal[order] >= world.config.high_appeal_threshold
-        return order[keep]
-    return world.appeal_order
+    order = world.widget_order[template_index][query_index]
+    return order[order < world.config.n_items]
 
 
 def layout_item_indices(
@@ -326,9 +396,7 @@ def layout_item_indices(
     """
     template = world.templates[template_index]
     organic_src = world.organic_order[query_index]
-    widget_src = _widget_source(
-        world, world.template_widget_filter[template_index], query_index
-    )
+    widget_src = _widget_source(world, template_index, query_index)
     used = np.zeros(world.config.n_items, dtype=bool)
     chosen = np.empty(len(template.slot_plan), dtype=np.intp)
     o_ptr = 0
@@ -355,41 +423,103 @@ def layout_item_indices(
     return chosen
 
 
+#: Leading positions of an order scanned first: pages almost always fill from
+#: there, and the whole order is scanned only when some page of a block does not.
+_SCAN_PREFIX = 2 * PAGE_SLOTS
+
+
+def page_item_indices(
+    world: World,
+    query_idx: np.ndarray,
+    template_idx: np.ndarray,
+    available: np.ndarray,
+) -> np.ndarray:
+    """:func:`layout_item_indices` for a block of pages: row ``i`` is the page
+    of (``query_idx[i]``, ``template_idx[i]``) under ``available[i]``.
+
+    Works one template at a time. A template's widget slots form one block, so
+    a page is a run of organic picks, up to the block's size of widget picks,
+    then organic picks again; every run takes the first available, unused
+    items of its order, located by a masked cumulative count.
+    """
+    page = np.empty((len(query_idx), PAGE_SLOTS), dtype=np.intp)
+    for ti in np.unique(template_idx):
+        rows = np.flatnonzero(template_idx == ti)
+        page[rows] = _fill_template(world, int(ti), query_idx[rows], available[rows])
+    return page
+
+
+def _first_free(
+    free: np.ndarray, order: np.ndarray, need: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and 0-based rank of the first ``need[row]`` items of each
+    row of ``order`` that are ``free``; a row with fewer yields all it has."""
+    scan = order[:, :_SCAN_PREFIX]
+    in_order = np.take_along_axis(free, scan, axis=1)
+    rank = np.cumsum(in_order, axis=1)
+    if scan.shape[1] < order.shape[1] and np.any(rank[:, -1] < need):
+        in_order = np.take_along_axis(free, order, axis=1)
+        rank = np.cumsum(in_order, axis=1)
+    r, c = np.nonzero(in_order & (rank <= need[:, None]))
+    return r, c, rank[r, c] - 1
+
+
+def _fill_template(
+    world: World, template_index: int, query_idx: np.ndarray, available: np.ndarray
+) -> np.ndarray:
+    n, n_items = available.shape
+    widget_slots = np.flatnonzero(world.slots.widget[template_index])
+    page = np.empty((n, PAGE_SLOTS), dtype=np.intp)
+    organic = world.organic_order[query_idx]
+    # available and not on the page, by item; the last column is the padding
+    # of the widget orders and never free
+    free = np.zeros((n, n_items + 1), dtype=bool)
+    free[:, :n_items] = available
+    lead = widget_slots[0] if len(widget_slots) else PAGE_SLOTS
+    n_widget = np.zeros(n, dtype=np.intp)
+    if len(widget_slots):
+        # the organic slots above the block take the first `lead` available items
+        r, c, _ = _first_free(free, organic, np.full(n, lead))
+        free[r, organic[r, c]] = False
+        # the block takes the first free items of its widget pool
+        pool = world.widget_order[template_index][query_idx]
+        r, c, k = _first_free(free, pool, np.full(n, len(widget_slots)))
+        page[r, lead + k] = pool[r, c]
+        n_widget = np.bincount(r, minlength=n)
+        # the organic order resumes where the first run stopped, so only the
+        # widget picks leave it
+        free[:, :n_items] = available
+        free[r, pool[r, c]] = False
+    # organic rank k < lead fills slot k; later ranks skip the widget picks, and
+    # an exhausted widget pool leaves its remaining block slots to them
+    need = PAGE_SLOTS - n_widget
+    r, c, k = _first_free(free, organic, need)
+    if len(r) < need.sum():
+        raise DomainError("catalog exhausted while filling a page")
+    page[r, k + np.where(k >= lead, n_widget[r], 0)] = organic[r, c]
+    return page
+
+
 def _content_signal_table(world: World) -> np.ndarray:
     """Per-(query, template) signals under full availability.
 
     These are what the ranker sees at inference time, before any
     availability noise realizes the actual page.
     """
-    from ..domain import PageLayout, Slot
-    from ..metrics import layout_region_bmrs
-
     cfg = world.config
     all_available = np.ones(cfg.n_items, dtype=bool)
     table = np.empty((cfg.n_queries, cfg.n_templates, len(SIGNAL_NAMES)))
     for qi, query in enumerate(world.queries):
-        for ti, template in enumerate(world.templates):
+        for ti in range(cfg.n_templates):
             picks = layout_item_indices(world, qi, ti, all_available)
-            slots = tuple(
-                Slot(
-                    position=p + 1,
-                    content_kind=kind,
-                    item=world.items[picks[p]],
-                    pixel_area=area,
-                )
-                for p, (kind, area) in enumerate(template.slot_plan)
-            )
-            layout = PageLayout(template_id=template.template_id, slots=slots)
-            bmrs = layout_region_bmrs(layout, world.brands[query.brand_index])
-            widget = [s for s in slots if s.content_kind is ContentKind.WIDGET]
-            organic = [s for s in slots if s.content_kind is ContentKind.ORGANIC]
-            total_area = sum(s.pixel_area for s in slots)
-            table[qi, ti] = (
-                bmrs[0],
-                bmrs[1],
-                bmrs[2],
-                float(np.mean([s.item.base_appeal for s in organic])) if organic else 0.0,
-                float(np.mean([s.item.base_appeal for s in widget])) if widget else 0.0,
-                sum(s.pixel_area for s in widget) / total_area,
+            widget = world.slots.widget[ti]
+            area = world.slots.area[ti]
+            appeal = world.item_appeal[picks]
+            match = world.item_brand[picks] == query.brand_index
+            table[qi, ti, :3] = region_bmr_columns(world.slots.region[ti], area, match)
+            table[qi, ti, 3:] = (
+                float(np.mean(appeal[~widget])) if not widget.all() else 0.0,
+                float(np.mean(appeal[widget])) if widget.any() else 0.0,
+                area[widget].sum() / area.sum(),
             )
     return table

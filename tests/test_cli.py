@@ -91,6 +91,22 @@ class TestSimulateAndEstimate:
         cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "policy": "greedy"})
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_no_seed_and_no_world_block_defaults_to_seed_zero(self, tmp_path):
+        cfg = _write(tmp_path, "sim.json", {"n_events": 60})
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        meta = json.loads((tmp_path / "a" / "world.json").read_text())
+        assert (meta["world"]["seed"], meta["event_seed"]) == (0, 0)
+        args = ["simulate", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "b")]
+        assert cli.main(args) == 0
+        panels = [(tmp_path / d / "panel.csv").read_bytes() for d in ("a", "b")]
+        assert panels[0] == panels[1]
+
+    @pytest.mark.parametrize("key, value", [("n_events", "many"), ("event_seed", "x")])
+    def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys, key, value):
+        cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, key: value})
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert key in capsys.readouterr().err
+
 
 class TestRank:
     def test_rank_by_query_index(self, tmp_path, capsys):
@@ -158,6 +174,39 @@ class TestRank:
         )
         assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("arm", 3),
+            ("query_index", "one"),
+            ("warmup_sessions", "ten"),
+            ("membership", "yes"),
+        ],
+    )
+    def test_wrong_typed_context_value_exits_one(self, tmp_path, capsys, key, value):
+        context = {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}
+        cfg = _write(tmp_path, "ctx.json", {**context, key: value})
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_wrong_typed_nested_values_exit_one(self, tmp_path, capsys):
+        context = {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}
+        cfg = _write(tmp_path, "ctx.json", {**context, "arm": {"reward_weights": 3}})
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+        assert "reward_weights" in capsys.readouterr().err
+        explicit = {
+            "world": {"seed": 3},
+            "warmup_sessions": 20,
+            "device": "mobile",
+            "query_specificity": 0.5,
+            "category_id": "cat0",
+            "membership": 1,
+            "content_signals": {"organic_grid": 3},
+        }
+        cfg = _write(tmp_path, "explicit.json", explicit)
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+        assert "organic_grid" in capsys.readouterr().err
 
     def test_rank_requires_config(self):
         assert cli.main(["rank"]) == 1

@@ -8,6 +8,7 @@ import pytest
 from wpxlab.bandit.ranker import NON_ABANDONMENT, REVENUE, SATISFACTION
 from wpxlab.domain import Device, HorizonConfig, ObjectiveVector
 from wpxlab.errors import DomainError, EstimationError
+from wpxlab.harness import experiment
 from wpxlab.harness.experiment import (
     METRIC_NAMES,
     ArmConfig,
@@ -263,6 +264,16 @@ class TestRegionWeightEstimation:
         assert sum(weights.as_tuple()) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DomainError):
             estimate_ctr_region_weights(default_world, 0, seed=2)
+
+    def test_click_counts_of_a_pinned_run(self, default_world):
+        # 4,487 clicks in 400 sessions: 2,504 top, 1,304 middle, 679 bottom
+        weights = estimate_ctr_region_weights(default_world, 400, seed=2)
+        assert weights.as_tuple() == (2504 / 4487, 1304 / 4487, 679 / 4487)
+
+    def test_click_weights_do_not_depend_on_the_block_size(self, default_world, monkeypatch):
+        whole = estimate_ctr_region_weights(default_world, 300, seed=5)
+        monkeypatch.setattr(experiment, "CHUNK_EVENTS", 64)
+        assert estimate_ctr_region_weights(default_world, 300, seed=5) == whole
 
     def test_causal_weights_from_randomized_panel(self):
         config = ExperimentConfig(

@@ -16,6 +16,7 @@ from wpxlab.metrics import (
     layout_region_bmrs,
     pr_wp_bmr,
     region_bmr,
+    region_bmr_columns,
     weighted_bmr,
 )
 
@@ -87,6 +88,27 @@ class TestRegionBmr:
             _page([(PageRegion.TOP, 0.0, 1)])
         with pytest.raises(DomainError):
             _page([(PageRegion.TOP, 10.0, 2)])
+
+
+class TestRegionBmrColumns:
+    def test_equals_region_bmr_bit_for_bit_on_random_pages(self):
+        rng = np.random.default_rng(17)
+        pages = [_random_page(rng) for _ in range(200)]
+        for page in pages:
+            region = np.array([REGIONS.index(r) for r, _, _ in page.slots])
+            area = np.array([a for _, a, _ in page.slots])
+            match = np.array([m for _, _, m in page.slots])
+            expected = [region_bmr(page, r) for r in REGIONS]
+            assert region_bmr_columns(region, area, match).tolist() == expected
+
+    def test_rows_of_a_block_are_independent_pages(self):
+        region = np.array([0, 0, 1, 2])
+        area = np.array([[1.0, 3.0, 2.0, 1.0], [1.0, 3.0, 2.0, 1.0]])
+        match = np.array([[1, 0, 1, 0], [0, 1, 0, 0]])
+        assert region_bmr_columns(region, area, match).tolist() == [
+            [0.25, 1.0, 0.0],
+            [0.75, 0.0, 0.0],
+        ]
 
 
 class TestRegionWeights:

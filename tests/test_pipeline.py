@@ -1,5 +1,7 @@
 """Three-stage estimation pipeline on synthetic panels with known truth."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from wpxlab.dml.pipeline import (
 from wpxlab.dml.linear import ols_fit
 from wpxlab.errors import DomainError, EstimationError
 from wpxlab.metrics import RegionWeights
+from wpxlab.sim.panel import CONFOUNDED, simulate_panel
 
 X_NAMES = ("x_bmr_top", "x_bmr_mid", "x_bmr_bot")
 M_NAMES = ("m_short_rev", "m_engagement")
@@ -182,6 +185,28 @@ class TestEstimateDvwpx:
         model = estimate_dvwpx(panel, DmlConfig(stage2="lasso", seed=2))
         assert model.estimate.lambda_selected is not None
         assert model.estimate.lambda_selected > 0.0
+
+    def test_lasso_stage2_ignores_the_scale_of_a_residual_column(self):
+        panel = synthetic_panel(3000, seed=51, fe_scale=0.5, confound=0.4)
+        # short-term revenue's residuals are ~100x the surrogates' on simulated panels
+        scaled = replace(panel, m=panel.m * np.array([100.0, 1.0]))
+        ols = estimate_dvwpx(scaled, DmlConfig(seed=4)).estimate
+        lasso = estimate_dvwpx(scaled, DmlConfig(stage2="lasso", seed=4)).estimate
+        unscaled = estimate_dvwpx(panel, DmlConfig(stage2="lasso", seed=4)).estimate
+        assert np.max(np.abs(lasso.beta - unscaled.beta)) < 1e-6
+        assert lasso.lambda_selected == pytest.approx(unscaled.lambda_selected, rel=1e-6)
+        assert np.max(np.abs(lasso.beta - ols.beta)) < 0.1
+        assert lasso.theta[0] == pytest.approx(unscaled.theta[0] / 100.0, rel=1e-6)
+
+    def test_lasso_stage2_yields_region_weights_on_a_simulated_panel(self, default_world):
+        panel = simulate_panel(default_world, 8000, CONFOUNDED, seed=5)
+        ols = estimate_dvwpx(panel, DmlConfig()).estimate
+        model = estimate_dvwpx(panel, DmlConfig(stage2="lasso"))
+        beta = model.estimate.beta
+        assert beta[0] > beta[1] > 0.0
+        assert np.max(np.abs(beta - ols.beta)) < 0.1
+        weights = derive_region_weights(model, X_NAMES)
+        assert weights.w_top > weights.w_mid
 
     def test_too_few_rows_fails_in_validate_stage(self):
         panel = synthetic_panel(100, seed=47)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from conftest import make_item, make_layout
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpxlab.domain import ContentKind, PageLayout, Slot, validate_layout
+from wpxlab.domain import ContentKind, PageLayout, PageRegion, Slot, validate_layout
 from wpxlab.errors import DomainError
 from wpxlab.sim.session import (
     LongTermOutcome,
@@ -14,7 +16,13 @@ from wpxlab.sim.session import (
     realize_long_term,
     simulate_session,
 )
-from wpxlab.sim.world import HISTORY_COLUMNS, WorldConfig, generate_world
+from wpxlab.sim.world import (
+    HISTORY_COLUMNS,
+    WorldConfig,
+    generate_world,
+    layout_item_indices,
+    page_item_indices,
+)
 
 ZERO_WELFARE = dict(
     true_region_effects=(0.0, 0.0, 0.0),
@@ -95,6 +103,75 @@ class TestWorldGeneration:
         assert np.array_equal(avail, again)
         rate = avail.mean()
         assert 0.8 < rate <= 1.0
+
+
+FILL_WORLDS = {
+    "default": generate_world(WorldConfig(seed=11)),
+    # brand pools of 6 items run out inside 8-slot widget blocks
+    "many_brands": generate_world(WorldConfig(seed=0, n_brands=40)),
+    # a 30-item catalog often cannot fill a 24-slot page
+    "small_catalog": generate_world(WorldConfig(seed=4, n_items=30, n_brands=5)),
+    # brands without items and an empty high-appeal pool
+    "empty_pools": generate_world(
+        WorldConfig(seed=6, n_brands=300, high_appeal_threshold=1.0)
+    ),
+}
+
+
+class TestBatchedFill:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        world_name=st.sampled_from(sorted(FILL_WORLDS)),
+        rate=st.floats(0.05, 1.0),
+        n_pages=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_scalar_fill_for_random_availability(
+        self, world_name, rate, n_pages, seed
+    ):
+        world = FILL_WORLDS[world_name]
+        cfg = world.config
+        rng = np.random.default_rng(seed)
+        query_idx = rng.integers(0, cfg.n_queries, n_pages)
+        template_idx = rng.integers(0, cfg.n_templates, n_pages)
+        available = rng.random((n_pages, cfg.n_items)) < rate
+        expected = []
+        for qi, ti, avail in zip(query_idx, template_idx, available):
+            try:
+                expected.append(layout_item_indices(world, int(qi), int(ti), avail))
+            except DomainError:
+                expected = None
+                break
+        if expected is None:
+            with pytest.raises(DomainError, match="catalog exhausted"):
+                page_item_indices(world, query_idx, template_idx, available)
+        else:
+            got = page_item_indices(world, query_idx, template_idx, available)
+            assert np.array_equal(got, np.array(expected))
+
+    def test_slot_tables_follow_the_templates(self, default_world):
+        slots = default_world.slots
+        for ti, template in enumerate(default_world.templates):
+            layout = build_layout(
+                default_world, 0, ti, np.ones(default_world.config.n_items, dtype=bool)
+            )
+            assert [s.region for s in layout.slots] == [
+                (PageRegion.TOP, PageRegion.MIDDLE, PageRegion.BOTTOM)[c]
+                for c in slots.region[ti]
+            ]
+            assert list(slots.area[ti]) == [area for _, area in template.slot_plan]
+            assert list(slots.widget[ti]) == [
+                kind is ContentKind.WIDGET for kind, _ in template.slot_plan
+            ]
+            cfg = default_world.config
+            assert list(slots.examination[ti]) == [
+                min(
+                    cfg.position_bias_decay**p
+                    * (cfg.widget_attention_multiplier if kind is ContentKind.WIDGET else 1.0),
+                    1.0,
+                )
+                for p, (kind, _) in enumerate(template.slot_plan)
+            ]
 
 
 class TestSimulateSession:

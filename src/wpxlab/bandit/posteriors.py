@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -37,11 +37,13 @@ class GaussianPosterior:
     """Gaussian belief over a weight vector.
 
     `cov` is either a full (p, p) covariance or, in diagonal mode, a (p,)
-    vector of per-coordinate variances.
+    vector of per-coordinate variances. `factor`, its Cholesky factor (standard
+    deviations in diagonal mode), is kept from validation, never compared.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = _readonly(self.mean)
@@ -58,17 +60,19 @@ class GaussianPosterior:
                 raise DomainError("diagonal covariance length != mean length")
             if np.any(cov <= 0.0):
                 raise InvariantViolation("diagonal covariance entries must be > 0")
+            factor = np.sqrt(cov)
         elif cov.ndim == 2:
             if cov.shape != (p, p):
                 raise DomainError("covariance shape does not match mean")
             if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
                 raise InvariantViolation("covariance not symmetric")
             try:
-                np.linalg.cholesky(cov)
+                factor = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise InvariantViolation("covariance not positive definite") from exc
         else:
             raise DomainError("covariance must be 1-D or 2-D")
+        object.__setattr__(self, "factor", _readonly(factor))
 
     @property
     def dim(self) -> int:
@@ -83,6 +87,10 @@ class GaussianPosterior:
 
     def full_cov(self) -> np.ndarray:
         return np.diag(self.cov) if self.diagonal else self.cov
+
+    def weights(self, z: np.ndarray) -> np.ndarray:
+        """The weight vector a standard normal draw `z` maps to: mean + L z."""
+        return self.mean + (self.factor * z if self.diagonal else self.factor @ z)
 
 
 def gaussian_prior(dim: int, variance: float = 1.0, diagonal: bool = False) -> GaussianPosterior:
@@ -201,10 +209,7 @@ def probit_update(model: ObjectiveModel, x: np.ndarray, label: int) -> Objective
 
 def sample_weights(post: GaussianPosterior, rng: np.random.Generator) -> np.ndarray:
     """Draw one weight vector from the posterior."""
-    z = rng.standard_normal(post.dim)
-    if post.diagonal:
-        return post.mean + np.sqrt(post.cov) * z
-    return post.mean + np.linalg.cholesky(post.cov) @ z
+    return post.weights(rng.standard_normal(post.dim))
 
 
 def predict_mean(model: ObjectiveModel, x: np.ndarray) -> float:
@@ -222,8 +227,10 @@ def thompson_sample_predict(
 ) -> float:
     """Draw w from the posterior and predict: w.x, or Phi(w.x) for probit."""
     x = _check_features(model, x)
-    w = sample_weights(model.posterior, rng)
+    return predict_with(model, sample_weights(model.posterior, rng), x)
+
+
+def predict_with(model: ObjectiveModel, w: np.ndarray, x: np.ndarray) -> float:
+    """Predict checked features `x` with weights `w`: w.x, or Phi(w.x) for probit."""
     score = float(w @ x)
-    if model.kind is ModelKind.LINEAR:
-        return score
-    return float(ndtr(score))
+    return score if model.kind is ModelKind.LINEAR else float(ndtr(score))

@@ -27,9 +27,9 @@ from .posteriors import (
     ObjectiveModel,
     blr_update,
     linear_model,
+    predict_with,
     probit_model,
     probit_update,
-    thompson_sample_predict,
 )
 
 REVENUE = "revenue"
@@ -190,35 +190,63 @@ def select_template(
     """Thompson-sample every objective per candidate and take the argmax.
 
     Only a candidate's ``template_id`` is read; the chosen candidate itself
-    is returned. Exact score ties break toward the lowest template_id. One
-    weight vector is drawn per (candidate, objective) pair, in candidate
-    order.
+    is returned with the trace of :func:`score_candidates`.
     """
     if not candidates:
         raise DomainError("candidate list is empty")
-    objectives = bundle.active_objectives(context.device)
-    traces: list[tuple[str, dict[str, float], float]] = []
-    best_idx = -1
-    for i, candidate in enumerate(candidates):
-        tid = candidate.template_id
-        x = build_features(context, tid, bundle.categories, bundle.signal_names)
+    template_ids = [c.template_id for c in candidates]
+    features = candidate_features(context, template_ids, bundle)
+    best, traces = score_candidates(features, template_ids, bundle, context.device, rng)
+    trace = [
+        CandidateScore(template_id=tid, samples=samples, score=score, chosen=(i == best))
+        for i, (tid, (samples, score)) in enumerate(zip(template_ids, traces))
+    ]
+    return candidates[best], trace
+
+
+def candidate_features(
+    context: ContextFeatures, template_ids: Sequence[str], bundle: RankerBundle
+) -> np.ndarray:
+    """The candidates' feature rows under one request, checked against the
+    bundle's schema width and for finiteness, as a read-only ``(n, p)`` array."""
+    x = [build_features(context, t, bundle.categories, bundle.signal_names) for t in template_ids]
+    x = np.array(x)
+    if x.shape != (len(template_ids), bundle.revenue_model.posterior.dim):
+        raise DomainError(f"candidate feature block has shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("non-finite feature vector")
+    x.flags.writeable = False
+    return x
+
+
+def score_candidates(
+    features: np.ndarray,
+    template_ids: Sequence[str],
+    bundle: RankerBundle,
+    device: Device,
+    rng: np.random.Generator,
+) -> tuple[int, list[tuple[dict[str, float], float]]]:
+    """Thompson-score checked candidate feature rows: the winner's row, and
+    every candidate's objective samples and scalarized score. One weight vector
+    per (candidate, objective), all from one candidate-major normal draw; exact
+    score ties break toward the lowest template_id."""
+    objectives = bundle.active_objectives(device)
+    models = [bundle.model_for(name) for name in objectives]
+    z = rng.standard_normal((len(template_ids), len(objectives), features.shape[1]))
+    traces: list[tuple[dict[str, float], float]] = []
+    best = -1
+    for i, (tid, x) in enumerate(zip(template_ids, features)):
         samples = {
-            name: thompson_sample_predict(bundle.model_for(name), x, rng)
-            for name in objectives
+            name: predict_with(model, model.posterior.weights(z[i, j]), x)
+            for j, (name, model) in enumerate(zip(objectives, models))
         }
         score = scalarize(samples, bundle.reward)
-        traces.append((tid, samples, score))
-        if best_idx < 0:
-            best_idx = i
-            continue
-        best_score = traces[best_idx][2]
-        if score > best_score or (score == best_score and tid < traces[best_idx][0]):
-            best_idx = i
-    trace = [
-        CandidateScore(template_id=tid, samples=samples, score=score, chosen=(i == best_idx))
-        for i, (tid, samples, score) in enumerate(traces)
-    ]
-    return candidates[best_idx], trace
+        traces.append((samples, score))
+        if best < 0 or score > traces[best][1] or (
+            score == traces[best][1] and tid < template_ids[best]
+        ):
+            best = i
+    return best, traces
 
 
 @dataclass(frozen=True)

@@ -92,18 +92,10 @@ def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.header())
-        for i in range(dataset.n_rows):
-            row = [
-                dataset.event_id[i],
-                dataset.customer_id[i],
-                dataset.query_group[i],
-                dataset.zip_code[i],
-                repr(float(dataset.drev[i])),
-            ]
-            row.extend(repr(float(v)) for v in dataset.x[i])
-            row.extend(repr(float(v)) for v in dataset.m[i])
-            row.extend(repr(float(v)) for v in dataset.h[i])
-            writer.writerow(row)
+        keys = (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
+        values = np.column_stack([dataset.drev, dataset.x, dataset.m, dataset.h])
+        for *key, row in zip(*keys, values.astype(float, copy=False)):
+            writer.writerow([*key, *map(repr, row.tolist())])
 
 
 def read_panel_csv(path: str | Path) -> PanelDataset:

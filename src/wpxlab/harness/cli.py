@@ -4,18 +4,21 @@ Five subcommands cover the workflow end to end: ``simulate`` writes a logged
 event panel, ``estimate`` fits the causal model on it, ``rank`` does a
 one-shot template selection for a context, ``experiment`` runs the
 three-arm comparison, and ``report`` re-renders a saved report. Exit codes:
-0 success, 1 usage or domain error, 2 estimation failure, 3 invariant
-violation.
+0 success, 1 usage or domain error (or a closed stdout), 2 estimation
+failure, 3 invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from ..bandit.ranker import (
     NON_ABANDONMENT,
@@ -30,7 +33,7 @@ from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
 from ..domain import ContextFeatures, Device, HorizonConfig
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS
-from ..rng import stream
+from ..rng import keyed_streams, stream, stream_keys
 from ..sim.panel import CONFOUNDED, RANDOMIZED, X_COLUMNS, simulate_panel
 from ..sim.session import draw_availability
 from ..sim.world import WorldConfig, generate_world
@@ -47,7 +50,7 @@ from .experiment import (
     request_context,
     run_experiment,
     save_report,
-    serve_page,
+    serve_pages,
     world_config_from_dict,
     world_config_to_dict,
     write_per_day_csv,
@@ -221,19 +224,25 @@ def _train_rank_bundle(world, cfg: dict[str, Any], seed: int):
         raise DomainError("warmup_sessions must be >= 1")
 
     wc = world.config
-    log = []
-    for s in range(n_sessions):
-        r = stream(seed, "rank_warmup", s)
-        ci = int(r.integers(0, wc.n_customers))
-        qi = int(r.integers(0, wc.n_queries))
-        ti = int(r.integers(0, len(world.templates)))
-        device = Device.MOBILE if r.random() < wc.mobile_fraction else Device.DESKTOP
-        available = draw_availability(world, r)
-        context = request_context(world, qi, device, int(world.customers.membership[ci]))
-        record, _, _ = serve_page(
-            world, ci, qi, ti, available, context, 1, HorizonConfig(), region_weights, r, r
+    draws = [
+        (
+            r.integers(0, wc.n_customers),
+            r.integers(0, wc.n_queries),
+            r.integers(0, len(world.templates)),
+            r.random() < wc.mobile_fraction,
+            draw_availability(world, r),
+            r.random((3, world.n_slots)),
+            r.standard_normal(),
         )
-        log.append(record)
+        for r in keyed_streams(stream_keys(seed, ("rank_warmup",), np.arange(n_sessions)))
+    ]
+    ci, qi, ti, mobile, available, u, z = map(np.array, zip(*draws))
+    devices = [Device.MOBILE if m else Device.DESKTOP for m in mobile.tolist()]
+    members = world.customers.membership[ci].tolist()
+    contexts = [request_context(world, q, d, m) for q, d, m in zip(qi.tolist(), devices, members)]
+    log, _ = serve_pages(
+        world, ci, qi, ti, available, u, z, contexts, 1, HorizonConfig(), region_weights
+    )
 
     bundle = new_bundle(
         categories=world.categories,
@@ -405,7 +414,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`wpxlab rank ... | head -1`): point it
+        # at devnull so the interpreter's exit flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -26,26 +27,21 @@ from ..bandit.ranker import (
     ObjectiveStats,
     RankerBundle,
     RewardWeights,
+    candidate_features,
     frozen_reward,
     incremental_retrain,
     new_bundle,
-    select_template,
+    score_candidates,
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
 from ..domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS, REGION_ORDER, RegionWeights, weighted_bmr
-from ..rng import stream
+from ..rng import keyed_normals, keyed_streams, keyed_uniforms, stream, stream_keys
 from ..sim.panel import CHUNK_EVENTS, RANDOMIZED, X_COLUMNS, simulate_panel
-from ..sim.session import draw_availability, page_long_term, page_sessions
-from ..sim.world import (
-    World,
-    WorldConfig,
-    generate_world,
-    layout_item_indices,
-    page_item_indices,
-)
+from ..sim.session import PageSessions, draw_availability, page_long_term, page_sessions
+from ..sim.world import World, WorldConfig, generate_world, page_item_indices
 
 SATISFACTION_NONE = "none"
 SATISFACTION_CTR = "ctr"
@@ -229,20 +225,18 @@ def estimate_ctr_region_weights(
     cfg = world.config
     counts = np.zeros(len(REGION_ORDER))
     for start in range(0, n_sessions, CHUNK_EVENTS):
-        block = range(start, min(start + CHUNK_EVENTS, n_sessions))
-        picks = np.empty((len(block), 3), dtype=np.intp)  # customer, query, template
-        available = np.empty((len(block), cfg.n_items), dtype=bool)
-        u = np.empty((len(block), 3, world.n_slots))
-        for j, s in enumerate(block):
-            r = stream(seed, "ctr_weights", s)
-            picks[j] = [
+        block = np.arange(start, min(start + CHUNK_EVENTS, n_sessions))
+        draws = [
+            (
                 r.integers(0, cfg.n_customers),
                 r.integers(0, cfg.n_queries),
                 r.integers(0, len(world.templates)),
-            ]
-            available[j] = draw_availability(world, r)
-            u[j] = r.random((3, world.n_slots))
-        ci, qi, ti = picks.T
+                draw_availability(world, r),
+                r.random((3, world.n_slots)),
+            )
+            for r in keyed_streams(stream_keys(seed, ("ctr_weights",), block))
+        ]
+        ci, qi, ti, available, u = map(np.array, zip(*draws))
         items = page_item_indices(world, qi, ti, available)
         clicked = page_sessions(world, ci, qi, ti, items, u).clicked
         counts += np.bincount(world.slots.region[ti][clicked], minlength=len(REGION_ORDER))
@@ -279,48 +273,54 @@ def request_context(
     )
 
 
-def serve_page(
+def serve_pages(
     world: World,
-    customer_index: int,
-    query_index: int,
-    template_index: int,
+    customer_idx: np.ndarray,
+    query_idx: np.ndarray,
+    template_idx: np.ndarray,
     available: np.ndarray,
-    context: ContextFeatures,
+    u: np.ndarray,
+    z: np.ndarray,
+    contexts: Sequence[ContextFeatures],
     day: int,
     horizon: HorizonConfig,
     region_weights: RegionWeights | None,
-    session_rng: np.random.Generator,
-    long_term_rng: np.random.Generator,
-) -> tuple[ImpressionRecord, float, tuple[float, float, float]]:
-    """Serve one template to one request and log the impression.
+) -> tuple[list[ImpressionRecord], PageSessions]:
+    """Serve a block of requests, one template each, and log the impressions.
 
-    The session draws from `session_rng`, the long-term revenue from
-    `long_term_rng`; satisfaction is the region-weighted brand match rate
-    when `region_weights` is set. Returns the impression, the session's
-    engagement and the page's (top, middle, bottom) brand match rates.
+    Row ``i`` fills its page under ``available[i]``, realizes its session from
+    the ``(3, n_slots)`` uniforms ``u[i]`` and its long-term revenue from the
+    normal ``z[i]``; satisfaction is the region-weighted brand match rate when
+    `region_weights` is set. Returns the impressions and the sessions.
     """
-    ci, qi, ti = np.array([customer_index]), np.array([query_index]), np.array([template_index])
-    items = layout_item_indices(world, query_index, template_index, available)[None, :]
-    sessions = page_sessions(
-        world, ci, qi, ti, items, session_rng.random((1, 3, world.n_slots))
-    )
-    long_term = page_long_term(
-        world, ci, qi, sessions, np.array([long_term_rng.standard_normal()])
-    )
-    bmrs = tuple(float(b) for b in sessions.region_bmrs[0])
-    record = ImpressionRecord(
-        ts=day,
-        context=context,
-        template_id=world.templates[template_index].template_id,
-        targets=ObjectiveVector(
-            revenue=float(sessions.short_term_revenue[0]),
-            non_abandonment=int(sessions.clicked[0].any()),
-            satisfaction=None if region_weights is None else weighted_bmr(bmrs, region_weights),
-        ),
-        long_term_revenue=float(long_term[0]),
-        long_term_available_on=day + horizon.delta_long_days,
-    )
-    return record, float(sessions.engagement[0]), bmrs
+    items = page_item_indices(world, query_idx, template_idx, available)
+    sessions = page_sessions(world, customer_idx, query_idx, template_idx, items, u)
+    long_term = page_long_term(world, customer_idx, query_idx, sessions, z)
+    records = [
+        ImpressionRecord(
+            ts=day,
+            context=context,
+            template_id=world.templates[ti].template_id,
+            targets=ObjectiveVector(
+                revenue=revenue,
+                non_abandonment=int(clicked),
+                satisfaction=(
+                    None if region_weights is None else weighted_bmr(bmrs, region_weights)
+                ),
+            ),
+            long_term_revenue=revenue_long,
+            long_term_available_on=day + horizon.delta_long_days,
+        )
+        for context, ti, revenue, clicked, bmrs, revenue_long in zip(
+            contexts,
+            template_idx.tolist(),
+            sessions.short_term_revenue.tolist(),
+            sessions.clicked.any(axis=1).tolist(),
+            sessions.region_bmrs.tolist(),
+            long_term.tolist(),
+        )
+    ]
+    return records, sessions
 
 
 def estimate_dvwpx_region_weights(
@@ -374,7 +374,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             prior_variance=config.prior_variance,
         )
 
-    n_templates = len(world.templates)
+    template_ids = [t.template_id for t in world.templates]
     warmup_log: dict[str, list[ImpressionRecord]] = {arm.name: [] for arm in config.arms}
     metric_rows: dict[str, dict[str, list[float]]] = {
         arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
@@ -384,56 +384,57 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     per_day: list[dict[str, Any]] = []
     audit: list[dict[str, Any]] = []
+    # every request context of the world by (mobile, query, membership), with
+    # its candidates' checked, read-only feature rows
+    requests = {}
+    for mobile, qi, m in product((False, True), range(cfg.n_queries), (0, 1)):
+        context = request_context(world, qi, Device.MOBILE if mobile else Device.DESKTOP, m)
+        features = candidate_features(context, template_ids, bundles[config.arms[0].name])
+        requests[mobile, qi, m] = context, features
 
     for day in range(1, config.days + 1):
         warmup = day <= config.warmup_days
-        day_logs: dict[str, list[ImpressionRecord]] = {
-            arm.name: [] for arm in config.arms
-        }
-        day_metrics: dict[str, dict[str, list[float]]] = {
-            arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
-        }
-        for s in range(config.sessions_per_day):
-            base = stream(seed, "exp_session", day, s)
-            ci = int(base.integers(0, cfg.n_customers))
-            qi = int(base.integers(0, cfg.n_queries))
-            device = Device.MOBILE if base.random() < cfg.mobile_fraction else Device.DESKTOP
-            warmup_choice = int(base.integers(0, n_templates))
-            available = draw_availability(world, base)
-            context = request_context(world, qi, device, int(world.customers.membership[ci]))
-            for arm in config.arms:
-                if warmup:
-                    ti = warmup_choice
-                else:
-                    chosen, _ = select_template(
-                        context,
-                        world.templates,
-                        bundles[arm.name],
-                        stream(seed, "exp_thompson", arm.name, day, s),
-                    )
-                    ti = world.templates.index(chosen)
-                record, engagement, bmrs = serve_page(
-                    world,
-                    ci,
-                    qi,
-                    ti,
-                    available,
-                    context,
-                    day,
-                    config.horizon,
-                    arm_region_weights[arm.name],
-                    stream(seed, "exp_outcome", day, s),
-                    stream(seed, "exp_longterm", day, s),
-                )
-                day_logs[arm.name].append(record)
-                rows = day_metrics[arm.name]
-                rows["revenue"].append(record.targets.revenue)
-                rows["long_term_revenue"].append(record.long_term_revenue)
-                rows["ctr"].append(engagement / world.n_slots)
-                rows["pr_wp_bmr"].append(weighted_bmr(bmrs, CTR_REGION_WEIGHTS))
-
+        s = np.arange(config.sessions_per_day)
+        draws = [
+            (
+                r.integers(0, cfg.n_customers),
+                r.integers(0, cfg.n_queries),
+                r.random() < cfg.mobile_fraction,
+                r.integers(0, len(world.templates)),
+                draw_availability(world, r),
+            )
+            for r in keyed_streams(stream_keys(seed, ("exp_session", day), s))
+        ]
+        ci, qi, mobile, warmup_choice, available = map(np.array, zip(*draws))
+        # every arm serves a session with the same outcome and long-term draws
+        u = keyed_uniforms(stream_keys(seed, ("exp_outcome", day), s), 3 * world.n_slots)
+        z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
+        day_requests = zip(mobile.tolist(), qi.tolist(), world.customers.membership[ci].tolist())
+        contexts, day_features = zip(*(requests[r] for r in day_requests))
         for arm in config.arms:
-            log = day_logs[arm.name]
+            ti = warmup_choice
+            if not warmup:
+                thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
+                bundle = bundles[arm.name]
+                ti = np.array(
+                    [
+                        score_candidates(x, template_ids, bundle, c.device, r)[0]
+                        for x, c, r in zip(day_features, contexts, thompson)
+                    ]
+                )
+            log, sessions = serve_pages(
+                world, ci, qi, ti, available, u.reshape(len(s), 3, world.n_slots), z,
+                contexts, day, config.horizon, arm_region_weights[arm.name],
+            )
+            day_metrics = {
+                "revenue": [r.targets.revenue for r in log],
+                "long_term_revenue": [r.long_term_revenue for r in log],
+                "ctr": (sessions.engagement / world.n_slots).tolist(),
+                "pr_wp_bmr": [
+                    weighted_bmr(bmrs, CTR_REGION_WEIGHTS)
+                    for bmrs in sessions.region_bmrs.tolist()
+                ],
+            }
             consumed_max = max(r.ts for r in log)
             embargo_min = min(r.long_term_available_on for r in log)
             if consumed_max > day:
@@ -451,23 +452,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     "long_term_embargoed": embargo_min > day,
                 }
             )
-            rev = np.array([r.targets.revenue for r in log])
-            sat = (
-                None
-                if arm_region_weights[arm.name] is None
-                else np.array([r.targets.satisfaction for r in log])
-            )
+            sat = [r.targets.satisfaction for r in log]
             bundle = with_noise_variances(
                 bundles[arm.name],
-                max(float(rev.var()), NOISE_VARIANCE_FLOOR),
-                None if sat is None else max(float(sat.var()), NOISE_VARIANCE_FLOOR),
+                max(float(np.var(day_metrics["revenue"])), NOISE_VARIANCE_FLOOR),
+                None if sat[0] is None else max(float(np.var(sat)), NOISE_VARIANCE_FLOOR),
             )
             bundles[arm.name] = incremental_retrain(
                 bundle, log, rng=stream(seed, "exp_retrain", arm.name, day)
             )
             target = warmup_metric_rows if warmup else metric_rows
             for m in METRIC_NAMES:
-                target[arm.name][m].extend(day_metrics[arm.name][m])
+                target[arm.name][m].extend(day_metrics[m])
             if warmup:
                 warmup_log[arm.name].extend(log)
             per_day.append(
@@ -476,10 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     "arm": arm.name,
                     "warmup": warmup,
                     "n_sessions": len(log),
-                    **{
-                        m: float(np.mean(day_metrics[arm.name][m]))
-                        for m in METRIC_NAMES
-                    },
+                    **{m: float(np.mean(day_metrics[m])) for m in METRIC_NAMES},
                 }
             )
 

@@ -6,17 +6,18 @@ is ordered or parallelized. Event-level randomness uses one substream per
 (event_id, purpose); batch components use one substream per purpose and
 index rows by event order.
 
-Batch code derives the event substream keys for a whole block of event ids at
-once (:func:`event_keys`, the same splitmix64 chain in wrapping ``uint64``
-arithmetic) and replays each event's draws by re-keying one Philox generator
-in place (:class:`KeyedGenerator`). The draws are identical to those of
-:func:`event_stream`; only the cost of constructing a generator per event is
-gone.
+Batch code derives the keys of a whole block of substreams at once: any label
+prefix and suffix around a block of integer ids (:func:`stream_keys`, the same
+splitmix64 chain in wrapping ``uint64`` arithmetic). It replays each
+substream's draws by re-keying one Philox generator in place
+(:class:`KeyedGenerator`, :func:`keyed_streams`). The draws are identical to
+those of :func:`stream`; only the cost of constructing a generator per
+substream is gone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -66,11 +67,20 @@ def event_stream(seed: int, event_id: int, purpose: str) -> np.random.Generator:
     return stream(seed, event_id, purpose)
 
 
-def event_keys(seed: int, event_ids: np.ndarray, purpose: str) -> np.ndarray:
-    """Philox keys of ``event_stream(seed, i, purpose)`` for every non-negative
-    id ``i`` in ``event_ids``, one ``(2,)`` uint64 row per id."""
-    k = np.uint64(_splitmix64(seed & _MASK)) ^ np.asarray(event_ids, dtype=np.uint64)
-    k = _splitmix64_array(_splitmix64_array(k) ^ np.uint64(_label_code(purpose)))
+def stream_keys(
+    seed: int,
+    prefix_labels: Sequence[int | str],
+    ids: np.ndarray,
+    suffix_labels: Sequence[int | str] = (),
+) -> np.ndarray:
+    """Philox keys of ``stream(seed, *prefix_labels, i, *suffix_labels)`` for
+    every non-negative id ``i`` in ``ids``, one ``(2,)`` uint64 row per id."""
+    k = _splitmix64(seed & _MASK)
+    for label in prefix_labels:
+        k = _splitmix64(k ^ _label_code(label))
+    k = _splitmix64_array(np.uint64(k) ^ np.asarray(ids, dtype=np.uint64))
+    for label in suffix_labels:
+        k = _splitmix64_array(k ^ np.uint64(_label_code(label)))
     return np.column_stack([k, _splitmix64_array(k)])
 
 
@@ -97,31 +107,26 @@ class KeyedGenerator:
         return self._generator
 
 
-# Generator.random maps a raw 64-bit draw r to (r >> 11) * 2**-53
-_DOUBLE_SHIFT = np.uint64(11)
-_DOUBLE_SCALE = 1.0 / 9007199254740992.0
-
-
-def event_uniforms(
-    seed: int, event_ids: np.ndarray, purpose: str, per_event: int
-) -> np.ndarray:
-    """Row ``i`` holds the first ``per_event`` uniforms of
-    ``event_stream(seed, event_ids[i], purpose)``."""
-    raw = np.empty((len(event_ids), per_event), dtype=np.uint64)
+def keyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """The stream keyed by each row of ``keys`` (a block of :func:`stream_keys`)
+    in turn, each starting fresh as :func:`stream` does. One generator is
+    re-keyed for every row, so finish with a stream before taking the next."""
     replay = KeyedGenerator()
-    for i, key in enumerate(event_keys(seed, event_ids, purpose).tolist()):
-        raw[i] = replay.rekey(key).bit_generator.random_raw(per_event)
-    return (raw >> _DOUBLE_SHIFT).astype(float) * _DOUBLE_SCALE
+    for key in keys.tolist():
+        yield replay.rekey(key)
 
 
-def event_normals(seed: int, event_ids: np.ndarray, purpose: str) -> np.ndarray:
-    """Entry ``i`` is the first standard normal of
-    ``event_stream(seed, event_ids[i], purpose)``."""
-    replay = KeyedGenerator()
-    return np.array(
-        [
-            replay.rekey(key).standard_normal()
-            for key in event_keys(seed, event_ids, purpose).tolist()
-        ],
-        dtype=float,
-    )
+def keyed_uniforms(keys: np.ndarray, per_key: int) -> np.ndarray:
+    """Row ``i`` holds the first ``per_key`` uniforms of the stream keyed ``keys[i]``."""
+    out = np.empty((len(keys), per_key))
+    for i, g in enumerate(keyed_streams(keys)):
+        out[i] = g.random(per_key)
+    return out
+
+
+def keyed_normals(keys: np.ndarray) -> np.ndarray:
+    """Entry ``i`` is the first standard normal of the stream keyed ``keys[i]``."""
+    out = np.empty(len(keys))
+    for i, g in enumerate(keyed_streams(keys)):
+        out[i] = g.standard_normal()
+    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import DomainError
-from ..rng import event_normals, event_uniforms, stream
+from ..rng import keyed_normals, keyed_uniforms, stream, stream_keys
 from .world import HISTORY_COLUMNS, World, page_item_indices
 from .session import page_long_term, page_sessions
 from ..dml.panel import PanelDataset
@@ -101,12 +101,12 @@ def generate_events(
     for start in range(0, n_events, CHUNK_EVENTS):
         ids = np.arange(start, min(start + CHUNK_EVENTS, n_events))
         ci, qi, ti = customer_idx[ids], query_idx[ids], template_idx[ids]
+        purposes = ("availability", "session", "long_term")
+        keys = {p: stream_keys(seed, (), ids, (p,)) for p in purposes}
         # draw_availability's coin, replayed for every event of the block
-        available = (
-            event_uniforms(seed, ids, "availability", cfg.n_items) < cfg.availability_rate
-        )
+        available = keyed_uniforms(keys["availability"], cfg.n_items) < cfg.availability_rate
         items = page_item_indices(world, qi, ti, available)
-        u = event_uniforms(seed, ids, "session", 3 * world.n_slots)
+        u = keyed_uniforms(keys["session"], 3 * world.n_slots)
         sessions = page_sessions(world, ci, qi, ti, items, u.reshape(len(ids), 3, -1))
         blocks.append(
             EventBatch(
@@ -119,7 +119,7 @@ def generate_events(
                 short_term_revenue=sessions.short_term_revenue,
                 engagement=sessions.engagement,
                 long_term_revenue=page_long_term(
-                    world, ci, qi, sessions, event_normals(seed, ids, "long_term")
+                    world, ci, qi, sessions, keyed_normals(keys["long_term"])
                 ),
             )
         )

@@ -323,6 +323,20 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_closed_stdout_exits_one_without_a_traceback(self, tmp_path):
+        # the reader closes the pipe before `rank` prints, as `| head -1` can
+        cfg = tmp_path / "ctx.json"
+        cfg.write_text(json.dumps({"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wpxlab.harness.cli", "rank", "--config", str(cfg)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 1, stderr
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
     def test_module_entry_point_runs_in_subprocess(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({**SIM_CONFIG, "n_events": 50}))

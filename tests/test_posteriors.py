@@ -1,6 +1,9 @@
 """Conjugate Gaussian and probit-ADF posteriors against analytic oracles."""
 
+import copy
+import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from wpxlab.bandit.posteriors import (
     sample_weights,
     thompson_sample_predict,
 )
+from wpxlab.bandit.ranker import REVENUE, ObjectiveStats, RewardWeights, bundle_to_dict, new_bundle
 from wpxlab.errors import DomainError, InvariantViolation
 
 SCHEMA_1D = ("x",)
@@ -50,6 +54,43 @@ class TestGaussianPosterior:
             GaussianPosterior(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(InvariantViolation):
             GaussianPosterior(mean=np.zeros(2), cov=np.array([1.0, 0.0]))
+
+
+class TestKeptFactor:
+    def _full(self):
+        a = np.random.default_rng(4).standard_normal((4, 4))
+        return GaussianPosterior(mean=np.arange(4.0), cov=a @ a.T + 0.5 * np.eye(4))
+
+    def test_factor_is_the_cholesky_factor_of_the_covariance(self):
+        post = self._full()
+        assert np.array_equal(post.factor, np.linalg.cholesky(post.cov))
+        assert not post.factor.flags.writeable
+        diagonal = GaussianPosterior(mean=np.zeros(3), cov=np.array([1.0, 4.0, 9.0]))
+        assert np.array_equal(diagonal.factor, [1.0, 2.0, 3.0])
+        moved = replace(post, cov=2.0 * post.cov)
+        assert np.array_equal(moved.factor, np.linalg.cholesky(2.0 * post.cov))
+
+    def test_factor_does_not_enter_equality(self):
+        post = self._full()
+        assert [f.name for f in fields(GaussianPosterior) if f.compare] == ["mean", "cov"]
+        other = copy.copy(post)
+        object.__setattr__(other, "factor", np.zeros((4, 4)))
+        assert other == post
+
+    def test_factor_is_not_serialized(self):
+        reward = RewardWeights({REVENUE: 1.0}, {REVENUE: ObjectiveStats(0.0, 1.0)})
+        payload = bundle_to_dict(new_bundle(("c0",), ("s0",), reward, None, False))
+        assert set(payload["revenue_model"]["posterior"]) == {"mean", "cov", "diagonal"}
+        assert "factor" not in json.dumps(payload)
+
+    def test_draws_use_the_factor_as_before(self):
+        post = self._full()
+        z = np.random.default_rng(8).standard_normal(4)
+        expected = post.mean + np.linalg.cholesky(post.cov) @ z
+        assert np.array_equal(sample_weights(post, np.random.default_rng(8)), expected)
+        diagonal = GaussianPosterior(mean=np.ones(4), cov=np.array([0.5, 1.0, 2.0, 3.0]))
+        expected = diagonal.mean + np.sqrt(diagonal.cov) * z
+        assert np.array_equal(sample_weights(diagonal, np.random.default_rng(8)), expected)
 
 
 class TestBlrUpdate:

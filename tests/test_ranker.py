@@ -7,7 +7,7 @@ import pytest
 from conftest import stationary_best_template_rate
 
 from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features, feature_schema
-from wpxlab.bandit.posteriors import GaussianPosterior
+from wpxlab.bandit.posteriors import GaussianPosterior, thompson_sample_predict
 from wpxlab.bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
@@ -19,6 +19,7 @@ from wpxlab.bandit.ranker import (
     apply_impression,
     bundle_from_dict,
     bundle_to_dict,
+    candidate_features,
     frozen_reward,
     incremental_retrain,
     load_bundle,
@@ -27,6 +28,7 @@ from wpxlab.bandit.ranker import (
     sample_rows,
     save_bundle,
     scalarize,
+    score_candidates,
     select_template,
     with_noise_variances,
     write_impressions,
@@ -247,6 +249,80 @@ class TestSelectTemplate:
     def test_empty_candidates_rejected(self):
         with pytest.raises(DomainError):
             select_template(_context(), [], _bundle(), np.random.default_rng(0))
+
+
+def _per_candidate_selection(context, template_ids, bundle, rng):
+    """The selection written one candidate and one objective at a time: each
+    weight vector is its own draw, in candidate order, then objective order."""
+    traces, best = [], -1
+    for i, tid in enumerate(template_ids):
+        x = build_features(context, tid, bundle.categories, bundle.signal_names)
+        samples = {
+            name: thompson_sample_predict(bundle.model_for(name), x, rng)
+            for name in bundle.active_objectives(context.device)
+        }
+        traces.append((samples, scalarize(samples, bundle.reward)))
+        if best < 0 or traces[i][1] > traces[best][1] or (
+            traces[i][1] == traces[best][1] and tid < template_ids[best]
+        ):
+            best = i
+    return best, traces
+
+
+def _trained_bundle(with_satisfaction):
+    bundle = _bundle(with_satisfaction=with_satisfaction)
+    rng = np.random.default_rng(21)
+    log = [
+        _record(
+            _context(device, {"a": (rng.random(),), "b": (rng.random(),), "c": (rng.random(),)}),
+            tid,
+            float(rng.gamma(2.0)),
+            int(rng.random() < 0.4),
+            float(rng.random()) if with_satisfaction else None,
+        )
+        for device in Device
+        for tid in ("a", "b", "c", "b")
+    ]
+    return incremental_retrain(bundle, log, sample_fraction=1.0, rng=rng)
+
+
+class TestScoreCandidates:
+    @pytest.mark.parametrize("device", list(Device))
+    @pytest.mark.parametrize("with_satisfaction", [False, True])
+    def test_core_matches_per_candidate_draws_and_select_template(self, device, with_satisfaction):
+        bundle = _trained_bundle(with_satisfaction)
+        assert not bundle.revenue_model.posterior.diagonal
+        context = _context(device, {"a": (0.3,), "b": (0.9,), "c": (0.6,)})
+        ids = ["b", "c", "a"]
+        for seed in range(5):
+            expected = _per_candidate_selection(context, ids, bundle, np.random.default_rng(seed))
+            features = candidate_features(context, ids, bundle)
+            core = score_candidates(features, ids, bundle, device, np.random.default_rng(seed))
+            assert core == expected
+            chosen, trace = select_template(
+                context, [PageLayout(t, ()) for t in ids], bundle, np.random.default_rng(seed)
+            )
+            assert chosen.template_id == ids[core[0]]
+            assert [(sc.samples, sc.score) for sc in trace] == core[1]
+            assert [sc.chosen for sc in trace] == [i == core[0] for i in range(len(ids))]
+
+    def test_exact_tie_breaks_to_lowest_template_id(self):
+        bundle = _trained_bundle(with_satisfaction=True)
+        context = _context(signals={"a": (0.5,), "b": (0.5,), "c": (0.5,)})
+        ids = ["c", "a", "b"]
+        features = candidate_features(context, ids, bundle)
+        best, traces = score_candidates(features, ids, bundle, Device.DESKTOP, _ZeroNoiseRng())
+        assert len({score for _, score in traces}) == 1
+        assert ids[best] == "a"
+        assert (best, traces) == _per_candidate_selection(context, ids, bundle, _ZeroNoiseRng())
+
+    def test_features_are_checked_and_read_only(self):
+        bundle = _bundle()
+        features = candidate_features(_context(), ["a", "b"], bundle)
+        assert features.shape == (2, len(bundle.revenue_model.feature_schema))
+        assert not features.flags.writeable
+        with pytest.raises(DomainError):
+            candidate_features(_context(), ["a", "zz"], bundle)
 
 
 class TestFrozenReward:

@@ -18,20 +18,14 @@ from .domain import (
     PageTemplate,
     Slot,
     region_of_position,
-    validate_layout,
 )
 from .errors import DomainError, EstimationError, InvariantViolation, WpxError
 from .metrics import (
     CTR_REGION_WEIGHTS,
-    BrandMatchPage,
     RegionWeights,
-    brand_match,
-    brand_match_page,
     layout_region_bmrs,
-    pr_wp_bmr,
-    region_bmr,
 )
-from .rng import event_stream, stream
+from .rng import stream
 
 __version__ = "0.1.0"
 
@@ -47,20 +41,13 @@ __all__ = [
     "PageTemplate",
     "Slot",
     "region_of_position",
-    "validate_layout",
     "DomainError",
     "EstimationError",
     "InvariantViolation",
     "WpxError",
     "CTR_REGION_WEIGHTS",
-    "BrandMatchPage",
     "RegionWeights",
-    "brand_match",
-    "brand_match_page",
     "layout_region_bmrs",
-    "pr_wp_bmr",
-    "region_bmr",
-    "event_stream",
     "stream",
     "__version__",
 ]

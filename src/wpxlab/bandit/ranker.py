@@ -9,11 +9,9 @@ retrains incrementally on a half-sample of the day's impressions.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from ..errors import DomainError
 from ..metrics import RegionWeights
 from .features import build_features, feature_schema
 from .posteriors import (
-    GaussianPosterior,
     ModelKind,
     ObjectiveModel,
     blr_update,
@@ -374,173 +371,3 @@ def with_noise_variances(
             ),
         )
     return out
-
-
-BUNDLE_SCHEMA_VERSION = 1
-
-
-def _posterior_to_dict(post: GaussianPosterior) -> dict[str, Any]:
-    return {
-        "mean": [float(v) for v in post.mean],
-        "cov": post.cov.tolist(),
-        "diagonal": post.diagonal,
-    }
-
-
-def _posterior_from_dict(payload: dict[str, Any]) -> GaussianPosterior:
-    return GaussianPosterior(
-        mean=np.asarray(payload["mean"], dtype=float),
-        cov=np.asarray(payload["cov"], dtype=float),
-    )
-
-
-def _model_to_dict(model: ObjectiveModel) -> dict[str, Any]:
-    return {
-        "kind": model.kind.value,
-        "posterior": _posterior_to_dict(model.posterior),
-        "feature_schema": list(model.feature_schema),
-        "noise_variance": model.noise_variance,
-    }
-
-
-def _model_from_dict(payload: dict[str, Any]) -> ObjectiveModel:
-    return ObjectiveModel(
-        kind=ModelKind(payload["kind"]),
-        posterior=_posterior_from_dict(payload["posterior"]),
-        feature_schema=tuple(payload["feature_schema"]),
-        noise_variance=payload.get("noise_variance"),
-    )
-
-
-def bundle_to_dict(bundle: RankerBundle) -> dict[str, Any]:
-    return {
-        "schema_version": BUNDLE_SCHEMA_VERSION,
-        "kind": "ranker_bundle",
-        "revenue_model": _model_to_dict(bundle.revenue_model),
-        "non_abandonment_model": _model_to_dict(bundle.non_abandonment_model),
-        "satisfaction_model": (
-            None
-            if bundle.satisfaction_model is None
-            else _model_to_dict(bundle.satisfaction_model)
-        ),
-        "reward": {
-            "weights": dict(bundle.reward.weights),
-            "stats": {
-                name: {"mean": s.mean, "std": s.std}
-                for name, s in bundle.reward.stats.items()
-            },
-        },
-        "region_weights": (
-            None if bundle.region_weights is None else list(bundle.region_weights.as_tuple())
-        ),
-        "categories": list(bundle.categories),
-        "signal_names": list(bundle.signal_names),
-        "rows_trained": bundle.rows_trained,
-    }
-
-
-def bundle_from_dict(payload: dict[str, Any]) -> RankerBundle:
-    if payload.get("kind") != "ranker_bundle":
-        raise DomainError(f"not a bundle payload: kind={payload.get('kind')!r}")
-    if payload.get("schema_version") != BUNDLE_SCHEMA_VERSION:
-        raise DomainError(f"unsupported schema version {payload.get('schema_version')!r}")
-    rw = payload["region_weights"]
-    return RankerBundle(
-        revenue_model=_model_from_dict(payload["revenue_model"]),
-        non_abandonment_model=_model_from_dict(payload["non_abandonment_model"]),
-        satisfaction_model=(
-            None
-            if payload["satisfaction_model"] is None
-            else _model_from_dict(payload["satisfaction_model"])
-        ),
-        reward=RewardWeights(
-            weights=payload["reward"]["weights"],
-            stats={
-                name: ObjectiveStats(mean=s["mean"], std=s["std"])
-                for name, s in payload["reward"]["stats"].items()
-            },
-        ),
-        region_weights=None if rw is None else RegionWeights(*rw),
-        categories=tuple(payload["categories"]),
-        signal_names=tuple(payload["signal_names"]),
-        rows_trained=payload.get("rows_trained", 0),
-    )
-
-
-def save_bundle(bundle: RankerBundle, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n")
-
-
-def load_bundle(path: str | Path) -> RankerBundle:
-    return bundle_from_dict(json.loads(Path(path).read_text()))
-
-
-def _context_to_dict(context: ContextFeatures) -> dict[str, Any]:
-    return {
-        "device": context.device.value,
-        "query_specificity": context.query_specificity,
-        "category_id": context.category_id,
-        "membership": context.membership,
-        "content_signals": {
-            tid: [float(v) for v in sig] for tid, sig in sorted(context.content_signals.items())
-        },
-    }
-
-
-def _context_from_dict(payload: dict[str, Any]) -> ContextFeatures:
-    return ContextFeatures(
-        device=Device(payload["device"]),
-        query_specificity=payload["query_specificity"],
-        category_id=payload["category_id"],
-        membership=payload["membership"],
-        content_signals={
-            tid: tuple(sig) for tid, sig in payload["content_signals"].items()
-        },
-    )
-
-
-def impression_to_dict(record: ImpressionRecord) -> dict[str, Any]:
-    return {
-        "ts": record.ts,
-        "context": _context_to_dict(record.context),
-        "template_id": record.template_id,
-        "targets": {
-            "revenue": record.targets.revenue,
-            "non_abandonment": record.targets.non_abandonment,
-            "satisfaction": record.targets.satisfaction,
-        },
-        "long_term_revenue": record.long_term_revenue,
-        "long_term_available_on": record.long_term_available_on,
-    }
-
-
-def impression_from_dict(payload: dict[str, Any]) -> ImpressionRecord:
-    t = payload["targets"]
-    return ImpressionRecord(
-        ts=payload["ts"],
-        context=_context_from_dict(payload["context"]),
-        template_id=payload["template_id"],
-        targets=ObjectiveVector(
-            revenue=t["revenue"],
-            non_abandonment=t["non_abandonment"],
-            satisfaction=t["satisfaction"],
-        ),
-        long_term_revenue=payload["long_term_revenue"],
-        long_term_available_on=payload["long_term_available_on"],
-    )
-
-
-def write_impressions(records: Iterable[ImpressionRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(impression_to_dict(record), sort_keys=True) + "\n")
-
-
-def read_impressions(path: str | Path) -> list[ImpressionRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(impression_from_dict(json.loads(line)))
-    return records

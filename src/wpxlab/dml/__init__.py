@@ -18,12 +18,7 @@ from .pipeline import (
     crossfit_residualize,
     derive_region_weights,
     estimate_dvwpx,
-    fixed_effects_ols,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     naive_ols,
-    save_model,
 )
 
 __all__ = [
@@ -46,10 +41,5 @@ __all__ = [
     "crossfit_residualize",
     "derive_region_weights",
     "estimate_dvwpx",
-    "fixed_effects_ols",
-    "load_model",
-    "model_from_dict",
-    "model_to_dict",
     "naive_ols",
-    "save_model",
 ]

@@ -10,10 +10,8 @@ are the causal effects the downstream-value score aggregates.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -29,6 +27,8 @@ from .panel import PanelDataset, split_train_test
 RIDGE_FALLBACK_PENALTY = 1e-6  # times n, applied only when plain LS is rank deficient
 MIN_ROWS_FLOOR = 500
 MIN_ROWS_PER_COEF = 10
+#: de-averaging must leave every group mean below this, or the fixed effects stay in
+DEAVERAGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -243,6 +243,12 @@ def estimate_dvwpx(
 
     with _stage("deaverage"):
         y_t, x_t, m_t, h_t, dd = _deaveraged_blocks(dataset, config.deaverage_iterations)
+        if max(dd.max_group_means) >= DEAVERAGE_TOL:
+            raise EstimationError(
+                f"a group mean of {max(dd.max_group_means):.3g} is left after "
+                f"{dd.iterations_run} iterations, above {DEAVERAGE_TOL:g}; "
+                "raise deaverage_iterations"
+            )
 
     with _stage("split"):
         train, test = split_train_test(dataset.n_rows, config.train_fraction, config.seed)
@@ -323,24 +329,6 @@ def estimate_dvwpx(
     return DvwpxModel(estimate=estimate, surrogate_schema=dataset.x_names, horizon=horizon)
 
 
-def fixed_effects_ols(
-    dataset: PanelDataset, iterations: int = 20
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """De-average, then jointly regress the target on surrogates, short-term
-    metrics, and history in one least-squares fit.
-
-    This is the within-transformation estimator: with converged demeaning it
-    reproduces a full dummy-variable regression coefficient for coefficient.
-    Returns (beta, theta, gamma).
-    """
-    y_t, x_t, m_t, h_t, _ = _deaveraged_blocks(dataset, iterations)
-    design = np.column_stack([np.ones(dataset.n_rows), x_t, m_t, h_t])
-    coef, _ = ols_fit(design, y_t)
-    s = len(dataset.x_names)
-    j = len(dataset.m_names)
-    return coef[1 : 1 + s], coef[1 + s : 1 + s + j], coef[1 + s + j :]
-
-
 def naive_ols(dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
     """OLS of the target on surrogates and short-term metrics only.
 
@@ -372,68 +360,3 @@ def derive_region_weights(
         raise EstimationError("no positive region effect; cannot derive weights")
     w = effects / total
     return RegionWeights(float(w[0]), float(w[1]), float(w[2]))
-
-
-MODEL_SCHEMA_VERSION = 1
-
-
-def model_to_dict(model: DvwpxModel, config: DmlConfig | None = None) -> dict[str, Any]:
-    est = model.estimate
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": "dvwpx_model",
-        "config": None if config is None else {
-            "deaverage_iterations": config.deaverage_iterations,
-            "train_fraction": config.train_fraction,
-            "crossfit_folds": config.crossfit_folds,
-            "stage2": config.stage2,
-            "lasso_grid_points": config.lasso_grid_points,
-            "lasso_cv_folds": config.lasso_cv_folds,
-            "seed": config.seed,
-        },
-        "surrogate_schema": list(model.surrogate_schema),
-        "horizon": {
-            "delta_short_days": model.horizon.delta_short_days,
-            "delta_long_days": model.horizon.delta_long_days,
-        },
-        "beta": [float(v) for v in est.beta],
-        "theta": [float(v) for v in est.theta],
-        "gamma": [float(v) for v in est.gamma],
-        "stderr_beta": [float(v) for v in est.stderr_beta],
-        "lambda_selected": est.lambda_selected,
-        "diagnostics": est.diagnostics,
-    }
-
-
-def model_from_dict(payload: dict[str, Any]) -> DvwpxModel:
-    if payload.get("kind") != "dvwpx_model":
-        raise DomainError(f"not a model payload: kind={payload.get('kind')!r}")
-    if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DomainError(f"unsupported schema version {payload.get('schema_version')!r}")
-    estimate = DmlEstimate(
-        beta=np.asarray(payload["beta"], dtype=float),
-        theta=np.asarray(payload["theta"], dtype=float),
-        gamma=np.asarray(payload["gamma"], dtype=float),
-        stderr_beta=np.asarray(payload["stderr_beta"], dtype=float),
-        lambda_selected=payload.get("lambda_selected"),
-        diagnostics=payload.get("diagnostics", {}),
-    )
-    horizon = HorizonConfig(
-        delta_short_days=payload["horizon"]["delta_short_days"],
-        delta_long_days=payload["horizon"]["delta_long_days"],
-    )
-    return DvwpxModel(
-        estimate=estimate,
-        surrogate_schema=tuple(payload["surrogate_schema"]),
-        horizon=horizon,
-    )
-
-
-def save_model(model: DvwpxModel, path: str | Path, config: DmlConfig | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model, config), indent=2, sort_keys=True) + "\n"
-    )
-
-
-def load_model(path: str | Path) -> DvwpxModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

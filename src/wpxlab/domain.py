@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -114,8 +114,8 @@ class PageTemplate:
 class PageLayout:
     """A concrete page: the template plus the ordered items filling it.
 
-    Construction is permissive; use :func:`validate_layout` to collect
-    invariant violations as data.
+    Construction is permissive: it does not check the slots against the
+    template.
     """
 
     template_id: str
@@ -124,52 +124,6 @@ class PageLayout:
     @property
     def n_slots(self) -> int:
         return len(self.slots)
-
-
-def validate_layout(
-    layout: PageLayout,
-    template: PageTemplate,
-    widget_item_filter: Callable[[Item], bool] | None = None,
-) -> list[str]:
-    """Check a layout against its template; return every violation found.
-
-    Violations are data, not failures: an empty list means the layout is ok.
-    ``widget_item_filter`` is the resolved predicate for the template's
-    ``eligible_item_filter``; when omitted, eligibility is not checked.
-    """
-    violations: list[str] = []
-    if layout.template_id != template.template_id:
-        violations.append(
-            f"template mismatch: layout says {layout.template_id!r}, "
-            f"template is {template.template_id!r}"
-        )
-    if layout.n_slots != template.n_slots:
-        violations.append(
-            f"slot count {layout.n_slots} != template plan length {template.n_slots}"
-        )
-    positions = [slot.position for slot in layout.slots]
-    if positions != list(range(1, len(positions) + 1)):
-        violations.append(f"non-contiguous positions: {positions}")
-    for slot, (kind, area) in zip(layout.slots, template.slot_plan):
-        if slot.content_kind is not kind:
-            violations.append(
-                f"kind mismatch at position {slot.position}: "
-                f"{slot.content_kind.value} in a {kind.value} slot"
-            )
-        if slot.pixel_area != area:
-            violations.append(
-                f"pixel area mismatch at position {slot.position}: "
-                f"{slot.pixel_area} != {area}"
-            )
-        if (
-            widget_item_filter is not None
-            and slot.content_kind is ContentKind.WIDGET
-            and not widget_item_filter(slot.item)
-        ):
-            violations.append(
-                f"ineligible item {slot.item.item_id!r} at position {slot.position}"
-            )
-    return violations
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ event panel, ``estimate`` fits the causal model on it, ``rank`` does a
 one-shot template selection for a context, ``experiment`` runs the
 three-arm comparison, and ``report`` re-renders a saved report. Exit codes:
 0 success, 1 usage or domain error (or a closed stdout), 2 estimation
-failure, 3 invariant violation.
+failure (de-averaging that does not converge included), 3 invariant
+violation.
 """
 
 from __future__ import annotations

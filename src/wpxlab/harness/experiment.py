@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -540,12 +540,43 @@ def world_config_to_dict(config: WorldConfig) -> dict[str, Any]:
     return out
 
 
-def world_config_from_dict(payload: dict[str, Any]) -> WorldConfig:
-    kwargs = dict(payload)
-    for key in ("true_region_effects", "fixed_effect_scales", "history_effects"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return WorldConfig(**kwargs)
+def _of_kind(name: str, value: Any, like: Any) -> Any:
+    """``value`` when it has the kind of ``like``: any number for a float, a list
+    of numbers (returned as a tuple) for a tuple, else exactly ``like``'s type.
+    Anything else is a DomainError naming the field."""
+    def number(v: Any) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(like, tuple):
+        ok = isinstance(value, (list, tuple)) and all(map(number, value))
+        value = tuple(value) if ok else value
+    else:
+        ok = number(value) if isinstance(like, float) else type(value) is type(like)
+    if not ok:
+        raise DomainError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
+def _require(name: str, payload: Any, keys: Sequence[str]) -> Mapping[str, Any]:
+    """``payload`` when it is a JSON object holding every one of ``keys``."""
+    if not isinstance(payload, Mapping):
+        raise DomainError(f"{name} must be a JSON object, got {payload!r}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise DomainError(f"{name} is missing fields {missing}")
+    return payload
+
+
+def world_config_from_dict(payload: Mapping[str, Any]) -> WorldConfig:
+    """The world config a JSON object describes; an unknown field or a value
+    of the wrong type is a DomainError naming the field."""
+    defaults = {f.name: f.default for f in fields(WorldConfig)}
+    unknown = sorted(set(_require("world", payload, ())) - set(defaults))
+    if unknown:
+        raise DomainError(f"unknown world fields {unknown}")
+    return WorldConfig(
+        **{key: _of_kind(f"world.{key}", v, defaults[key]) for key, v in payload.items()}
+    )
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
@@ -576,36 +607,47 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def experiment_config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
-    horizon = payload.get("horizon")
+def experiment_config_from_dict(payload: Mapping[str, Any]) -> ExperimentConfig:
+    """The experiment config a JSON object describes; a missing field or a
+    value of the wrong type is a DomainError naming the field."""
+    nested = ("world", "arms", "horizon")
+    required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+    _require("experiment config", payload, required)
+    scalars = {
+        f.name: _of_kind(
+            f.name,
+            payload.get(f.name, f.default),
+            0 if f.default is MISSING else f.default,
+        )
+        for f in fields(ExperimentConfig)
+        if f.name not in nested
+    }
+    arms = []
+    for i, arm in enumerate(_of_kind("arms", payload["arms"], [])):
+        arm = _require(f"arms[{i}]", arm, ("name", "satisfaction_mode", "reward_weights"))
+        weights = _require(f"arms[{i}].reward_weights", arm["reward_weights"], ())
+        arms.append(
+            ArmConfig(
+                name=_of_kind(f"arms[{i}].name", arm["name"], ""),
+                satisfaction_mode=_of_kind(
+                    f"arms[{i}].satisfaction_mode", arm["satisfaction_mode"], ""
+                ),
+                reward_weights={
+                    k: _of_kind(f"arms[{i}].reward_weights.{k}", w, 0.0)
+                    for k, w in weights.items()
+                },
+            )
+        )
+    horizon = HorizonConfig()
+    if "horizon" in payload:
+        keys = ("delta_short_days", "delta_long_days")
+        block = _require("horizon", payload["horizon"], keys)
+        horizon = HorizonConfig(**{k: _of_kind(f"horizon.{k}", block[k], 0) for k in keys})
     return ExperimentConfig(
         world=world_config_from_dict(payload["world"]),
-        arms=tuple(
-            ArmConfig(
-                name=a["name"],
-                satisfaction_mode=a["satisfaction_mode"],
-                reward_weights=a["reward_weights"],
-            )
-            for a in payload["arms"]
-        ),
-        days=payload["days"],
-        sessions_per_day=payload["sessions_per_day"],
-        warmup_days=payload["warmup_days"],
-        seed=payload["seed"],
-        weight_panel_events=payload.get("weight_panel_events", 8000),
-        weight_stage2=payload.get("weight_stage2", "ols"),
-        bootstrap_n=payload.get("bootstrap_n", 1000),
-        prior_variance=payload.get("prior_variance", 1.0),
-        horizon=(
-            HorizonConfig()
-            if horizon is None
-            else HorizonConfig(
-                delta_short_days=horizon["delta_short_days"],
-                delta_long_days=horizon["delta_long_days"],
-            )
-        ),
-        reestimate_ctr_weights=payload.get("reestimate_ctr_weights", False),
-        ctr_weight_sessions=payload.get("ctr_weight_sessions", 2000),
+        arms=tuple(arms),
+        horizon=horizon,
+        **scalars,
     )
 
 

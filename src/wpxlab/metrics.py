@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Item, PageLayout, PageRegion
+from .domain import PageLayout, PageRegion
 from .errors import DomainError
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -44,80 +44,33 @@ class RegionWeights:
 CTR_REGION_WEIGHTS = RegionWeights(0.60, 0.25, 0.15)
 
 
-@dataclass(frozen=True)
-class BrandMatchPage:
-    """Per-slot (region, pixel_area, match) triples, ready for aggregation."""
-
-    slots: tuple[tuple[PageRegion, float, int], ...]
-
-    def __post_init__(self) -> None:
-        for region, area, match in self.slots:
-            if not area > 0.0:
-                raise DomainError(f"pixel area must be positive, got {area}")
-            if match not in (0, 1):
-                raise DomainError(f"match must be 0 or 1, got {match}")
-
-
-def brand_match(item: Item, query_brand: str) -> int:
-    """1 iff the item's brand equals the query brand. Matching is exact."""
+def layout_region_bmrs(layout: PageLayout, query_brand: str) -> tuple[float, float, float]:
+    """(top, middle, bottom) pixel-weighted brand match rates of a layout, by
+    :func:`region_bmr_columns` over its slots."""
     if not query_brand:
         raise DomainError("query_brand must be non-empty")
-    return int(item.brand_id == query_brand)
-
-
-def brand_match_page(layout: PageLayout, query_brand: str) -> BrandMatchPage:
-    """Project a layout onto the (region, area, match) form the metric consumes."""
-    return BrandMatchPage(
-        tuple(
-            (slot.region, slot.pixel_area, brand_match(slot.item, query_brand))
-            for slot in layout.slots
-        )
+    slots = layout.slots
+    if not slots:
+        return (0.0, 0.0, 0.0)
+    rates = region_bmr_columns(
+        np.array([REGION_ORDER.index(slot.region) for slot in slots], dtype=np.intp),
+        np.array([slot.pixel_area for slot in slots], dtype=float),
+        np.array([slot.item.brand_id == query_brand for slot in slots], dtype=bool),
     )
-
-
-def region_bmr(page: BrandMatchPage, region: PageRegion) -> float:
-    """Pixel-weighted brand match rate within one region.
-
-    An empty region contributes 0: a page that leaves a region unfilled
-    provides no brand-aligned content there.
-    """
-    matched_area = 0.0
-    total_area = 0.0
-    for slot_region, area, match in page.slots:
-        if slot_region is region:
-            total_area += area
-            matched_area += area * match
-    if total_area == 0.0:
-        return 0.0
-    return matched_area / total_area
-
-
-def pr_wp_bmr(page: BrandMatchPage, weights: RegionWeights) -> float:
-    """Whole-page brand match rate: region rates combined by region weights."""
-    value = (
-        weights.w_top * region_bmr(page, PageRegion.TOP)
-        + weights.w_mid * region_bmr(page, PageRegion.MIDDLE)
-        + weights.w_bot * region_bmr(page, PageRegion.BOTTOM)
-    )
-    # Guard against float drift out of [0, 1]; each term is a convex combination.
-    return min(1.0, max(0.0, value))
-
-
-def layout_region_bmrs(layout: PageLayout, query_brand: str) -> tuple[float, float, float]:
-    """(top, middle, bottom) pixel-weighted brand match rates of a layout."""
-    page = brand_match_page(layout, query_brand)
-    return tuple(region_bmr(page, region) for region in REGION_ORDER)
+    return tuple(rates.tolist())
 
 
 def region_bmr_columns(
     region: np.ndarray, area: np.ndarray, match: np.ndarray
 ) -> np.ndarray:
-    """:func:`region_bmr` for every region of a block of pages held as slot
-    columns of shape ``(..., n_slots)``: region codes into ``REGION_ORDER``,
-    pixel areas and 0/1 (or bool) brand matches. Returns ``(..., 3)``.
+    """Pixel-weighted brand match rate of every region of a block of pages held
+    as slot columns of shape ``(..., n_slots)``: region codes into
+    ``REGION_ORDER``, pixel areas and 0/1 (or bool) brand matches. Returns
+    ``(..., 3)``.
 
-    Areas accumulate in slot order, as :func:`region_bmr` adds them, so the
-    rates equal it bit for bit.
+    A region's rate is its matched area over its total area, both summed in
+    slot order. An empty region rates 0: a page that leaves a region unfilled
+    provides no brand-aligned content there.
     """
     codes = np.arange(len(REGION_ORDER))
     # (..., n_slots, 3): each slot's area in its own region's column, else 0

@@ -62,11 +62,6 @@ def stream(seed: int, *labels: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def event_stream(seed: int, event_id: int, purpose: str) -> np.random.Generator:
-    """Substream for one simulated event and one purpose (clicks, noise...)."""
-    return stream(seed, event_id, purpose)
-
-
 def stream_keys(
     seed: int,
     prefix_labels: Sequence[int | str],

@@ -85,7 +85,7 @@ def generate_events(
     """Draw customers and queries, assign templates, realize both horizons.
 
     Event ``i`` draws its availability, session and long-term noise from
-    ``event_stream(seed, i, purpose)``, so an event's outcome does not depend
+    ``stream(seed, i, purpose)``, so an event's outcome does not depend
     on how the events are blocked.
     """
     if n_events < 1:

@@ -507,19 +507,25 @@ def _content_signal_table(world: World) -> np.ndarray:
     availability noise realizes the actual page.
     """
     cfg = world.config
-    all_available = np.ones(cfg.n_items, dtype=bool)
+    slots = world.slots
+    # every (query, template) page in one block, query-major
+    query_idx, template_idx = np.divmod(
+        np.arange(cfg.n_queries * cfg.n_templates), cfg.n_templates
+    )
+    picks = page_item_indices(
+        world, query_idx, template_idx, np.ones((len(query_idx), cfg.n_items), dtype=bool)
+    ).reshape(cfg.n_queries, cfg.n_templates, PAGE_SLOTS)
     table = np.empty((cfg.n_queries, cfg.n_templates, len(SIGNAL_NAMES)))
-    for qi, query in enumerate(world.queries):
-        for ti in range(cfg.n_templates):
-            picks = layout_item_indices(world, qi, ti, all_available)
-            widget = world.slots.widget[ti]
-            area = world.slots.area[ti]
-            appeal = world.item_appeal[picks]
-            match = world.item_brand[picks] == query.brand_index
-            table[qi, ti, :3] = region_bmr_columns(world.slots.region[ti], area, match)
-            table[qi, ti, 3:] = (
-                float(np.mean(appeal[~widget])) if not widget.all() else 0.0,
-                float(np.mean(appeal[widget])) if widget.any() else 0.0,
-                area[widget].sum() / area.sum(),
-            )
+    table[..., :3] = region_bmr_columns(
+        slots.region, slots.area, world.item_brand[picks] == world.query_brand[:, None, None]
+    )
+    for ti in range(cfg.n_templates):
+        widget = slots.widget[ti]
+        area = slots.area[ti]
+        appeal = world.item_appeal[picks[:, ti]]
+        # one 1-D mean per page: a mean along an axis of a 2-D block sums in
+        # another order and can differ in the last bit
+        for kind, col in ((~widget, 3), (widget, 4)):
+            table[:, ti, col] = [np.mean(row) for row in appeal[:, kind]] if kind.any() else 0.0
+        table[:, ti, 5] = area[widget].sum() / area.sum()
     return table

@@ -29,7 +29,7 @@ from wpxlab.harness.experiment import (
     report_json,
     run_experiment,
 )
-from wpxlab.metrics import BrandMatchPage, RegionWeights, pr_wp_bmr
+from wpxlab.metrics import RegionWeights, region_bmr_columns, weighted_bmr
 from wpxlab.domain import PageRegion
 from wpxlab.sim.panel import CONFOUNDED, X_COLUMNS, simulate_panel
 from wpxlab.sim.world import WorldConfig, generate_world
@@ -222,7 +222,10 @@ def test_criterion_8_page_metric_matches_brute_force():
             matched = sum(a for r, a, m in slots if r is region and m == 1)
             expected += weight * (matched / area if area > 0.0 else 0.0)
 
-        value = pr_wp_bmr(BrandMatchPage(slots), weights)
+        codes = np.array([regions.index(r) for r, _, _ in slots])
+        areas = np.array([a for _, a, _ in slots])
+        matches = np.array([m for _, _, m in slots])
+        value = weighted_bmr(tuple(region_bmr_columns(codes, areas, matches)), weights)
         assert value == pytest.approx(expected, abs=1e-12)
 
 

@@ -107,6 +107,24 @@ class TestSimulateAndEstimate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "world, field",
+        [({"n_customers": "many"}, "world.n_customers"), ({"n_shoppers": 5}, "n_shoppers")],
+    )
+    def test_malformed_world_exits_one_naming_the_field(self, tmp_path, capsys, world, field):
+        cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "world": world})
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_estimate_exits_two_when_deaveraging_does_not_converge(self, tmp_path, capsys):
+        sim = _write(tmp_path, "sim.json", {"world": {"seed": 0}, "n_events": 4000})
+        assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        est = _write(tmp_path, "est.json", {"deaverage_iterations": 2})
+        assert cli.main(["estimate", "--config", est, "--out", str(tmp_path)]) == 2
+        assert "stage deaverage" in capsys.readouterr().err
+
 
 class TestRank:
     def test_rank_by_query_index(self, tmp_path, capsys):
@@ -267,6 +285,27 @@ class TestExperimentAndReport:
         assert report["lifts"] == []
         assert list(report["region_weights"]) == ["control"]
         assert report["config"]["days"] == 1
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({}, "world"),
+            (
+                {
+                    **EXP_CONFIG,
+                    "arms": [{"name": "control", "reward_weights": {"revenue": 1.0}}],
+                },
+                "satisfaction_mode",
+            ),
+        ],
+    )
+    def test_malformed_config_exits_one_naming_the_field(
+        self, tmp_path, capsys, payload, field
+    ):
+        cfg = _write(tmp_path, "exp.json", payload)
+        assert cli.main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_unknown_arm_exits_one(self, tmp_path):
         cfg = _write(tmp_path, "exp.json", EXP_CONFIG)

@@ -16,11 +16,11 @@ from wpxlab.domain import (
     PageTemplate,
     Slot,
     region_of_position,
-    validate_layout,
 )
 from wpxlab.errors import DomainError
 
 from conftest import make_item
+from oracles import validate_layout
 
 
 class TestRegionOfPosition:

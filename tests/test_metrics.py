@@ -9,85 +9,100 @@ from wpxlab.domain import PageRegion
 from wpxlab.errors import DomainError
 from wpxlab.metrics import (
     CTR_REGION_WEIGHTS,
-    BrandMatchPage,
     RegionWeights,
-    brand_match,
-    brand_match_page,
     layout_region_bmrs,
-    pr_wp_bmr,
-    region_bmr,
     region_bmr_columns,
     weighted_bmr,
 )
 
-from conftest import make_item, make_layout
+from conftest import make_layout
 
 DVWPX_WEIGHTS = RegionWeights(0.63, 0.37, 0.0)
 
 REGIONS = (PageRegion.TOP, PageRegion.MIDDLE, PageRegion.BOTTOM)
 
 
-def _page(slots):
-    """slots: iterable of (region, area, match) triples."""
-    return BrandMatchPage(tuple(slots))
+def _rates(slots) -> np.ndarray:
+    """Region rates of a page given as (region, area, match) triples, by the
+    shipped kernel."""
+    slots = list(slots)
+    return region_bmr_columns(
+        np.array([REGIONS.index(r) for r, _, _ in slots]),
+        np.array([a for _, a, _ in slots]),
+        np.array([m for _, _, m in slots]),
+    )
 
 
-def _oracle(page: BrandMatchPage, weights: RegionWeights) -> float:
+def _score(slots, weights: RegionWeights) -> float:
+    """The whole-page metric as the package computes it."""
+    return weighted_bmr(tuple(_rates(slots)), weights)
+
+
+def _region_bmr(slots, region: PageRegion) -> float:
+    """Scalar reference: one region's matched over total area, each summed in
+    slot order; an empty region rates 0."""
+    matched_area = 0.0
+    total_area = 0.0
+    for slot_region, area, match in slots:
+        if slot_region is region:
+            total_area += area
+            matched_area += area * match
+    return matched_area / total_area if total_area > 0.0 else 0.0
+
+
+def _oracle(slots, weights: RegionWeights) -> float:
     """Independent weighted-sum evaluation, region rates from scratch."""
     total = 0.0
     for region, w in zip(REGIONS, weights.as_tuple()):
-        area = sum(a for r, a, _ in page.slots if r is region)
-        hit = sum(a * m for r, a, m in page.slots if r is region)
+        area = sum(a for r, a, _ in slots if r is region)
+        hit = sum(a * m for r, a, m in slots if r is region)
         total += w * (hit / area if area > 0 else 0.0)
     return total
 
 
-def _random_page(rng: np.random.Generator) -> BrandMatchPage:
+def _random_page(rng: np.random.Generator) -> list:
     n = int(rng.integers(1, 30))
-    return _page(
+    return [
         (
             REGIONS[int(rng.integers(0, 3))],
             float(rng.uniform(1.0, 500.0)),
             int(rng.integers(0, 2)),
         )
         for _ in range(n)
-    )
+    ]
+
+
+def _one_slot_layout(brand: str):
+    return make_layout([1], query_brand=brand)
 
 
 class TestBrandMatch:
     def test_same_brand_matches(self):
-        assert brand_match(make_item(brand="acme"), "acme") == 1
+        assert layout_region_bmrs(_one_slot_layout("acme"), "acme") == (1.0, 0.0, 0.0)
 
     def test_different_brand_does_not_match(self):
-        assert brand_match(make_item(brand="acme"), "apex") == 0
+        assert layout_region_bmrs(_one_slot_layout("acme"), "apex") == (0.0, 0.0, 0.0)
 
     def test_deterministic(self):
-        item = make_item(brand="acme")
-        assert brand_match(item, "acme") == brand_match(item, "acme")
+        layout = _one_slot_layout("acme")
+        assert layout_region_bmrs(layout, "acme") == layout_region_bmrs(layout, "acme")
 
     def test_empty_query_brand_rejected(self):
         with pytest.raises(DomainError):
-            brand_match(make_item(), "")
+            layout_region_bmrs(_one_slot_layout("acme"), "")
 
 
 class TestRegionBmr:
     def test_all_matching_slots_give_one(self):
-        page = _page([(PageRegion.TOP, 120.0, 1), (PageRegion.TOP, 80.0, 1)])
-        assert region_bmr(page, PageRegion.TOP) == 1.0
+        rates = _rates([(PageRegion.TOP, 120.0, 1), (PageRegion.TOP, 80.0, 1)])
+        assert rates[0] == 1.0
 
     def test_empty_region_gives_zero(self):
-        page = _page([(PageRegion.TOP, 120.0, 1)])
-        assert region_bmr(page, PageRegion.BOTTOM) == 0.0
+        assert _rates([(PageRegion.TOP, 120.0, 1)])[2] == 0.0
 
     def test_area_weighted_mean(self):
-        page = _page([(PageRegion.MIDDLE, 300.0, 1), (PageRegion.MIDDLE, 100.0, 0)])
-        assert region_bmr(page, PageRegion.MIDDLE) == 0.75
-
-    def test_guards_on_slot_values(self):
-        with pytest.raises(DomainError):
-            _page([(PageRegion.TOP, 0.0, 1)])
-        with pytest.raises(DomainError):
-            _page([(PageRegion.TOP, 10.0, 2)])
+        rates = _rates([(PageRegion.MIDDLE, 300.0, 1), (PageRegion.MIDDLE, 100.0, 0)])
+        assert rates[1] == 0.75
 
 
 class TestRegionBmrColumns:
@@ -95,11 +110,8 @@ class TestRegionBmrColumns:
         rng = np.random.default_rng(17)
         pages = [_random_page(rng) for _ in range(200)]
         for page in pages:
-            region = np.array([REGIONS.index(r) for r, _, _ in page.slots])
-            area = np.array([a for _, a, _ in page.slots])
-            match = np.array([m for _, _, m in page.slots])
-            expected = [region_bmr(page, r) for r in REGIONS]
-            assert region_bmr_columns(region, area, match).tolist() == expected
+            expected = [_region_bmr(page, r) for r in REGIONS]
+            assert _rates(page).tolist() == expected
 
     def test_rows_of_a_block_are_independent_pages(self):
         region = np.array([0, 0, 1, 2])
@@ -143,49 +155,45 @@ class TestPrWpBmr:
         ],
     )
     def test_fully_matched_page_scores_one(self, weights):
-        assert pr_wp_bmr(_page(self.FULL), weights) == pytest.approx(1.0, abs=1e-12)
+        assert _score(self.FULL, weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_top_only_match_under_ctr_weights(self):
-        page = _page(
-            [
-                (PageRegion.TOP, 100.0, 1),
-                (PageRegion.MIDDLE, 100.0, 0),
-                (PageRegion.BOTTOM, 100.0, 0),
-            ]
-        )
-        assert pr_wp_bmr(page, CTR_REGION_WEIGHTS) == pytest.approx(0.60, abs=1e-15)
+        page = [
+            (PageRegion.TOP, 100.0, 1),
+            (PageRegion.MIDDLE, 100.0, 0),
+            (PageRegion.BOTTOM, 100.0, 0),
+        ]
+        assert _score(page, CTR_REGION_WEIGHTS) == pytest.approx(0.60, abs=1e-15)
 
     def test_bottom_only_match_under_estimated_weights(self):
-        page = _page(
-            [
-                (PageRegion.TOP, 100.0, 0),
-                (PageRegion.MIDDLE, 100.0, 0),
-                (PageRegion.BOTTOM, 100.0, 1),
-            ]
-        )
-        assert pr_wp_bmr(page, DVWPX_WEIGHTS) == 0.0
+        page = [
+            (PageRegion.TOP, 100.0, 0),
+            (PageRegion.MIDDLE, 100.0, 0),
+            (PageRegion.BOTTOM, 100.0, 1),
+        ]
+        assert _score(page, DVWPX_WEIGHTS) == 0.0
 
     def test_top_weight_one_equals_region_bmr(self):
         rng = np.random.default_rng(7)
         weights = RegionWeights(1.0, 0.0, 0.0)
         for _ in range(50):
             page = _random_page(rng)
-            assert pr_wp_bmr(page, weights) == region_bmr(page, PageRegion.TOP)
+            assert _score(page, weights) == _region_bmr(page, PageRegion.TOP)
 
     def test_monotone_in_any_single_match_flip(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             page = _random_page(rng)
             weights = _random_weights(rng)
-            base = pr_wp_bmr(page, weights)
-            zeros = [i for i, (_, _, m) in enumerate(page.slots) if m == 0]
+            base = _score(page, weights)
+            zeros = [i for i, (_, _, m) in enumerate(page) if m == 0]
             if not zeros:
                 continue
             i = zeros[int(rng.integers(0, len(zeros)))]
-            flipped = list(page.slots)
+            flipped = list(page)
             region, area, _ = flipped[i]
             flipped[i] = (region, area, 1)
-            assert pr_wp_bmr(_page(flipped), weights) >= base - 1e-12
+            assert _score(flipped, weights) >= base - 1e-12
 
     def test_per_region_area_scaling_is_invariant(self):
         rng = np.random.default_rng(29)
@@ -194,17 +202,15 @@ class TestPrWpBmr:
             weights = _random_weights(rng)
             region = REGIONS[int(rng.integers(0, 3))]
             c = float(rng.uniform(0.01, 100.0))
-            scaled = _page(
-                (r, a * c if r is region else a, m) for r, a, m in page.slots
-            )
-            assert pr_wp_bmr(scaled, weights) == pytest.approx(
-                pr_wp_bmr(page, weights), abs=1e-12
+            scaled = [(r, a * c if r is region else a, m) for r, a, m in page]
+            assert _score(scaled, weights) == pytest.approx(
+                _score(page, weights), abs=1e-12
             )
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
-            value = pr_wp_bmr(_random_page(rng), _random_weights(rng))
+            value = _score(_random_page(rng), _random_weights(rng))
             assert 0.0 <= value <= 1.0
 
     def test_matches_weighted_sum_oracle(self):
@@ -212,7 +218,7 @@ class TestPrWpBmr:
         for _ in range(200):
             page = _random_page(rng)
             weights = _random_weights(rng)
-            assert abs(pr_wp_bmr(page, weights) - _oracle(page, weights)) <= 1e-12
+            assert abs(_score(page, weights) - _oracle(page, weights)) <= 1e-12
 
 
 def _random_weights(rng: np.random.Generator) -> RegionWeights:
@@ -237,7 +243,11 @@ class TestLayoutHelpers:
             matches = [int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 25)))]
             layout = make_layout(matches, query_brand="b1", other_brand="b2")
             weights = _random_weights(rng)
-            via_page = pr_wp_bmr(brand_match_page(layout, "b1"), weights)
+            slots = [
+                (slot.region, slot.pixel_area, int(slot.item.brand_id == "b1"))
+                for slot in layout.slots
+            ]
+            via_page = _oracle(slots, weights)
             via_rates = weighted_bmr(layout_region_bmrs(layout, "b1"), weights)
             assert via_rates == pytest.approx(via_page, abs=1e-12)
 
@@ -261,8 +271,7 @@ class TestLayoutHelpers:
 )
 @settings(max_examples=150, deadline=None)
 def test_pr_wp_bmr_equals_oracle_property(slots):
-    page = _page(slots)
     for weights in (CTR_REGION_WEIGHTS, DVWPX_WEIGHTS, RegionWeights(0.2, 0.3, 0.5)):
-        value = pr_wp_bmr(page, weights)
-        assert abs(value - min(1.0, max(0.0, _oracle(page, weights)))) <= 1e-12
+        value = _score(slots, weights)
+        assert abs(value - min(1.0, max(0.0, _oracle(slots, weights)))) <= 1e-12
         assert 0.0 <= value <= 1.0

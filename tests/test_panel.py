@@ -12,7 +12,7 @@ from wpxlab.dml.panel import (
 from wpxlab.domain import PageLayout, Slot
 from wpxlab.errors import DomainError
 from wpxlab.metrics import layout_region_bmrs
-from wpxlab.rng import event_stream, stream
+from wpxlab.rng import stream
 from wpxlab.sim import panel as sim_panel
 from wpxlab.sim.panel import (
     CONFOUNDED,
@@ -46,7 +46,7 @@ def _page_layout(world, template_index, items):
 
 def _scalar_panel(world, n_events, policy, seed):
     """The per-event composition the batch simulator replaces, one page at a
-    time: event_stream -> draw_availability -> build_layout ->
+    time: stream(seed, i, purpose) -> draw_availability -> build_layout ->
     simulate_session -> realize_long_term."""
     cfg = world.config
     r = stream(seed, "panel_events")
@@ -58,11 +58,11 @@ def _scalar_panel(world, n_events, policy, seed):
     x, m, drev = [], [], []
     for i in range(n_events):
         ci, qi, ti = int(customer_idx[i]), int(query_idx[i]), int(template_idx[i])
-        available = draw_availability(world, event_stream(seed, i, "availability"))
+        available = draw_availability(world, stream(seed, i, "availability"))
         layout = build_layout(world, qi, ti, available)
-        session = simulate_session(world, ci, qi, layout, event_stream(seed, i, "session"))
+        session = simulate_session(world, ci, qi, layout, stream(seed, i, "session"))
         long_term = realize_long_term(
-            world, ci, qi, layout, session, event_stream(seed, i, "long_term")
+            world, ci, qi, layout, session, stream(seed, i, "long_term")
         )
         x.append(layout_region_bmrs(layout, world.brands[world.queries[qi].brand_index]))
         m.append((session.short_term_revenue, session.engagement_a))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wpxlab.dml.deaverage import deaverage
 from wpxlab.dml.panel import PanelDataset, split_train_test
 from wpxlab.dml.pipeline import (
     DmlConfig,
@@ -13,12 +14,7 @@ from wpxlab.dml.pipeline import (
     crossfit_residualize,
     derive_region_weights,
     estimate_dvwpx,
-    fixed_effects_ols,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     naive_ols,
-    save_model,
 )
 from wpxlab.dml.linear import ols_fit
 from wpxlab.errors import DomainError, EstimationError
@@ -222,6 +218,14 @@ class TestEstimateDvwpx:
         assert diag["n_train"] + diag["n_test"] == 1200
         assert diag["test_rmse"] > 0.0
 
+    def test_deaveraging_stopped_at_its_cap_fails_in_deaverage_stage(self, default_world):
+        # two passes leave query-group means of order 0.05 on a confounded panel
+        panel = simulate_panel(default_world, 4000, CONFOUNDED, seed=0)
+        with pytest.raises(EstimationError, match="stage deaverage: a group mean of"):
+            estimate_dvwpx(panel, DmlConfig(deaverage_iterations=2))
+        converged = estimate_dvwpx(panel, DmlConfig()).estimate.diagnostics
+        assert converged["deaverage_max_group_mean_query"] < 1e-6
+
     def test_config_guards(self):
         with pytest.raises(DomainError):
             DmlConfig(train_fraction=1.2)
@@ -235,8 +239,12 @@ class TestEstimateDvwpx:
 
 class TestReferenceEstimators:
     def test_fixed_effects_ols_recovers_truth(self):
+        # the within estimator: de-average, then one joint least-squares fit
         panel = synthetic_panel(4000, seed=51, fe_scale=1.0)
-        beta, theta, _ = fixed_effects_ols(panel)
+        stacked = np.column_stack([panel.drev, panel.x, panel.m, panel.h])
+        out, _ = deaverage(stacked, [panel.query_group, panel.zip_code], 20)
+        coef, _ = ols_fit(np.column_stack([np.ones(panel.n_rows), out[:, 1:]]), out[:, 0])
+        beta, theta = coef[1:4], coef[4:6]
         assert np.max(np.abs(beta - TRUE_BETA)) < 0.1
         assert np.max(np.abs(theta - TRUE_THETA)) < 0.1
 
@@ -284,24 +292,3 @@ class TestDeriveRegionWeights:
             assert isinstance(weights, RegionWeights)
             assert min(weights.as_tuple()) >= 0.0
             assert sum(weights.as_tuple()) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestModelSerialization:
-    def test_round_trip_preserves_estimate(self, tmp_path):
-        panel = synthetic_panel(800, seed=61)
-        model = estimate_dvwpx(panel, DmlConfig(seed=5))
-        path = tmp_path / "model.json"
-        save_model(model, path, config=DmlConfig(seed=5))
-        loaded = load_model(path)
-        assert np.array_equal(loaded.estimate.beta, model.estimate.beta)
-        assert np.array_equal(loaded.estimate.gamma, model.estimate.gamma)
-        assert loaded.surrogate_schema == model.surrogate_schema
-        assert loaded.horizon == model.horizon
-
-    def test_wrong_kind_rejected(self):
-        panel = synthetic_panel(800, seed=63)
-        model = estimate_dvwpx(panel, DmlConfig(seed=6))
-        payload = model_to_dict(model)
-        payload["kind"] = "other"
-        with pytest.raises(DomainError):
-            model_from_dict(payload)

@@ -1,7 +1,6 @@
 """Conjugate Gaussian and probit-ADF posteriors against analytic oracles."""
 
 import copy
-import json
 import math
 from dataclasses import fields, replace
 
@@ -22,7 +21,6 @@ from wpxlab.bandit.posteriors import (
     sample_weights,
     thompson_sample_predict,
 )
-from wpxlab.bandit.ranker import REVENUE, ObjectiveStats, RewardWeights, bundle_to_dict, new_bundle
 from wpxlab.errors import DomainError, InvariantViolation
 
 SCHEMA_1D = ("x",)
@@ -76,12 +74,6 @@ class TestKeptFactor:
         other = copy.copy(post)
         object.__setattr__(other, "factor", np.zeros((4, 4)))
         assert other == post
-
-    def test_factor_is_not_serialized(self):
-        reward = RewardWeights({REVENUE: 1.0}, {REVENUE: ObjectiveStats(0.0, 1.0)})
-        payload = bundle_to_dict(new_bundle(("c0",), ("s0",), reward, None, False))
-        assert set(payload["revenue_model"]["posterior"]) == {"mean", "cov", "diagonal"}
-        assert "factor" not in json.dumps(payload)
 
     def test_draws_use_the_factor_as_before(self):
         post = self._full()

@@ -17,21 +17,15 @@ from wpxlab.bandit.ranker import (
     ObjectiveStats,
     RewardWeights,
     apply_impression,
-    bundle_from_dict,
-    bundle_to_dict,
     candidate_features,
     frozen_reward,
     incremental_retrain,
-    load_bundle,
     new_bundle,
-    read_impressions,
     sample_rows,
-    save_bundle,
     scalarize,
     score_candidates,
     select_template,
     with_noise_variances,
-    write_impressions,
 )
 from wpxlab.domain import ContentKind, ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
@@ -364,16 +358,6 @@ class TestImpressionRecord:
                 long_term_available_on=9,
             )
 
-    def test_jsonl_round_trip(self, tmp_path):
-        records = [
-            _record(_context(), "a", 1.5, 1, ts=2),
-            _record(_context(device=Device.MOBILE), "b", 0.0, 0, ts=3),
-        ]
-        path = tmp_path / "log.jsonl"
-        write_impressions(records, path)
-        loaded = read_impressions(path)
-        assert loaded == records
-
 
 class TestRetraining:
     def test_sample_rows_takes_ceil_of_fraction(self):
@@ -485,33 +469,6 @@ class TestBundleStructure:
                 region_weights=None,
                 with_satisfaction=True,
             )
-
-    def test_serialization_round_trip(self, tmp_path):
-        bundle = _bundle(with_satisfaction=True)
-        bundle = incremental_retrain(
-            bundle,
-            [_record(_context(), "a", 1.0, 1, satisfaction=0.4) for _ in range(8)],
-            rng=np.random.default_rng(7),
-        )
-        path = tmp_path / "bundle.json"
-        save_bundle(bundle, path)
-        loaded = load_bundle(path)
-        assert loaded.rows_trained == bundle.rows_trained
-        assert np.allclose(
-            loaded.revenue_model.posterior.mean, bundle.revenue_model.posterior.mean
-        )
-        assert np.allclose(
-            loaded.satisfaction_model.posterior.cov,
-            bundle.satisfaction_model.posterior.cov,
-        )
-        assert loaded.reward.weights == dict(bundle.reward.weights)
-        assert loaded.region_weights == bundle.region_weights
-
-    def test_wrong_payload_kind_rejected(self):
-        payload = bundle_to_dict(_bundle())
-        payload["kind"] = "nope"
-        with pytest.raises(DomainError):
-            bundle_from_dict(payload)
 
 
 class TestStationaryEnvironmentConvergence:

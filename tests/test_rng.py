@@ -5,7 +5,6 @@ import pytest
 
 from wpxlab.rng import (
     KeyedGenerator,
-    event_stream,
     keyed_normals,
     keyed_uniforms,
     stream,
@@ -26,7 +25,7 @@ def test_bulk_keys_equal_event_stream_keys(seed, purpose):
     keys = stream_keys(seed, (), IDS, (purpose,))
     assert keys.dtype == np.uint64 and keys.shape == (len(IDS), 2)
     for event_id, key in zip(IDS, keys):
-        assert key.tolist() == _key(event_stream(seed, int(event_id), purpose))
+        assert key.tolist() == _key(stream(seed, int(event_id), purpose))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -35,9 +34,9 @@ def test_uniforms_and_normals_replay_event_stream(seed):
     normals = keyed_normals(stream_keys(seed, (), IDS, ("long_term",)))
     for i, event_id in enumerate(IDS):
         assert np.array_equal(
-            uniforms[i], event_stream(seed, int(event_id), "session").random(72)
+            uniforms[i], stream(seed, int(event_id), "session").random(72)
         )
-        assert normals[i] == event_stream(seed, int(event_id), "long_term").standard_normal()
+        assert normals[i] == stream(seed, int(event_id), "long_term").standard_normal()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -66,7 +65,7 @@ def test_rekey_restarts_a_used_generator():
     used.integers(0, 10, 3, dtype=np.uint32)
     used.standard_normal(5)
     again = replay.rekey(key)
-    fresh = event_stream(5, 3, "x")
+    fresh = stream(5, 3, "x")
     words = [g.integers(0, 2**32, 5, dtype=np.uint32) for g in (again, fresh)]
     assert np.array_equal(*words)
     assert np.array_equal(again.random(9), fresh.random(9))

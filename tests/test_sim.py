@@ -5,9 +5,11 @@ import pytest
 from conftest import make_item, make_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import validate_layout
 
-from wpxlab.domain import ContentKind, PageLayout, PageRegion, Slot, validate_layout
+from wpxlab.domain import ContentKind, PageLayout, PageRegion, Slot
 from wpxlab.errors import DomainError
+from wpxlab.metrics import region_bmr_columns
 from wpxlab.sim.session import (
     LongTermOutcome,
     SessionOutcome,
@@ -148,6 +150,27 @@ class TestBatchedFill:
         else:
             got = page_item_indices(world, query_idx, template_idx, available)
             assert np.array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("world_name", sorted(FILL_WORLDS))
+    def test_content_signals_equal_the_scalar_fill(self, world_name):
+        world = FILL_WORLDS[world_name]
+        cfg = world.config
+        all_available = np.ones(cfg.n_items, dtype=bool)
+        expected = np.empty_like(world.content_signals)
+        for qi in range(cfg.n_queries):
+            for ti in range(cfg.n_templates):
+                picks = layout_item_indices(world, qi, ti, all_available)
+                widget = world.slots.widget[ti]
+                area = world.slots.area[ti]
+                appeal = world.item_appeal[picks]
+                match = world.item_brand[picks] == world.query_brand[qi]
+                expected[qi, ti, :3] = region_bmr_columns(world.slots.region[ti], area, match)
+                expected[qi, ti, 3:] = (
+                    float(np.mean(appeal[~widget])) if not widget.all() else 0.0,
+                    float(np.mean(appeal[widget])) if widget.any() else 0.0,
+                    area[widget].sum() / area.sum(),
+                )
+        assert world.content_signals.tobytes() == expected.tobytes()
 
     def test_slot_tables_follow_the_templates(self, default_world):
         slots = default_world.slots

@@ -98,6 +98,14 @@ def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
             writer.writerow([*key, *map(repr, row.tolist())])
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_panel_csv(path: str | Path) -> PanelDataset:
     """Load a panel CSV, discovering metric blocks by column prefix."""
     path = Path(path)
@@ -116,6 +124,12 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
     m_names = tuple(c for c in header if c.startswith("m_"))
     h_names = tuple(c for c in header if c.startswith("h_"))
     n = len(rows)
+    # the header is line 1, so row i is on line i + 2
+    short = next((i for i, r in enumerate(rows) if len(r) != len(header)), None)
+    if short is not None:
+        raise DomainError(
+            f"{path}: line {short + 2} has {len(rows[short])} cells, the header {len(header)}"
+        )
 
     def strings(name: str) -> np.ndarray:
         j = col[name]
@@ -125,7 +139,13 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
         out = np.empty((n, len(names)))
         for k, name in enumerate(names):
             j = col[name]
-            out[:, k] = [float(r[j]) for r in rows]
+            try:
+                out[:, k] = [float(r[j]) for r in rows]
+            except ValueError:
+                i = next(i for i, r in enumerate(rows) if not _is_number(r[j]))
+                raise DomainError(
+                    f"{path}: line {i + 2} column {name} is not a number: {rows[i][j]!r}"
+                ) from None
         return out
 
     return PanelDataset(

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -44,18 +44,25 @@ from .experiment import (
     SATISFACTION_NONE,
     ArmConfig,
     ExperimentConfig,
+    config_from_json,
+    config_to_json,
     default_experiment_config,
-    experiment_config_from_dict,
+    field_from_json,
     load_report,
     render_report,
     request_context,
     run_experiment,
     save_report,
     serve_pages,
-    world_config_from_dict,
-    world_config_to_dict,
     write_per_day_csv,
 )
+
+# the `arm` a context file leaves out
+RANK_ARM = {
+    "name": "rank",
+    "satisfaction_mode": SATISFACTION_NONE,
+    "reward_weights": {REVENUE: 0.5, NON_ABANDONMENT: 0.2},
+}
 
 OK = 0
 USAGE_ERROR = 1
@@ -83,19 +90,17 @@ def _load_json(path: str, what: str) -> dict[str, Any]:
     return payload
 
 
-_MISSING = object()
+def _take(cfg: dict[str, Any], key: str, kind: Any, default: Any) -> Any:
+    """Remove ``key`` from the config and read it as ``kind``, or ``default``
+    when it is absent. Each command takes its keys, then `_reject_rest`."""
+    if key not in cfg:
+        return default
+    return field_from_json(kind, cfg.pop(key), f"config.{key}")
 
 
-def _config_value(cfg: dict[str, Any], key: str, kind: Any = int, default: Any = _MISSING) -> Any:
-    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent. A missing
-    required key or a value ``kind`` rejects is a usage error naming the key."""
-    value = cfg.get(key, default)
-    if value is _MISSING:
-        raise DomainError(f"missing field {key!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{key} has the wrong type or value: {value!r}") from exc
+def _reject_rest(cfg: dict[str, Any]) -> None:
+    if cfg:
+        raise DomainError(f"config has unknown fields {sorted(cfg)}")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -106,18 +111,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config, "config file") if args.config else {}
-    world_cfg = (
-        world_config_from_dict(cfg["world"])
-        if "world" in cfg
-        else WorldConfig(seed=0 if args.seed is None else args.seed)
-    )
-    n_events = _config_value(cfg, "n_events", default=20_000)
-    policy = cfg.get("policy", CONFOUNDED)
+    seed = 0 if args.seed is None else args.seed
+    world_cfg = _take(cfg, "world", WorldConfig, WorldConfig(seed=seed))
+    n_events = _take(cfg, "n_events", int, 20_000)
+    policy = _take(cfg, "policy", str, CONFOUNDED)
+    event_seed = _take(cfg, "event_seed", int, world_cfg.seed if args.seed is None else seed)
+    _reject_rest(cfg)
     if policy not in (CONFOUNDED, RANDOMIZED):
         raise DomainError(f"policy must be '{CONFOUNDED}' or '{RANDOMIZED}', got {policy!r}")
-    event_seed = _config_value(
-        cfg, "event_seed", default=world_cfg.seed if args.seed is None else args.seed
-    )
 
     world = generate_world(world_cfg)
     panel = simulate_panel(world, n_events, policy, event_seed)
@@ -127,7 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (out / "world.json").write_text(
         json.dumps(
             {
-                "world": world_config_to_dict(world_cfg),
+                "world": config_to_json(world_cfg),
                 "policy": policy,
                 "n_events": n_events,
                 "event_seed": event_seed,
@@ -143,28 +144,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config, "config file") if args.config else {}
-    panel_path = Path(cfg.get("panel", Path(args.out) / "panel.csv"))
+    panel_path = Path(_take(cfg, "panel", str, str(Path(args.out) / "panel.csv")))
+    # the rest is a DmlConfig, whose seed only --seed sets
+    if "seed" in cfg:
+        raise DomainError("config has unknown fields ['seed']; set the seed with --seed")
+    flags = {"stage2": args.stage2, "seed": args.seed}
+    dml_cfg = replace(
+        config_from_json(DmlConfig, cfg, "config"),
+        **{k: v for k, v in flags.items() if v is not None},
+    )
     if not panel_path.exists():
         raise DomainError(f"no panel at {panel_path}; run `simulate` first or set 'panel'")
     panel = read_panel_csv(panel_path)
-
-    dml_kwargs = {
-        k: cfg[k]
-        for k in (
-            "deaverage_iterations",
-            "train_fraction",
-            "crossfit_folds",
-            "stage2",
-            "lasso_grid_points",
-            "lasso_cv_folds",
-        )
-        if k in cfg
-    }
-    if args.stage2 is not None:
-        dml_kwargs["stage2"] = args.stage2
-    if args.seed is not None:
-        dml_kwargs["seed"] = args.seed
-    dml_cfg = DmlConfig(**dml_kwargs)
 
     model = estimate_dvwpx(panel, dml_cfg)
     weights = derive_region_weights(model, X_COLUMNS)
@@ -205,22 +196,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return OK
 
 
-def _train_rank_bundle(world, cfg: dict[str, Any], seed: int):
+def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
     """Fit a quick bundle on uniformly served sessions so `rank` has posteriors."""
-    block = cfg.get("arm", {})
-    if not isinstance(block, dict):
-        raise DomainError(f"arm must be a JSON object, got {block!r}")
-    arm = ArmConfig(
-        name="rank",
-        satisfaction_mode=block.get("satisfaction_mode", SATISFACTION_NONE),
-        reward_weights=_config_value(
-            block, "reward_weights", dict, {REVENUE: 0.5, NON_ABANDONMENT: 0.2}
-        ),
-    )
     if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
     region_weights = CTR_REGION_WEIGHTS if arm.satisfaction_mode == SATISFACTION_CTR else None
-    n_sessions = _config_value(cfg, "warmup_sessions", default=400)
     if n_sessions < 1:
         raise DomainError("warmup_sessions must be >= 1")
 
@@ -261,43 +241,28 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if not args.config:
         raise DomainError("rank needs --config pointing at a context file")
     cfg = _load_json(args.config, "context file")
-    seed = args.seed if args.seed is not None else _config_value(cfg, "seed", default=0)
+    seed = _take(cfg, "seed", int, 0)
+    seed = seed if args.seed is None else args.seed
+    world_cfg = _take(cfg, "world", WorldConfig, WorldConfig(seed=seed))
+    qi = _take(cfg, "query_index", int, None)
+    candidate_ids = _take(cfg, "templates", tuple[str, ...], None)
+    n_sessions = _take(cfg, "warmup_sessions", int, 400)
+    arm = config_from_json(ArmConfig, cfg.pop("arm", {}), "config.arm", RANK_ARM)
+    given = {f.name: cfg.pop(f.name) for f in fields(ContextFeatures) if f.name in cfg}
+    _reject_rest(cfg)
 
-    world_cfg = (
-        world_config_from_dict(cfg["world"]) if "world" in cfg else WorldConfig(seed=seed)
-    )
     world = generate_world(world_cfg)
-    bundle = _train_rank_bundle(world, cfg, seed)
-
-    if "query_index" in cfg:
-        qi = _config_value(cfg, "query_index")
+    query = {}
+    if qi is not None:
+        # the query's own context, which any context key given overrides
         if not 0 <= qi < world.config.n_queries:
             raise DomainError(f"query_index out of range: {qi}")
-        context = request_context(
-            world,
-            qi,
-            _config_value(cfg, "device", Device, "desktop"),
-            _config_value(cfg, "membership", default=0),
-        )
-        context = replace(
-            context,
-            query_specificity=_config_value(
-                cfg, "query_specificity", float, context.query_specificity
-            ),
-            category_id=cfg.get("category_id", context.category_id),
-        )
-    else:
-        signals = _config_value(cfg, "content_signals", dict)
-        context = ContextFeatures(
-            device=_config_value(cfg, "device", Device),
-            query_specificity=_config_value(cfg, "query_specificity", float),
-            category_id=_config_value(cfg, "category_id", str),
-            membership=_config_value(cfg, "membership"),
-            content_signals={k: _config_value(signals, k, tuple) for k in signals},
-        )
+        query = asdict(request_context(world, qi, Device.DESKTOP, 0))
+    context = config_from_json(ContextFeatures, given, "config", query)
+    bundle = _train_rank_bundle(world, arm, n_sessions, seed)
 
     by_id = {t.template_id: t for t in world.templates}
-    candidate_ids = cfg.get("templates", list(by_id))
+    candidate_ids = list(by_id) if candidate_ids is None else candidate_ids
     unknown = [t for t in candidate_ids if t not in by_id]
     if unknown:
         raise DomainError(f"unknown template ids: {unknown}")
@@ -338,7 +303,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
-        config = experiment_config_from_dict(_load_json(args.config, "config file"))
+        config = config_from_json(
+            ExperimentConfig, _load_json(args.config, "config file"), "config"
+        )
         if args.seed is not None:
             config = replace(config, seed=args.seed)
     else:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from enum import Enum
 from itertools import product
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -514,7 +516,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     return ExperimentReport(
-        config_echo=experiment_config_to_dict(config),
+        config_echo=config_to_json(config),
         arm_means=arm_means,
         lifts=tuple(lifts),
         per_day=tuple(per_day),
@@ -531,124 +533,74 @@ def stream_seed_for(seed: int, label: str) -> int:
     return int(stream(seed, "derived_seed", label).integers(0, 2**63 - 1))
 
 
-def world_config_to_dict(config: WorldConfig) -> dict[str, Any]:
-    from dataclasses import asdict
-
-    out = asdict(config)
-    for key in ("true_region_effects", "fixed_effect_scales", "history_effects"):
-        out[key] = list(out[key])
-    return out
-
-
-def _of_kind(name: str, value: Any, like: Any) -> Any:
-    """``value`` when it has the kind of ``like``: any number for a float, a list
-    of numbers (returned as a tuple) for a tuple, else exactly ``like``'s type.
-    Anything else is a DomainError naming the field."""
-    def number(v: Any) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if isinstance(like, tuple):
-        ok = isinstance(value, (list, tuple)) and all(map(number, value))
-        value = tuple(value) if ok else value
+def field_from_json(kind: Any, value: Any, name: str) -> Any:
+    """``value`` read as the annotation ``kind``: a nested dataclass by
+    `config_from_json`, an enum by its value, a ``tuple[T, ...]`` from a list
+    and a ``Mapping[str, T]`` from an object, each entry read as ``T``. An
+    ``int``, ``str`` or ``bool`` must be exactly that type; a ``float`` takes
+    any number and keeps an int an int. Anything else is a DomainError naming
+    the field by its dotted path."""
+    origin, args = get_origin(kind), get_args(kind)
+    if is_dataclass(kind):
+        return config_from_json(kind, value, name)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"{name} must be one of {[m.value for m in kind]}, got {value!r}"
+            ) from None
+    if origin is tuple and isinstance(value, list):
+        return tuple(field_from_json(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+    if origin is Mapping and isinstance(value, dict):
+        return {k: field_from_json(args[1], v, f"{name}.{k}") for k, v in value.items()}
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
-        ok = number(value) if isinstance(like, float) else type(value) is type(like)
+        ok = type(value) is kind
     if not ok:
         raise DomainError(f"{name} has the wrong type: {value!r}")
     return value
 
 
-def _require(name: str, payload: Any, keys: Sequence[str]) -> Mapping[str, Any]:
-    """``payload`` when it is a JSON object holding every one of ``keys``."""
-    if not isinstance(payload, Mapping):
+def config_from_json(
+    cls: type, payload: Any, name: str, defaults: Mapping[str, Any] = {}
+) -> Any:
+    """The ``cls`` dataclass a JSON object describes, each field read by its
+    annotation through `field_from_json`; ``defaults`` fills fields the object
+    leaves out ahead of the class's own defaults. A non-object, an unknown
+    field or a missing required field is a DomainError naming its path."""
+    if not isinstance(payload, dict):
         raise DomainError(f"{name} must be a JSON object, got {payload!r}")
-    missing = [key for key in keys if key not in payload]
+    hints = get_type_hints(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DomainError(f"{name} has unknown fields {unknown}")
+    values = {
+        **defaults,
+        **{k: field_from_json(hints[k], v, f"{name}.{k}") for k, v in payload.items()},
+    }
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
     if missing:
         raise DomainError(f"{name} is missing fields {missing}")
-    return payload
+    return cls(**values)
 
 
-def world_config_from_dict(payload: Mapping[str, Any]) -> WorldConfig:
-    """The world config a JSON object describes; an unknown field or a value
-    of the wrong type is a DomainError naming the field."""
-    defaults = {f.name: f.default for f in fields(WorldConfig)}
-    unknown = sorted(set(_require("world", payload, ())) - set(defaults))
-    if unknown:
-        raise DomainError(f"unknown world fields {unknown}")
-    return WorldConfig(
-        **{key: _of_kind(f"world.{key}", v, defaults[key]) for key, v in payload.items()}
-    )
+def config_to_json(config: Any) -> dict[str, Any]:
+    """``asdict(config)`` as JSON values: tuples as lists, enums by value."""
 
+    def plain(value: Any) -> Any:
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.value if isinstance(value, Enum) else value
 
-def experiment_config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    return {
-        "world": world_config_to_dict(config.world),
-        "arms": [
-            {
-                "name": arm.name,
-                "satisfaction_mode": arm.satisfaction_mode,
-                "reward_weights": dict(arm.reward_weights),
-            }
-            for arm in config.arms
-        ],
-        "days": config.days,
-        "sessions_per_day": config.sessions_per_day,
-        "warmup_days": config.warmup_days,
-        "seed": config.seed,
-        "weight_panel_events": config.weight_panel_events,
-        "weight_stage2": config.weight_stage2,
-        "bootstrap_n": config.bootstrap_n,
-        "prior_variance": config.prior_variance,
-        "horizon": {
-            "delta_short_days": config.horizon.delta_short_days,
-            "delta_long_days": config.horizon.delta_long_days,
-        },
-        "reestimate_ctr_weights": config.reestimate_ctr_weights,
-        "ctr_weight_sessions": config.ctr_weight_sessions,
-    }
-
-
-def experiment_config_from_dict(payload: Mapping[str, Any]) -> ExperimentConfig:
-    """The experiment config a JSON object describes; a missing field or a
-    value of the wrong type is a DomainError naming the field."""
-    nested = ("world", "arms", "horizon")
-    required = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
-    _require("experiment config", payload, required)
-    scalars = {
-        f.name: _of_kind(
-            f.name,
-            payload.get(f.name, f.default),
-            0 if f.default is MISSING else f.default,
-        )
-        for f in fields(ExperimentConfig)
-        if f.name not in nested
-    }
-    arms = []
-    for i, arm in enumerate(_of_kind("arms", payload["arms"], [])):
-        arm = _require(f"arms[{i}]", arm, ("name", "satisfaction_mode", "reward_weights"))
-        weights = _require(f"arms[{i}].reward_weights", arm["reward_weights"], ())
-        arms.append(
-            ArmConfig(
-                name=_of_kind(f"arms[{i}].name", arm["name"], ""),
-                satisfaction_mode=_of_kind(
-                    f"arms[{i}].satisfaction_mode", arm["satisfaction_mode"], ""
-                ),
-                reward_weights={
-                    k: _of_kind(f"arms[{i}].reward_weights.{k}", w, 0.0)
-                    for k, w in weights.items()
-                },
-            )
-        )
-    horizon = HorizonConfig()
-    if "horizon" in payload:
-        keys = ("delta_short_days", "delta_long_days")
-        block = _require("horizon", payload["horizon"], keys)
-        horizon = HorizonConfig(**{k: _of_kind(f"horizon.{k}", block[k], 0) for k in keys})
-    return ExperimentConfig(
-        world=world_config_from_dict(payload["world"]),
-        arms=tuple(arms),
-        horizon=horizon,
-        **scalars,
-    )
+    return plain(asdict(config))
 
 
 REPORT_SCHEMA_VERSION = 1
@@ -660,17 +612,7 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
         "kind": "experiment_report",
         "config": report.config_echo,
         "arm_means": report.arm_means,
-        "lifts": [
-            {
-                "baseline": r.baseline,
-                "treatment": r.treatment,
-                "metric": r.metric,
-                "lift": r.lift,
-                "ci_low": r.ci_low,
-                "ci_high": r.ci_high,
-            }
-            for r in report.lifts
-        ],
+        "lifts": [asdict(r) for r in report.lifts],
         "per_day": list(report.per_day),
         "audit": list(report.audit),
         "region_weights": {
@@ -686,17 +628,7 @@ def report_from_dict(payload: dict[str, Any]) -> ExperimentReport:
     return ExperimentReport(
         config_echo=payload["config"],
         arm_means=payload["arm_means"],
-        lifts=tuple(
-            LiftRow(
-                baseline=r["baseline"],
-                treatment=r["treatment"],
-                metric=r["metric"],
-                lift=r["lift"],
-                ci_low=r["ci_low"],
-                ci_high=r["ci_high"],
-            )
-            for r in payload["lifts"]
-        ),
+        lifts=tuple(LiftRow(**row) for row in payload["lifts"]),
         per_day=tuple(payload["per_day"]),
         audit=tuple(payload["audit"]),
         region_weights={

@@ -96,6 +96,14 @@ class WorldConfig:
             raise DomainError(
                 f"template pool supports up to {len(TEMPLATE_TABLE)} templates"
             )
+        lengths = {
+            "true_region_effects": len(REGION_ORDER),
+            "fixed_effect_scales": 2,
+            "history_effects": len(HISTORY_COLUMNS),
+        }
+        for name, n in lengths.items():
+            if len(getattr(self, name)) != n:
+                raise DomainError(f"{name} must have {n} entries")
         scales = (
             *self.fixed_effect_scales,
             self.noise_scale,
@@ -107,10 +115,6 @@ class WorldConfig:
             raise DomainError("position_bias_decay must be in (0, 1)")
         if self.widget_attention_multiplier <= 0.0:
             raise DomainError("widget_attention_multiplier must be > 0")
-        if len(self.history_effects) != len(HISTORY_COLUMNS):
-            raise DomainError(
-                f"history_effects must have {len(HISTORY_COLUMNS)} entries"
-            )
         if not 0.0 < self.availability_rate <= 1.0:
             raise DomainError("availability_rate must be in (0, 1]")
         for name in ("purchase_prob", "mobile_fraction", "membership_rate"):

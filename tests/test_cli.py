@@ -50,6 +50,11 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+def _assert_error_names(capsys, field):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
@@ -101,21 +106,65 @@ class TestSimulateAndEstimate:
         panels = [(tmp_path / d / "panel.csv").read_bytes() for d in ("a", "b")]
         assert panels[0] == panels[1]
 
-    @pytest.mark.parametrize("key, value", [("n_events", "many"), ("event_seed", "x")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_events", "many"), ("event_seed", "x"), ("policy", 1), ("n_event", 50)],
+    )
     def test_wrong_typed_config_value_exits_one(self, tmp_path, capsys, key, value):
         cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, key: value})
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert key in capsys.readouterr().err
+        _assert_error_names(capsys, key)
 
     @pytest.mark.parametrize(
         "world, field",
-        [({"n_customers": "many"}, "world.n_customers"), ({"n_shoppers": 5}, "n_shoppers")],
+        [
+            ({"n_customers": "many"}, "world.n_customers"),
+            ({"n_shoppers": 5}, "n_shoppers"),
+            ({"true_region_effects": [1.0, 0.6]}, "true_region_effects"),
+            ({"fixed_effect_scales": [0.5]}, "fixed_effect_scales"),
+            ({"history_effects": [0.1, "0.2", 0.3, 0.4]}, "world.history_effects[1]"),
+        ],
     )
     def test_malformed_world_exits_one_naming_the_field(self, tmp_path, capsys, world, field):
         cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "world": world})
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        _assert_error_names(capsys, field)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"deaverage_iterations": "two"}, "config.deaverage_iterations"),
+            ({"train_fraction": "0.5"}, "config.train_fraction"),
+            ({"panel": 3}, "config.panel"),
+            ({"seed": 4}, "seed"),
+            ({"crossfit_fold": 3}, "crossfit_fold"),
+        ],
+    )
+    def test_malformed_estimate_config_exits_one_naming_the_field(
+        self, sim_dir, tmp_path, capsys, config, field
+    ):
+        cfg = _write(tmp_path, "est.json", {"panel": str(sim_dir / "panel.csv"), **config})
+        assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        _assert_error_names(capsys, field)
+
+    @pytest.mark.parametrize(
+        "line, cells, where",
+        [
+            (701, lambda cells: cells[:-2], "line 701 has 12 cells"),
+            (6, lambda cells: [*cells[:4], "abc", *cells[5:]], "line 6 column drev"),
+        ],
+        ids=["short_row", "non_numeric_cell"],
+    )
+    def test_malformed_panel_exits_one_naming_file_and_line(
+        self, sim_dir, tmp_path, capsys, line, cells, where
+    ):
+        lines = (sim_dir / "panel.csv").read_text().splitlines()
+        lines[line - 1] = ",".join(cells(lines[line - 1].split(",")))
+        panel = tmp_path / "bad.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        cfg = _write(tmp_path, "est.json", {"panel": str(panel)})
+        assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        _assert_error_names(capsys, f"bad.csv: {where}")
 
     def test_estimate_exits_two_when_deaveraging_does_not_converge(self, tmp_path, capsys):
         sim = _write(tmp_path, "sim.json", {"world": {"seed": 0}, "n_events": 4000})
@@ -200,13 +249,20 @@ class TestRank:
             ("query_index", "one"),
             ("warmup_sessions", "ten"),
             ("membership", "yes"),
+            ("query_index", 2.9),
+            ("query_index", "2"),
+            ("membership", True),
+            ("device", "tablet"),
+            ("templates", "brand_top"),
+            ("warmup_session", 20),
+            ("arm", {"satisfaction": 0.3}),
         ],
     )
     def test_wrong_typed_context_value_exits_one(self, tmp_path, capsys, key, value):
         context = {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}
         cfg = _write(tmp_path, "ctx.json", {**context, key: value})
         assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
-        assert key in capsys.readouterr().err
+        _assert_error_names(capsys, key)
 
     def test_wrong_typed_nested_values_exit_one(self, tmp_path, capsys):
         context = {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}
@@ -225,6 +281,13 @@ class TestRank:
         cfg = _write(tmp_path, "explicit.json", explicit)
         assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
         assert "organic_grid" in capsys.readouterr().err
+        for key, value in [
+            ("content_signals", {"organic_grid": "abcdef"}),
+            ("query_specificity", None),
+        ]:
+            cfg = _write(tmp_path, "explicit.json", {**explicit, key: value})
+            assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+            _assert_error_names(capsys, f"config.{key}")
 
     def test_rank_requires_config(self):
         assert cli.main(["rank"]) == 1
@@ -297,6 +360,18 @@ class TestExperimentAndReport:
                 },
                 "satisfaction_mode",
             ),
+            ({**EXP_CONFIG, "bootstrapn": 10}, "bootstrapn"),
+            (
+                {**EXP_CONFIG, "horizon": {"delta_long_days": 30.0}},
+                "config.horizon.delta_long_days",
+            ),
+            (
+                {
+                    **EXP_CONFIG,
+                    "arms": [{**EXP_CONFIG["arms"][0], "reward_weights": {"revenue": "1"}}],
+                },
+                "config.arms[0].reward_weights.revenue",
+            ),
         ],
     )
     def test_malformed_config_exits_one_naming_the_field(
@@ -304,8 +379,7 @@ class TestExperimentAndReport:
     ):
         cfg = _write(tmp_path, "exp.json", payload)
         assert cli.main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
+        _assert_error_names(capsys, field)
 
     def test_unknown_arm_exits_one(self, tmp_path):
         cfg = _write(tmp_path, "exp.json", EXP_CONFIG)
@@ -366,14 +440,15 @@ class TestExitCodes:
         # the reader closes the pipe before `rank` prints, as `| head -1` can
         cfg = tmp_path / "ctx.json"
         cfg.write_text(json.dumps({"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20}))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "wpxlab.harness.cli", "rank", "--config", str(cfg)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        assert proc.wait() == 1, stderr
+        ) as proc:
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            code = proc.wait()
+        assert code == 1, stderr
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
     def test_module_entry_point_runs_in_subprocess(self, tmp_path):

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
 from wpxlab.bandit.ranker import NON_ABANDONMENT, REVENUE, SATISFACTION
-from wpxlab.domain import Device, HorizonConfig, ObjectiveVector
+from wpxlab.domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
+from wpxlab.dml.pipeline import DmlConfig
 from wpxlab.errors import DomainError, EstimationError
 from wpxlab.harness import experiment
 from wpxlab.harness.experiment import (
@@ -16,11 +17,11 @@ from wpxlab.harness.experiment import (
     ArmConfig,
     ExperimentConfig,
     ab_compare,
+    config_from_json,
+    config_to_json,
     default_experiment_config,
     estimate_ctr_region_weights,
     estimate_dvwpx_region_weights,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
     load_report,
     render_report,
     report_json,
@@ -323,12 +324,100 @@ class TestRegionWeightEstimation:
         assert sum(weights.as_tuple()) == pytest.approx(1.0, abs=1e-12)
 
 
+OFF_DEFAULT_WORLD = WorldConfig(
+    n_customers=300,
+    n_queries=7,
+    n_zips=5,
+    n_brands=9,
+    n_templates=4,
+    true_region_effects=(2, 0.5, -0.1),
+    short_term_carry=0.3,
+    engagement_carry=0.2,
+    fixed_effect_scales=(0.4, 0.2),
+    noise_scale=0.6,
+    position_bias_decay=0.9,
+    widget_attention_multiplier=1.1,
+    seed=5,
+    n_items=100,
+    n_categories=2,
+    history_effects=(0.1, 0.2, 0.3, 0.4),
+    confound_strength=1.5,
+    propensity_noise=0.4,
+    availability_rate=0.8,
+    purchase_prob=0.2,
+    brand_click_boost=1.4,
+    brand_conversion_boost=1.2,
+    organic_brand_bonus=0.3,
+    spend_sensitivity=0.7,
+    high_appeal_threshold=0.5,
+    mobile_fraction=0.5,
+    membership_rate=0.3,
+)
+OFF_DEFAULT_ARM = ArmConfig("t1", "ctr", {REVENUE: 1, SATISFACTION: 0.25})
+OFF_DEFAULT_HORIZON = HorizonConfig(delta_short_days=7, delta_long_days=30)
+# each dataclass a command-line config file is read into, every field off its default
+OFF_DEFAULT_CONFIGS = (
+    OFF_DEFAULT_WORLD,
+    OFF_DEFAULT_ARM,
+    OFF_DEFAULT_HORIZON,
+    ExperimentConfig(
+        world=OFF_DEFAULT_WORLD,
+        arms=(ArmConfig("c", "none", BASE_WEIGHTS), OFF_DEFAULT_ARM),
+        days=3,
+        sessions_per_day=20,
+        warmup_days=1,
+        seed=4,
+        weight_panel_events=900,
+        weight_stage2="lasso",
+        bootstrap_n=50,
+        prior_variance=2,
+        horizon=OFF_DEFAULT_HORIZON,
+        reestimate_ctr_weights=True,
+        ctr_weight_sessions=300,
+    ),
+    DmlConfig(
+        deaverage_iterations=5,
+        train_fraction=0.8,
+        crossfit_folds=3,
+        stage2="lasso",
+        lasso_grid_points=7,
+        lasso_cv_folds=4,
+        seed=9,
+    ),
+    ContextFeatures(
+        device=Device.MOBILE,
+        query_specificity=0.25,
+        category_id="cat1",
+        membership=1,
+        content_signals={"organic_grid": (0.1, 2), "brand_top": (0.5, 0.0)},
+    ),
+)
+
+
+def _fields_at_default(config):
+    def default(f):
+        return f.default_factory() if f.default_factory is not MISSING else f.default
+
+    return [
+        f.name
+        for f in fields(config)
+        if (f.default, f.default_factory) != (MISSING, MISSING)
+        and getattr(config, f.name) == default(f)
+    ]
+
+
 class TestConfigSerialization:
     def test_round_trip_preserves_equality(self):
         config = _two_arm_config(seed=31)
-        payload = experiment_config_to_dict(config)
+        payload = config_to_json(config)
         assert json.loads(json.dumps(payload)) == payload
-        assert experiment_config_from_dict(payload) == config
+        assert config_from_json(ExperimentConfig, payload, "config") == config
+
+    @pytest.mark.parametrize("config", OFF_DEFAULT_CONFIGS, ids=lambda c: type(c).__name__)
+    def test_every_field_off_its_default_round_trips(self, config):
+        assert _fields_at_default(config) == []
+        payload = json.loads(json.dumps(config_to_json(config)))
+        assert config_from_json(type(config), payload, "config") == config
 
     def test_guards(self):
         with pytest.raises(DomainError):

@@ -3,13 +3,20 @@
 Continuous objectives get a conjugate Gaussian linear model updated by
 rank-one Sherman-Morrison steps. Binary objectives get a probit model with a
 factorized Gaussian posterior updated by assumed-density filtering, so both
-kinds train one impression at a time.
+kinds train one impression at a time. A batch of impressions streams through
+those steps row by row on plain arrays, and the posterior it ends at is
+validated once per batch, not once per row.
+
+Reads work on stacks: weight draws and predictions take any leading shape
+over the feature axis. A stacked ``np.matmul`` runs one gemv or dot per
+slice, so each result is bitwise the per-vector ``L @ z`` and ``w @ x``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,8 +96,11 @@ class GaussianPosterior:
         return np.diag(self.cov) if self.diagonal else self.cov
 
     def weights(self, z: np.ndarray) -> np.ndarray:
-        """The weight vector a standard normal draw `z` maps to: mean + L z."""
-        return self.mean + (self.factor * z if self.diagonal else self.factor @ z)
+        """The weight vectors standard normal draws `z`, shape ``(..., p)``,
+        map to: mean + L z, per draw."""
+        if self.diagonal:
+            return self.mean + self.factor * z
+        return self.mean + np.matmul(self.factor, z[..., None])[..., 0]
 
 
 def gaussian_prior(dim: int, variance: float = 1.0, diagonal: bool = False) -> GaussianPosterior:
@@ -148,63 +158,87 @@ def probit_model(
     )
 
 
-def _check_features(model: ObjectiveModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.posterior.dim,):
+def _check_rows(model: ObjectiveModel, X: np.ndarray, n_targets: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.posterior.dim:
         raise DomainError(
-            f"feature vector shape {x.shape} does not match schema length "
+            f"feature rows shape {X.shape} does not match schema length "
             f"{model.posterior.dim}"
         )
-    if not np.all(np.isfinite(x)):
+    if len(X) != n_targets:
+        raise DomainError(f"{len(X)} feature rows for {n_targets} targets")
+    if not np.isfinite(X).all():
         raise DomainError("non-finite feature vector")
-    return x
+    return X
 
 
-def blr_update(model: ObjectiveModel, x: np.ndarray, y: float) -> ObjectiveModel:
-    """Conjugate Gaussian update for one (x, y) observation.
+def blr_update_rows(model: ObjectiveModel, X: np.ndarray, y: Sequence[float]) -> ObjectiveModel:
+    """Conjugate Gaussian updates for the rows of `X` against targets `y`, in
+    row order.
 
-    Rank-one form of precision += x x^T / sigma^2, written with
-    Sherman-Morrison so no matrix inverse is ever taken.
+    Each step is the rank-one form of precision += x x^T / sigma^2, written
+    with Sherman-Morrison so no matrix inverse is ever taken. Inputs are checked
+    up front and the final posterior is validated once.
     """
     if model.kind is not ModelKind.LINEAR:
         raise DomainError("blr_update requires a Linear model")
-    x = _check_features(model, x)
-    y = float(y)
-    if not math.isfinite(y):
+    y = [float(target) for target in y]
+    X = _check_rows(model, X, len(y))
+    if not all(math.isfinite(target) for target in y):
         raise DomainError("non-finite target")
-    post = model.posterior
-    sigma = post.full_cov()
-    sx = sigma @ x
-    denom = model.noise_variance + float(x @ sx)
-    mean = post.mean + sx * ((y - float(x @ post.mean)) / denom)
-    cov = sigma - np.outer(sx, sx) / denom
-    cov = (cov + cov.T) / 2.0  # keep symmetry exact under float drift
+    if not y:
+        return model
+    mean, cov = model.posterior.mean, model.posterior.full_cov()
+    for x, target in zip(X, y):
+        sx = cov @ x
+        denom = model.noise_variance + float(x @ sx)
+        mean = mean + sx * ((target - float(x @ mean)) / denom)
+        cov = cov - np.outer(sx, sx) / denom
+        cov = (cov + cov.T) / 2.0  # keep symmetry exact under float drift
     return replace(model, posterior=GaussianPosterior(mean=mean, cov=cov))
 
 
-def probit_update(model: ObjectiveModel, x: np.ndarray, label: int) -> ObjectiveModel:
-    """Assumed-density-filtering step for one binary observation.
+def blr_update(model: ObjectiveModel, x: np.ndarray, y: float) -> ObjectiveModel:
+    """Conjugate Gaussian update for one (x, y) observation."""
+    return blr_update_rows(model, np.asarray(x, dtype=float)[None], [y])
 
-    Moment-matches the factorized Gaussian against the probit likelihood
-    using the standard truncated-Gaussian mean and variance corrections.
+
+def probit_update_rows(
+    model: ObjectiveModel, X: np.ndarray, labels: Sequence[int]
+) -> ObjectiveModel:
+    """Assumed-density-filtering steps for the rows of `X` against binary
+    `labels`, in row order.
+
+    Each step moment-matches the factorized Gaussian against the probit
+    likelihood using the standard truncated-Gaussian mean and variance
+    corrections. Inputs are checked up front and the final posterior is
+    validated once.
     """
     if model.kind is not ModelKind.PROBIT:
         raise DomainError("probit_update requires a Probit model")
-    x = _check_features(model, x)
-    if label not in (0, 1):
-        raise DomainError(f"label must be 0 or 1, got {label!r}")
-    t = 2 * label - 1
-    post = model.posterior
-    v = post.cov
-    s2 = PROBIT_SLAB**2 + float(v @ x**2)
-    s = math.sqrt(s2)
-    z = t * float(post.mean @ x) / s
-    # phi(z)/Phi(z) in log space; stable for z far below 0
-    ratio = math.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_ndtr(z))
-    w = ratio * (ratio + z)
-    mean = post.mean + (t * ratio / s) * (v * x)
-    var = v * (1.0 - w * (v * x**2) / s2)
-    return replace(model, posterior=GaussianPosterior(mean=mean, cov=var))
+    for label in labels:
+        if label not in (0, 1):
+            raise DomainError(f"label must be 0 or 1, got {label!r}")
+    X = _check_rows(model, X, len(labels))
+    if not len(labels):
+        return model
+    mean, v = model.posterior.mean, model.posterior.cov
+    for x, label in zip(X, labels):
+        t = 2 * label - 1
+        s2 = PROBIT_SLAB**2 + float(v @ x**2)
+        s = math.sqrt(s2)
+        z = t * float(mean @ x) / s
+        # phi(z)/Phi(z) in log space; stable for z far below 0
+        ratio = math.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_ndtr(z))
+        w = ratio * (ratio + z)
+        mean = mean + (t * ratio / s) * (v * x)
+        v = v * (1.0 - w * (v * x**2) / s2)
+    return replace(model, posterior=GaussianPosterior(mean=mean, cov=v))
+
+
+def probit_update(model: ObjectiveModel, x: np.ndarray, label: int) -> ObjectiveModel:
+    """Assumed-density-filtering step for one binary observation."""
+    return probit_update_rows(model, np.asarray(x, dtype=float)[None], [label])
 
 
 def sample_weights(post: GaussianPosterior, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +248,7 @@ def sample_weights(post: GaussianPosterior, rng: np.random.Generator) -> np.ndar
 
 def predict_mean(model: ObjectiveModel, x: np.ndarray) -> float:
     """Posterior-mean prediction: the Bayes point estimate for this model."""
-    x = _check_features(model, x)
+    x = _check_rows(model, np.asarray(x, dtype=float)[None], 1)[0]
     score = float(model.posterior.mean @ x)
     if model.kind is ModelKind.LINEAR:
         return score
@@ -226,11 +260,12 @@ def thompson_sample_predict(
     model: ObjectiveModel, x: np.ndarray, rng: np.random.Generator
 ) -> float:
     """Draw w from the posterior and predict: w.x, or Phi(w.x) for probit."""
-    x = _check_features(model, x)
-    return predict_with(model, sample_weights(model.posterior, rng), x)
+    x = _check_rows(model, np.asarray(x, dtype=float)[None], 1)[0]
+    return float(predict_with(model, sample_weights(model.posterior, rng), x))
 
 
-def predict_with(model: ObjectiveModel, w: np.ndarray, x: np.ndarray) -> float:
-    """Predict checked features `x` with weights `w`: w.x, or Phi(w.x) for probit."""
-    score = float(w @ x)
-    return score if model.kind is ModelKind.LINEAR else float(ndtr(score))
+def predict_with(model: ObjectiveModel, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Predict checked feature rows `x` with weight rows `w`, both ``(..., p)``:
+    w.x, or Phi(w.x) for probit, per row."""
+    score = np.matmul(w[..., None, :], x[..., :, None])[..., 0, 0]
+    return score if model.kind is ModelKind.LINEAR else ndtr(score)

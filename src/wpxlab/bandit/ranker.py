@@ -3,15 +3,16 @@
 A bundle holds one Bayesian model per objective plus frozen scalarization
 stats. At serving time each candidate template is scored by sampling every
 objective's posterior, standardizing against the frozen stats, and combining
-with the configured weights; the argmax template wins. Nightly the bundle
-retrains incrementally on a half-sample of the day's impressions.
+with the configured weights; the argmax template wins. A block of requests is
+scored at once, each from its own random stream. Nightly the bundle retrains
+incrementally on a half-sample of the day's impressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .features import build_features, feature_schema
 from .posteriors import (
     ModelKind,
     ObjectiveModel,
-    blr_update,
+    blr_update_rows,
     linear_model,
     predict_with,
     probit_model,
-    probit_update,
+    probit_update_rows,
 )
 
 REVENUE = "revenue"
@@ -69,11 +70,14 @@ class RewardWeights:
             raise DomainError(f"objectives missing normalization stats: {sorted(missing)}")
 
 
-def scalarize(samples: Mapping[str, float], reward: RewardWeights) -> float:
-    """Weighted sum of standardized objective samples.
+def scalarize(
+    samples: Mapping[str, float | np.ndarray], reward: RewardWeights
+) -> float | np.ndarray:
+    """Weighted sum of standardized objective samples, elementwise when the
+    samples are arrays.
 
-    Only the objectives present in `samples` contribute; each must carry a
-    weight and stats.
+    Only the objectives present in `samples` contribute, in their order; each
+    must carry a weight and stats.
     """
     total = 0.0
     for name, value in samples.items():
@@ -187,16 +191,25 @@ def select_template(
     """Thompson-sample every objective per candidate and take the argmax.
 
     Only a candidate's ``template_id`` is read; the chosen candidate itself
-    is returned with the trace of :func:`score_candidates`.
+    is returned with every candidate's samples and score, as
+    :func:`thompson_scores` computes them for a block of one request.
     """
     if not candidates:
         raise DomainError("candidate list is empty")
     template_ids = [c.template_id for c in candidates]
     features = candidate_features(context, template_ids, bundle)
-    best, traces = score_candidates(features, template_ids, bundle, context.device, rng)
+    mobile = np.array([context.device is Device.MOBILE])
+    best, scores, samples = thompson_scores(features[None], mobile, template_ids, bundle, [rng])
+    best = int(best[0])
+    sampled = {name: samples[name][0].tolist() for name in bundle.active_objectives(context.device)}
     trace = [
-        CandidateScore(template_id=tid, samples=samples, score=score, chosen=(i == best))
-        for i, (tid, (samples, score)) in enumerate(zip(template_ids, traces))
+        CandidateScore(
+            template_id=tid,
+            samples={name: values[i] for name, values in sampled.items()},
+            score=score,
+            chosen=(i == best),
+        )
+        for i, (tid, score) in enumerate(zip(template_ids, scores[0].tolist()))
     ]
     return candidates[best], trace
 
@@ -216,34 +229,53 @@ def candidate_features(
     return x
 
 
-def score_candidates(
+def thompson_scores(
     features: np.ndarray,
+    mobile: np.ndarray,
     template_ids: Sequence[str],
     bundle: RankerBundle,
-    device: Device,
-    rng: np.random.Generator,
-) -> tuple[int, list[tuple[dict[str, float], float]]]:
-    """Thompson-score checked candidate feature rows: the winner's row, and
-    every candidate's objective samples and scalarized score. One weight vector
-    per (candidate, objective), all from one candidate-major normal draw; exact
-    score ties break toward the lowest template_id."""
-    objectives = bundle.active_objectives(device)
-    models = [bundle.model_for(name) for name in objectives]
-    z = rng.standard_normal((len(template_ids), len(objectives), features.shape[1]))
-    traces: list[tuple[dict[str, float], float]] = []
-    best = -1
-    for i, (tid, x) in enumerate(zip(template_ids, features)):
-        samples = {
-            name: predict_with(model, model.posterior.weights(z[i, j]), x)
-            for j, (name, model) in enumerate(zip(objectives, models))
-        }
-        score = scalarize(samples, bundle.reward)
-        traces.append((samples, score))
-        if best < 0 or score > traces[best][1] or (
-            score == traces[best][1] and tid < template_ids[best]
-        ):
-            best = i
-    return best, traces
+    rngs: Iterable[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Thompson-score a block of requests over the same candidate templates.
+
+    `features` holds each request's checked candidate rows, ``(n, c, p)``;
+    `mobile` flags each request's device; `rngs` yields each request's stream
+    in turn. A request draws one ``(c, n_objectives, p)`` standard normal
+    block, one weight vector per (candidate, active objective). Returns each
+    request's winning column (exact score ties go to the lowest template_id),
+    the ``(n, c)`` scalarized scores, and each objective's ``(n, c)`` samples,
+    NaN on requests where the objective is inactive.
+    """
+    n, c, p = features.shape
+    mobile = np.asarray(mobile, dtype=bool)
+    n_mobile = int(np.count_nonzero(mobile))
+    # each device's requests, as a slice when they fill the block
+    groups = {}
+    for device, count in ((Device.DESKTOP, n - n_mobile), (Device.MOBILE, n_mobile)):
+        if count:
+            rows = slice(None) if count == n else np.flatnonzero(mobile == (device is Device.MOBILE))
+            objectives = bundle.active_objectives(device)
+            groups[device] = rows, objectives, np.empty((count, c, len(objectives), p))
+    # a request's draw fills the next row of its device's block
+    filled = dict.fromkeys(groups, 0)
+    for m, rng in zip(mobile.tolist(), rngs, strict=True):
+        device = Device.MOBILE if m else Device.DESKTOP
+        z = groups[device][2]
+        z[filled[device]] = rng.standard_normal(z.shape[1:])
+        filled[device] += 1
+    scores = np.empty((n, c))
+    samples = dict(zip(OBJECTIVE_ORDER, np.full((len(OBJECTIVE_ORDER), n, c), np.nan)))
+    for rows, objectives, z in groups.values():
+        x = features[rows]
+        drawn = {}
+        for j, name in enumerate(objectives):
+            model = bundle.model_for(name)
+            drawn[name] = samples[name][rows] = predict_with(
+                model, model.posterior.weights(z[:, :, j]), x
+            )
+        scores[rows] = scalarize(drawn, bundle.reward)
+    order = np.array(sorted(range(c), key=template_ids.__getitem__))
+    return order[scores[:, order].argmax(axis=1)], scores, samples
 
 
 @dataclass(frozen=True)
@@ -300,27 +332,47 @@ def sample_rows(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray
     return rng.choice(n, size=k, replace=False)
 
 
-def apply_impression(bundle: RankerBundle, record: ImpressionRecord) -> RankerBundle:
-    """Stream one impression through every applicable objective model."""
-    x = build_features(
-        record.context, record.template_id, bundle.categories, bundle.signal_names
+def _train_rows(bundle: RankerBundle, records: Sequence[ImpressionRecord]) -> RankerBundle:
+    """Stream `records`, in order, through every applicable objective model.
+
+    The rows' features are built once as a block; each model runs its
+    sequential updates over the block and validates its posterior once at the
+    end. Non-abandonment learns from desktop rows only.
+    """
+    if bundle.satisfaction_model is not None and any(
+        r.targets.satisfaction is None for r in records
+    ):
+        raise DomainError("impression lacks a satisfaction target")
+    X = np.array(
+        [
+            build_features(r.context, r.template_id, bundle.categories, bundle.signal_names)
+            for r in records
+        ]
     )
-    revenue_model = blr_update(bundle.revenue_model, x, record.targets.revenue)
-    non_ab = bundle.non_abandonment_model
-    if record.context.device is Device.DESKTOP:
-        non_ab = probit_update(non_ab, x, record.targets.non_abandonment)
+    desktop = [i for i, r in enumerate(records) if r.context.device is Device.DESKTOP]
+    revenue_model = blr_update_rows(bundle.revenue_model, X, [r.targets.revenue for r in records])
+    non_ab = probit_update_rows(
+        bundle.non_abandonment_model,
+        X[desktop],
+        [records[i].targets.non_abandonment for i in desktop],
+    )
     satisfaction_model = bundle.satisfaction_model
     if satisfaction_model is not None:
-        if record.targets.satisfaction is None:
-            raise DomainError("impression lacks a satisfaction target")
-        satisfaction_model = blr_update(satisfaction_model, x, record.targets.satisfaction)
+        satisfaction_model = blr_update_rows(
+            satisfaction_model, X, [r.targets.satisfaction for r in records]
+        )
     return replace(
         bundle,
         revenue_model=revenue_model,
         non_abandonment_model=non_ab,
         satisfaction_model=satisfaction_model,
-        rows_trained=bundle.rows_trained + 1,
+        rows_trained=bundle.rows_trained + len(records),
     )
+
+
+def apply_impression(bundle: RankerBundle, record: ImpressionRecord) -> RankerBundle:
+    """Stream one impression through every applicable objective model."""
+    return _train_rows(bundle, [record])
 
 
 def incremental_retrain(
@@ -338,9 +390,7 @@ def incremental_retrain(
         return bundle
     if rng is None:
         raise DomainError("incremental_retrain requires an rng")
-    for idx in sample_rows(len(day_log), sample_fraction, rng):
-        bundle = apply_impression(bundle, day_log[idx])
-    return bundle
+    return _train_rows(bundle, [day_log[i] for i in sample_rows(len(day_log), sample_fraction, rng)])
 
 
 def with_noise_variances(

@@ -33,7 +33,7 @@ from ..bandit.ranker import (
     frozen_reward,
     incremental_retrain,
     new_bundle,
-    score_candidates,
+    thompson_scores,
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
@@ -413,17 +413,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
         day_requests = zip(mobile.tolist(), qi.tolist(), world.customers.membership[ci].tolist())
         contexts, day_features = zip(*(requests[r] for r in day_requests))
+        day_features = np.stack(day_features)
         for arm in config.arms:
             ti = warmup_choice
             if not warmup:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
-                bundle = bundles[arm.name]
-                ti = np.array(
-                    [
-                        score_candidates(x, template_ids, bundle, c.device, r)[0]
-                        for x, c, r in zip(day_features, contexts, thompson)
-                    ]
-                )
+                ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
             log, sessions = serve_pages(
                 world, ci, qi, ti, available, u.reshape(len(s), 3, world.n_slots), z,
                 contexts, day, config.horizon, arm_region_weights[arm.name],

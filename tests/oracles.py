@@ -1,10 +1,20 @@
-"""Reference checks the package itself does not ship, kept for the tests."""
+"""Reference checks and one-at-a-time reference implementations the package
+itself does not ship, kept for the tests to compare against."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
+from dataclasses import replace
 
-from wpxlab.domain import ContentKind, Item, PageLayout, PageTemplate
+import numpy as np
+from scipy.special import log_ndtr, ndtr
+
+from wpxlab.bandit.features import build_features
+from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, ObjectiveModel
+from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
+from wpxlab.domain import ContentKind, Device, Item, PageLayout, PageTemplate
+from wpxlab.errors import DomainError
 
 
 def validate_layout(
@@ -51,3 +61,109 @@ def validate_layout(
                 f"ineligible item {slot.item.item_id!r} at position {slot.position}"
             )
     return violations
+
+
+def per_candidate_scores(
+    features: np.ndarray,
+    template_ids: Sequence[str],
+    bundle: RankerBundle,
+    device: Device,
+    rng: np.random.Generator,
+) -> tuple[int, list[tuple[dict[str, float], float]]]:
+    """One request scored a candidate and an objective at a time: the winner's
+    row, and every candidate's objective samples and scalarized score.
+
+    One candidate-major ``(c, n_objectives, p)`` normal draw; each weight vector
+    is ``mean + L @ z`` (``mean + sd * z`` when diagonal) and each sample
+    ``w @ x``, through Phi for probit; exact score ties break toward the lowest
+    template_id.
+    """
+    objectives = bundle.active_objectives(device)
+    models = [bundle.model_for(name) for name in objectives]
+    z = rng.standard_normal((len(template_ids), len(objectives), features.shape[1]))
+    traces: list[tuple[dict[str, float], float]] = []
+    best = -1
+    for i, (tid, x) in enumerate(zip(template_ids, features)):
+        samples = {}
+        for j, (name, model) in enumerate(zip(objectives, models)):
+            post = model.posterior
+            w = post.mean + (post.factor * z[i, j] if post.diagonal else post.factor @ z[i, j])
+            score = float(w @ x)
+            samples[name] = score if model.kind is ModelKind.LINEAR else float(ndtr(score))
+        score = scalarize(samples, bundle.reward)
+        traces.append((samples, score))
+        if best < 0 or score > traces[best][1] or (
+            score == traces[best][1] and tid < template_ids[best]
+        ):
+            best = i
+    return best, traces
+
+
+def _checked_features(model: ObjectiveModel, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.posterior.dim,):
+        raise DomainError(f"feature vector shape {x.shape} does not match schema")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("non-finite feature vector")
+    return x
+
+
+def blr_update_per_row(model: ObjectiveModel, x: np.ndarray, y: float) -> ObjectiveModel:
+    """One Sherman-Morrison conjugate step, validating the posterior it makes."""
+    if model.kind is not ModelKind.LINEAR:
+        raise DomainError("blr_update requires a Linear model")
+    x = _checked_features(model, x)
+    y = float(y)
+    if not math.isfinite(y):
+        raise DomainError("non-finite target")
+    post = model.posterior
+    sigma = post.full_cov()
+    sx = sigma @ x
+    denom = model.noise_variance + float(x @ sx)
+    mean = post.mean + sx * ((y - float(x @ post.mean)) / denom)
+    cov = sigma - np.outer(sx, sx) / denom
+    cov = (cov + cov.T) / 2.0
+    return replace(model, posterior=GaussianPosterior(mean=mean, cov=cov))
+
+
+def probit_update_per_row(model: ObjectiveModel, x: np.ndarray, label: int) -> ObjectiveModel:
+    """One assumed-density-filtering probit step, validating the posterior it makes."""
+    if model.kind is not ModelKind.PROBIT:
+        raise DomainError("probit_update requires a Probit model")
+    x = _checked_features(model, x)
+    if label not in (0, 1):
+        raise DomainError(f"label must be 0 or 1, got {label!r}")
+    t = 2 * label - 1
+    post = model.posterior
+    v = post.cov
+    s2 = PROBIT_SLAB**2 + float(v @ x**2)
+    s = math.sqrt(s2)
+    z = t * float(post.mean @ x) / s
+    ratio = math.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_ndtr(z))
+    w = ratio * (ratio + z)
+    mean = post.mean + (t * ratio / s) * (v * x)
+    var = v * (1.0 - w * (v * x**2) / s2)
+    return replace(model, posterior=GaussianPosterior(mean=mean, cov=var))
+
+
+def apply_impression_per_row(bundle: RankerBundle, record: ImpressionRecord) -> RankerBundle:
+    """One impression through every applicable model, a validated step each."""
+    x = build_features(record.context, record.template_id, bundle.categories, bundle.signal_names)
+    revenue_model = blr_update_per_row(bundle.revenue_model, x, record.targets.revenue)
+    non_ab = bundle.non_abandonment_model
+    if record.context.device is Device.DESKTOP:
+        non_ab = probit_update_per_row(non_ab, x, record.targets.non_abandonment)
+    satisfaction_model = bundle.satisfaction_model
+    if satisfaction_model is not None:
+        if record.targets.satisfaction is None:
+            raise DomainError("impression lacks a satisfaction target")
+        satisfaction_model = blr_update_per_row(
+            satisfaction_model, x, record.targets.satisfaction
+        )
+    return replace(
+        bundle,
+        revenue_model=revenue_model,
+        non_abandonment_model=non_ab,
+        satisfaction_model=satisfaction_model,
+        rows_trained=bundle.rows_trained + 1,
+    )

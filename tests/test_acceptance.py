@@ -5,6 +5,7 @@ meeting it. Heavy artifacts (the 50,000-event confounded panel, the 20-seed
 experiment sweep) are built once per module and shared.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -233,3 +234,5 @@ def test_criterion_9_reports_are_byte_identical_across_reruns(experiment_sweep):
     reports, _ = experiment_sweep
     rerun = run_experiment(default_experiment_config(seed=0))
     assert report_json(rerun) == report_json(reports[0])
+    digest = hashlib.sha256(report_json(reports[0]).encode()).hexdigest()
+    assert digest == "d29f185fa95121996809062f827320811f6bac182efc61edfc8c00395cb5d834"

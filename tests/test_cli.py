@@ -1,5 +1,6 @@
 """End-to-end command-line workflow: simulate, estimate, rank, experiment, report."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -189,6 +190,24 @@ class TestRank:
         payload = json.loads((tmp_path / "rank.json").read_text())
         assert payload["chosen"] in {s["template_id"] for s in payload["scores"]}
         assert sum(s["chosen"] for s in payload["scores"]) == 1
+
+    @pytest.mark.parametrize(
+        "context, digest",
+        [
+            (
+                {"query_index": 1, "device": "mobile"},
+                "dc5ad4fa61a807839ac9a754be5800d7e0a0958db4125d778825315dee1efb3a",
+            ),
+            (
+                {"query_index": 2, "device": "desktop"},
+                "a44efe9ff1c99127607af50461f370e4ad08fbc6b935b817e8d28abe1cbcf749",
+            ),
+        ],
+    )
+    def test_rank_json_is_pinned_at_the_default_seed(self, tmp_path, capsys, context, digest):
+        cfg = _write(tmp_path, "ctx.json", context)
+        assert cli.main(["rank", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "rank.json").read_bytes()).hexdigest() == digest
 
     def test_rank_with_explicit_context(self, tmp_path, capsys):
         cfg = _write(

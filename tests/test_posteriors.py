@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from oracles import blr_update_per_row, probit_update_per_row
 from scipy.stats import kstest, norm
 
 from wpxlab.bandit.posteriors import (
@@ -13,11 +14,13 @@ from wpxlab.bandit.posteriors import (
     ModelKind,
     ObjectiveModel,
     blr_update,
+    blr_update_rows,
     gaussian_prior,
     linear_model,
     predict_mean,
     probit_model,
     probit_update,
+    probit_update_rows,
     sample_weights,
     thompson_sample_predict,
 )
@@ -202,6 +205,72 @@ class TestProbitUpdate:
                 posterior=gaussian_prior(3),
                 feature_schema=SCHEMA_3D,
             )
+
+
+class TestRowKernels:
+    """A block of rows streams through the same steps as one update per row."""
+
+    @pytest.mark.parametrize("diagonal_start", [False, True])
+    @pytest.mark.parametrize("noise", [0.05, 1.0, 30.0])
+    def test_blr_rows_match_per_row_oracle_bit_for_bit(self, noise, diagonal_start):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(60, 3))
+        y = rng.normal(size=60) * 3.0
+        model = linear_model(SCHEMA_3D, prior_variance=2.0, noise_variance=noise)
+        if diagonal_start:
+            model = replace(model, posterior=GaussianPosterior(np.ones(3), np.array([1.0, 2.0, 0.5])))
+        oracle = model
+        for x, target in zip(X, y):
+            oracle = blr_update_per_row(oracle, x, target)
+        rows = blr_update_rows(model, X, y)
+        assert np.array_equal(rows.posterior.mean, oracle.posterior.mean)
+        assert np.array_equal(rows.posterior.cov, oracle.posterior.cov)
+        assert np.array_equal(rows.posterior.factor, oracle.posterior.factor)
+        one = model
+        for x, target in zip(X, y):
+            one = blr_update(one, x, target)
+        assert np.array_equal(one.posterior.cov, oracle.posterior.cov)
+
+    def test_probit_rows_match_per_row_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(300, 3)) * 2.0
+        labels = [int(v) for v in rng.random(300) < 0.7]
+        model = probit_model(SCHEMA_3D, prior_variance=1.5)
+        oracle = model
+        for x, label in zip(X, labels):
+            oracle = probit_update_per_row(oracle, x, label)
+        rows = probit_update_rows(model, X, labels)
+        assert np.array_equal(rows.posterior.mean, oracle.posterior.mean)
+        assert np.array_equal(rows.posterior.cov, oracle.posterior.cov)
+        one = model
+        for x, label in zip(X, labels):
+            one = probit_update(one, x, label)
+        assert np.array_equal(one.posterior.mean, oracle.posterior.mean)
+
+    def test_no_rows_return_the_model(self):
+        linear, probit = linear_model(SCHEMA_3D), probit_model(SCHEMA_3D)
+        assert blr_update_rows(linear, np.empty((0, 3)), []) is linear
+        assert probit_update_rows(probit, np.empty((0, 3)), []) is probit
+
+    def test_block_guards(self):
+        linear, probit = linear_model(SCHEMA_3D), probit_model(SCHEMA_3D)
+        X = np.ones((4, 3))
+        with pytest.raises(DomainError, match="non-finite target"):
+            blr_update_rows(linear, X, [1.0, 2.0, float("nan"), 0.0])
+        with pytest.raises(DomainError, match="label must be 0 or 1"):
+            probit_update_rows(probit, X, [1, 0, 2, 1])
+        with pytest.raises(DomainError, match="does not match schema"):
+            blr_update_rows(linear, np.ones((4, 2)), [1.0] * 4)
+        with pytest.raises(DomainError, match="feature rows for"):
+            probit_update_rows(probit, X, [1, 0])
+        bad = X.copy()
+        bad[3, 1] = np.inf
+        with pytest.raises(DomainError, match="non-finite feature"):
+            blr_update_rows(linear, bad, [1.0] * 4)
+        with pytest.raises(DomainError):
+            blr_update_rows(probit, X, [1.0] * 4)
+        with pytest.raises(DomainError):
+            probit_update_rows(linear, X, [1] * 4)
 
 
 class TestThompsonSampling:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import stationary_best_template_rate
+from oracles import apply_impression_per_row, per_candidate_scores
 
 from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features, feature_schema
 from wpxlab.bandit.posteriors import GaussianPosterior, thompson_sample_predict
@@ -23,12 +24,12 @@ from wpxlab.bandit.ranker import (
     new_bundle,
     sample_rows,
     scalarize,
-    score_candidates,
     select_template,
+    thompson_scores,
     with_noise_variances,
 )
 from wpxlab.domain import ContentKind, ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
-from wpxlab.errors import DomainError
+from wpxlab.errors import DomainError, InvariantViolation
 from wpxlab.metrics import CTR_REGION_WEIGHTS
 
 CATEGORIES = ("c0", "c1")
@@ -263,7 +264,9 @@ def _per_candidate_selection(context, template_ids, bundle, rng):
     return best, traces
 
 
-def _trained_bundle(with_satisfaction):
+def _trained_bundle(with_satisfaction, diagonal=False):
+    """A bundle trained on both devices; `diagonal` keeps only the variances of
+    its linear posteriors."""
     bundle = _bundle(with_satisfaction=with_satisfaction)
     rng = np.random.default_rng(21)
     log = [
@@ -277,7 +280,42 @@ def _trained_bundle(with_satisfaction):
         for device in Device
         for tid in ("a", "b", "c", "b")
     ]
-    return incremental_retrain(bundle, log, sample_fraction=1.0, rng=rng)
+    bundle = incremental_retrain(bundle, log, sample_fraction=1.0, rng=rng)
+    if not diagonal:
+        return bundle
+    linear = {
+        name: replace(
+            model,
+            posterior=GaussianPosterior(model.posterior.mean, np.diag(model.posterior.cov)),
+        )
+        for name, model in (
+            ("revenue_model", bundle.revenue_model),
+            ("satisfaction_model", bundle.satisfaction_model),
+        )
+        if model is not None
+    }
+    return replace(bundle, **linear)
+
+
+def _block(bundle, ids, devices, seed):
+    """Request contexts and their stacked candidate features, one request per
+    device, each with its own content signals."""
+    rng = np.random.default_rng(seed)
+    contexts = [_context(d, {t: (float(rng.normal()),) for t in ids}) for d in devices]
+    features = np.stack([candidate_features(c, ids, bundle) for c in contexts])
+    return contexts, features
+
+
+def _one_request(context, ids, bundle, rng):
+    """thompson_scores on a block of one request, in the shape of the oracle."""
+    features = candidate_features(context, ids, bundle)
+    mobile = np.array([context.device is Device.MOBILE])
+    best, scores, samples = thompson_scores(features[None], mobile, ids, bundle, [rng])
+    names = bundle.active_objectives(context.device)
+    return int(best[0]), [
+        ({name: float(samples[name][0, i]) for name in names}, float(scores[0, i]))
+        for i in range(len(ids))
+    ]
 
 
 class TestScoreCandidates:
@@ -290,8 +328,7 @@ class TestScoreCandidates:
         ids = ["b", "c", "a"]
         for seed in range(5):
             expected = _per_candidate_selection(context, ids, bundle, np.random.default_rng(seed))
-            features = candidate_features(context, ids, bundle)
-            core = score_candidates(features, ids, bundle, device, np.random.default_rng(seed))
+            core = _one_request(context, ids, bundle, np.random.default_rng(seed))
             assert core == expected
             chosen, trace = select_template(
                 context, [PageLayout(t, ()) for t in ids], bundle, np.random.default_rng(seed)
@@ -300,15 +337,72 @@ class TestScoreCandidates:
             assert [(sc.samples, sc.score) for sc in trace] == core[1]
             assert [sc.chosen for sc in trace] == [i == core[0] for i in range(len(ids))]
 
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("with_satisfaction", [False, True])
+    def test_block_matches_per_candidate_oracle_bit_for_bit(self, with_satisfaction, diagonal):
+        bundle = _trained_bundle(with_satisfaction, diagonal)
+        assert bundle.revenue_model.posterior.diagonal is diagonal
+        ids = ["b", "c", "a", "d"]
+        devices = [Device.MOBILE, Device.DESKTOP, Device.DESKTOP, Device.MOBILE, Device.DESKTOP] * 3
+        contexts, features = _block(bundle, ids, devices, seed=5)
+        mobile = np.array([d is Device.MOBILE for d in devices])
+        rngs = [np.random.default_rng(100 + i) for i in range(len(devices))]
+        best, scores, samples = thompson_scores(features, mobile, ids, bundle, rngs)
+        assert best.shape == (len(devices),) and scores.shape == (len(devices), len(ids))
+        for i, device in enumerate(devices):
+            want_best, want = per_candidate_scores(
+                features[i], ids, bundle, device, np.random.default_rng(100 + i)
+            )
+            assert best[i] == want_best
+            assert scores[i].tolist() == [score for _, score in want]
+            for name in bundle.active_objectives(device):
+                assert samples[name][i].tolist() == [s[name] for s, _ in want]
+            if device is Device.MOBILE:
+                assert np.all(np.isnan(samples[NON_ABANDONMENT][i]))
+
     def test_exact_tie_breaks_to_lowest_template_id(self):
         bundle = _trained_bundle(with_satisfaction=True)
         context = _context(signals={"a": (0.5,), "b": (0.5,), "c": (0.5,)})
         ids = ["c", "a", "b"]
-        features = candidate_features(context, ids, bundle)
-        best, traces = score_candidates(features, ids, bundle, Device.DESKTOP, _ZeroNoiseRng())
+        best, traces = _one_request(context, ids, bundle, _ZeroNoiseRng())
         assert len({score for _, score in traces}) == 1
         assert ids[best] == "a"
         assert (best, traces) == _per_candidate_selection(context, ids, bundle, _ZeroNoiseRng())
+        # in a mixed block every row ties, and each takes "a", not the first column
+        devices = [Device.MOBILE, Device.DESKTOP, Device.MOBILE]
+        contexts = [_context(d, {"a": (0.5,), "b": (0.5,), "c": (0.5,)}) for d in devices]
+        features = np.stack([candidate_features(c, ids, bundle) for c in contexts])
+        mobile = np.array([d is Device.MOBILE for d in devices])
+        block_best, scores, _ = thompson_scores(
+            features, mobile, ids, bundle, [_ZeroNoiseRng()] * len(devices)
+        )
+        assert [ids[b] for b in block_best] == ["a"] * len(devices)
+        for i, device in enumerate(devices):
+            assert len(set(scores[i].tolist())) == 1
+            assert block_best[i] == per_candidate_scores(
+                features[i], ids, bundle, device, _ZeroNoiseRng()
+            )[0]
+
+    def test_active_objective_without_weight_raises_like_scalarize(self):
+        bundle = _bundle(weights={REVENUE: 1.0})
+        ids = ["a", "b"]
+        _, features = _block(bundle, ids, [Device.MOBILE, Device.DESKTOP], seed=2)
+        with pytest.raises(DomainError, match="non_abandonment"):
+            per_candidate_scores(
+                features[1], ids, bundle, Device.DESKTOP, np.random.default_rng(0)
+            )
+        with pytest.raises(DomainError, match="non_abandonment"):
+            thompson_scores(
+                features, np.array([True, False]), ids, bundle,
+                [np.random.default_rng(i) for i in range(2)],
+            )
+        # a mobile-only block never activates the unweighted objective
+        best, _, _ = thompson_scores(
+            features[:1], np.array([True]), ids, bundle, [np.random.default_rng(0)]
+        )
+        assert best[0] == per_candidate_scores(
+            features[0], ids, bundle, Device.MOBILE, np.random.default_rng(0)
+        )[0]
 
     def test_features_are_checked_and_read_only(self):
         bundle = _bundle()
@@ -402,21 +496,108 @@ class TestRetraining:
             manual = apply_impression(manual, first[idx])
         for idx in sample_rows(len(second), 0.5, np.random.default_rng(22)):
             manual = apply_impression(manual, second[idx])
-        assert np.allclose(
-            two_step.revenue_model.posterior.mean,
-            manual.revenue_model.posterior.mean,
-            atol=1e-10,
+        assert np.array_equal(
+            two_step.revenue_model.posterior.mean, manual.revenue_model.posterior.mean
         )
-        assert np.allclose(
-            two_step.revenue_model.posterior.cov,
-            manual.revenue_model.posterior.cov,
-            atol=1e-10,
+        assert np.array_equal(
+            two_step.revenue_model.posterior.cov, manual.revenue_model.posterior.cov
         )
-        assert np.allclose(
+        assert np.array_equal(
             two_step.non_abandonment_model.posterior.mean,
             manual.non_abandonment_model.posterior.mean,
-            atol=1e-10,
         )
+
+    @pytest.mark.parametrize("with_satisfaction", [False, True])
+    def test_retrain_matches_per_row_oracle_bit_for_bit(self, with_satisfaction):
+        bundle = with_noise_variances(
+            _bundle(with_satisfaction=with_satisfaction), 0.7, 0.3 if with_satisfaction else None
+        )
+        rng = np.random.default_rng(8)
+        log = [
+            _record(
+                _context(Device.MOBILE if rng.random() < 0.4 else Device.DESKTOP,
+                         {"a": (float(rng.normal()),), "b": (float(rng.normal()),)}),
+                "a" if rng.random() < 0.5 else "b",
+                float(rng.gamma(2.0)),
+                int(rng.random() < 0.6),
+                float(rng.random()) if with_satisfaction else None,
+            )
+            for _ in range(120)
+        ]
+        day = bundle
+        for seed in (1, 2):
+            day = incremental_retrain(day, log, rng=np.random.default_rng(seed))
+        oracle = bundle
+        for seed in (1, 2):
+            for idx in sample_rows(len(log), 0.5, np.random.default_rng(seed)):
+                oracle = apply_impression_per_row(oracle, log[idx])
+        assert day.rows_trained == oracle.rows_trained == 120
+        for name in bundle.active_objectives(Device.DESKTOP):
+            got, want = day.model_for(name).posterior, oracle.model_for(name).posterior
+            assert np.array_equal(got.mean, want.mean), name
+            assert np.array_equal(got.cov, want.cov), name
+            assert np.array_equal(got.factor, want.factor), name
+
+    @pytest.mark.parametrize(
+        "fault", ["non-finite target", "label outside {0, 1}", "wrong-width features", "no satisfaction"]
+    )
+    def test_bad_day_raises_before_any_model_changes(self, fault):
+        bundle = _bundle(with_satisfaction=True)
+        before = [(m.posterior.mean.copy(), m.posterior.cov.copy()) for m in
+                  (bundle.revenue_model, bundle.non_abandonment_model, bundle.satisfaction_model)]
+        log = [_record(_context(), "a" if i % 2 else "b", 1.0, i % 2, 0.5) for i in range(9)]
+        if fault == "non-finite target":
+            bad = _record(_context(), "a", float("inf"), 1, 0.5)
+        elif fault == "label outside {0, 1}":
+            # ObjectiveVector rejects this label, so forge a corrupted record
+            bad = _record(_context(), "a", 1.0, 1, 0.5)
+            object.__setattr__(bad.targets, "non_abandonment", 2)
+        elif fault == "wrong-width features":
+            bad = _record(_context(signals={"a": (1.0, 2.0)}), "a", 1.0, 1, 0.5)
+        else:
+            bad = _record(_context(), "a", 1.0, 1, None)
+        with pytest.raises(DomainError):
+            incremental_retrain(bundle, [*log, bad], sample_fraction=1.0, rng=np.random.default_rng(0))
+        after = [(m.posterior.mean, m.posterior.cov) for m in
+                 (bundle.revenue_model, bundle.non_abandonment_model, bundle.satisfaction_model)]
+        for (mean0, cov0), (mean1, cov1) in zip(before, after):
+            assert np.array_equal(mean0, mean1) and np.array_equal(cov0, cov1)
+        assert bundle.rows_trained == 0
+
+    def test_covariance_losing_positive_definiteness_raises_at_end_of_day(self):
+        # a huge prior against almost noiseless, almost collinear rows: the
+        # rank-one downdates leave a covariance that is no longer positive definite
+        bundle = new_bundle(CATEGORIES, SIGNALS, _reward(), None, False, prior_variance=1e6)
+        bundle = with_noise_variances(bundle, 1e-12)
+        log = [
+            _record(_context(Device.MOBILE, {"a": (1.0 + 1e-9 * i,)}), "a", 1.0 + 0.1 * i, 1)
+            for i in range(12)
+        ]
+        with pytest.raises(InvariantViolation):
+            apply_impression_per_row(bundle, log[0])
+        with pytest.raises(InvariantViolation, match="positive definite"):
+            incremental_retrain(bundle, log, sample_fraction=1.0, rng=np.random.default_rng(0))
+
+    def test_retrain_factors_once_per_linear_model(self, monkeypatch):
+        # per-row revalidation factored every posterior it built: 200 per model
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        bundle = _bundle(with_satisfaction=True)
+        log = [
+            _record(_context(Device.MOBILE if i % 3 else Device.DESKTOP), "a" if i % 2 else "b",
+                    float(i % 5), i % 2, (i % 7) / 7.0)
+            for i in range(200)
+        ]
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        out = incremental_retrain(bundle, log, sample_fraction=1.0, rng=np.random.default_rng(4))
+        assert out.rows_trained == 200
+        # the counter is live (the linear posteriors are full) and counts one per model
+        assert 0 < len(calls) <= 2
 
     def test_desktop_only_updates_for_non_abandonment(self):
         bundle = _bundle()

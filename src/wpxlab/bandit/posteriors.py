@@ -5,7 +5,8 @@ rank-one Sherman-Morrison steps. Binary objectives get a probit model with a
 factorized Gaussian posterior updated by assumed-density filtering, so both
 kinds train one impression at a time. A batch of impressions streams through
 those steps row by row on plain arrays, and the posterior it ends at is
-validated once per batch, not once per row.
+validated once per batch, not once per row; a linear step still raises where
+x^T S x < 0, as later rows can make a lost positive definiteness look restored.
 
 Reads work on stacks: weight draws and predictions take any leading shape
 over the feature axis. A stacked ``np.matmul`` runs one gemv or dot per
@@ -178,7 +179,8 @@ def blr_update_rows(model: ObjectiveModel, X: np.ndarray, y: Sequence[float]) ->
 
     Each step is the rank-one form of precision += x x^T / sigma^2, written
     with Sherman-Morrison so no matrix inverse is ever taken. Inputs are checked
-    up front and the final posterior is validated once.
+    up front, every step checks that x^T S x >= 0, and the final posterior is
+    validated once.
     """
     if model.kind is not ModelKind.LINEAR:
         raise DomainError("blr_update requires a Linear model")
@@ -189,9 +191,14 @@ def blr_update_rows(model: ObjectiveModel, X: np.ndarray, y: Sequence[float]) ->
     if not y:
         return model
     mean, cov = model.posterior.mean, model.posterior.full_cov()
-    for x, target in zip(X, y):
+    for row, (x, target) in enumerate(zip(X, y)):
         sx = cov @ x
-        denom = model.noise_variance + float(x @ sx)
+        quad = float(x @ sx)
+        if quad < 0.0:
+            raise InvariantViolation(
+                f"covariance not positive definite at row {row}: x^T S x = {quad:.3g}"
+            )
+        denom = model.noise_variance + quad
         mean = mean + sx * ((target - float(x @ mean)) / denom)
         cov = cov - np.outer(sx, sx) / denom
         cov = (cov + cov.T) / 2.0  # keep symmetry exact under float drift

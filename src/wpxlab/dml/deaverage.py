@@ -4,6 +4,13 @@ Subtracting group means over one key, then the other, and repeating converges
 to the residual of the joint projection onto both sets of group indicators,
 i.e. the same transformation as regressing out a full dummy encoding, without
 materializing dummies.
+
+The passes run on a column-major copy, so each column a weighted bincount reads
+or a mean is subtracted from is contiguous. A pass ends by taking every key's
+group means to check convergence: the next pass subtracts the first key's
+without recomputing them, and the last check's maxima are the diagnostics.
+Each bin still sums its rows in row order, so every bit matches a row-major
+loop that recomputes these sums.
 """
 
 from __future__ import annotations
@@ -26,11 +33,6 @@ class DeaverageDiagnostics:
     iterations_run: int
 
 
-def _group_codes(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    _, codes = np.unique(keys, return_inverse=True)
-    return codes.astype(np.intp), int(codes.max()) + 1
-
-
 def deaverage(
     values: np.ndarray,
     group_keys: list[np.ndarray],
@@ -41,8 +43,8 @@ def deaverage(
     ``values`` is (n, c); ``group_keys`` holds one length-n key array per
     grouping dimension (any dtype; values are grouped by equality). Runs
     ``iterations`` full passes, stopping early once every group mean is below
-    ``EARLY_STOP_TOL`` in absolute value. Returns the transformed copy and
-    convergence diagnostics.
+    ``EARLY_STOP_TOL`` in absolute value. Returns the transformed C-ordered
+    copy and convergence diagnostics.
     """
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
@@ -57,40 +59,28 @@ def deaverage(
     for keys in group_keys:
         if len(keys) != n:
             raise DomainError(f"group key length {len(keys)} != {n} rows")
-        codes.append(_group_codes(np.asarray(keys)))
+        _, inverse = np.unique(np.asarray(keys), return_inverse=True)
+        codes.append((inverse.astype(np.intp), int(inverse.max()) + 1))
 
-    out = np.array(values, dtype=float, copy=True)
+    out = np.array(values, dtype=float, order="F")
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        raise DomainError(f"column {int(np.argmin(finite))} holds a non-finite value")
     counts = [np.bincount(c, minlength=g).astype(float) for c, g in codes]
-    iterations_run = 0
-    for _ in range(iterations):
-        iterations_run += 1
-        for (c, g), cnt in zip(codes, counts):
-            for j in range(out.shape[1]):
-                means = np.bincount(c, weights=out[:, j], minlength=g) / cnt
-                out[:, j] -= means[c]
-        if _max_group_mean(out, codes, counts) < EARLY_STOP_TOL:
+    check: list[np.ndarray] = []  # every key's group means at the last check
+    for iterations_run in range(1, iterations + 1):
+        for k, ((c, g), cnt) in enumerate(zip(codes, counts)):
+            # nothing moved since the last check, so its first-key means hold
+            means = check[0] if k == 0 and check else _group_means(out, c, g, cnt)
+            for j, m in enumerate(means):
+                out[:, j] -= m[c]
+        check = [_group_means(out, c, g, cnt) for (c, g), cnt in zip(codes, counts)]
+        maxima = tuple(float(np.max(np.abs(m))) for m in check)
+        if max(maxima) < EARLY_STOP_TOL:
             break
-    maxima = tuple(
-        float(np.max(np.abs(_group_sums(out, c, g) / cnt.reshape(-1, 1))))
-        for (c, g), cnt in zip(codes, counts)
-    )
-    return out, DeaverageDiagnostics(max_group_means=maxima, iterations_run=iterations_run)
+    return np.ascontiguousarray(out), DeaverageDiagnostics(maxima, iterations_run)
 
 
-def _group_sums(values: np.ndarray, codes: np.ndarray, n_groups: int) -> np.ndarray:
-    sums = np.zeros((n_groups, values.shape[1]))
-    for j in range(values.shape[1]):
-        sums[:, j] = np.bincount(codes, weights=values[:, j], minlength=n_groups)
-    return sums
-
-
-def _max_group_mean(
-    values: np.ndarray,
-    codes: list[tuple[np.ndarray, int]],
-    counts: list[np.ndarray],
-) -> float:
-    worst = 0.0
-    for (c, g), cnt in zip(codes, counts):
-        means = _group_sums(values, c, g) / cnt.reshape(-1, 1)
-        worst = max(worst, float(np.max(np.abs(means))))
-    return worst
+def _group_means(out: np.ndarray, codes: np.ndarray, g: int, counts: np.ndarray) -> np.ndarray:
+    """(c, g): each column's means over the g groups, one weighted bincount a column."""
+    return np.array([np.bincount(codes, weights=col, minlength=g) for col in out.T]) / counts

@@ -183,7 +183,8 @@ def crossfit_residualize(
 
 def _validate_keys(dataset: PanelDataset) -> None:
     for name, arr in (("query_group", dataset.query_group), ("zip", dataset.zip_code)):
-        if any(not str(v) for v in arr):
+        # `== ""` is the empty-string test for both object and `<U` key arrays
+        if (np.asarray(arr) == "").any():
             raise DomainError(f"empty {name} key in dataset")
 
 
@@ -243,9 +244,10 @@ def estimate_dvwpx(
 
     with _stage("deaverage"):
         y_t, x_t, m_t, h_t, dd = _deaveraged_blocks(dataset, config.deaverage_iterations)
-        if max(dd.max_group_means) >= DEAVERAGE_TOL:
+        worst = float(np.max(dd.max_group_means))  # unlike max(), keeps a NaN
+        if not worst < DEAVERAGE_TOL:
             raise EstimationError(
-                f"a group mean of {max(dd.max_group_means):.3g} is left after "
+                f"a group mean of {worst:.3g} is left after "
                 f"{dd.iterations_run} iterations, above {DEAVERAGE_TOL:g}; "
                 "raise deaverage_iterations"
             )

@@ -13,6 +13,7 @@ from scipy.special import log_ndtr, ndtr
 from wpxlab.bandit.features import build_features
 from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, ObjectiveModel
 from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
+from wpxlab.dml.deaverage import EARLY_STOP_TOL
 from wpxlab.domain import ContentKind, Device, Item, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
 
@@ -167,3 +168,41 @@ def apply_impression_per_row(bundle: RankerBundle, record: ImpressionRecord) -> 
         satisfaction_model=satisfaction_model,
         rows_trained=bundle.rows_trained + 1,
     )
+
+
+def deaverage_row_major(
+    values: np.ndarray, group_keys: list[np.ndarray], iterations: int
+) -> tuple[np.ndarray, tuple[float, ...], int]:
+    """Alternating group demeaning on a row-major copy that recomputes every
+    convergence sum: each pass demeans every column by every key, then takes
+    every key's group means again for the early stop, and the diagnostics are
+    taken once more at the end. Returns (out, max_group_means, iterations_run).
+    """
+    if values.ndim != 2:
+        values = np.asarray(values, dtype=float).reshape(len(values), -1)
+    codes = []
+    for keys in group_keys:
+        _, inverse = np.unique(np.asarray(keys), return_inverse=True)
+        codes.append((inverse.astype(np.intp), int(inverse.max()) + 1))
+    out = np.array(values, dtype=float, copy=True)
+    counts = [np.bincount(c, minlength=g).astype(float) for c, g in codes]
+
+    def key_maxima() -> list[float]:
+        maxima = []
+        for (c, g), cnt in zip(codes, counts):
+            sums = np.zeros((g, out.shape[1]))
+            for j in range(out.shape[1]):
+                sums[:, j] = np.bincount(c, weights=out[:, j], minlength=g)
+            maxima.append(float(np.max(np.abs(sums / cnt.reshape(-1, 1)))))
+        return maxima
+
+    iterations_run = 0
+    for _ in range(iterations):
+        iterations_run += 1
+        for (c, g), cnt in zip(codes, counts):
+            for j in range(out.shape[1]):
+                means = np.bincount(c, weights=out[:, j], minlength=g) / cnt
+                out[:, j] -= means[c]
+        if max([0.0, *key_maxima()]) < EARLY_STOP_TOL:
+            break
+    return out, tuple(key_maxima()), iterations_run

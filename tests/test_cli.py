@@ -81,6 +81,19 @@ class TestSimulateAndEstimate:
         assert set(payload["beta"]) == {"x_bmr_top", "x_bmr_mid", "x_bmr_bot"}
         assert len(payload["region_weights"]) == 3
 
+    def test_default_panel_and_estimates_are_pinned(self, tmp_path, capsys):
+        # sha256 of `simulate --seed 0`'s panel.csv and of estimate.json on it
+        assert cli.main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+        panel = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
+        assert panel == "fdda813a4b79ebcbfc410d5f6cc8f0a14891e9b5db95d4702aabf53b6ece85af"
+        for stage2, digest in (
+            ("ols", "d25320fd8e0419cf867b76821b5dcaeffb77879b007e831716bc16cc7f5fba55"),
+            ("lasso", "c6e5194a826c1bfabbeef5a3bb16cf82e7201025b6db6ea858243ab7cb7eb30b"),
+        ):
+            assert cli.main(["estimate", "--stage2", stage2, "--out", str(tmp_path)]) == 0
+            estimate = (tmp_path / "estimate.json").read_bytes()
+            assert hashlib.sha256(estimate).hexdigest() == digest, stage2
+
     def test_estimate_on_tiny_panel_exits_two(self, tmp_path):
         cfg = _write(
             tmp_path, "sim.json", {**SIM_CONFIG, "n_events": 200, "event_seed": 4}
@@ -166,6 +179,20 @@ class TestSimulateAndEstimate:
         cfg = _write(tmp_path, "est.json", {"panel": str(panel)})
         assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 1
         _assert_error_names(capsys, f"bad.csv: {where}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_panel_value_exits_one_naming_the_block(
+        self, sim_dir, tmp_path, capsys, value
+    ):
+        lines = (sim_dir / "panel.csv").read_text().splitlines()
+        cells = lines[9].split(",")
+        cells[5] = value  # x_bmr_top
+        lines[9] = ",".join(cells)
+        panel = tmp_path / "bad.csv"
+        panel.write_text("\n".join(lines) + "\n")
+        cfg = _write(tmp_path, "est.json", {"panel": str(panel)})
+        assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        _assert_error_names(capsys, "non-finite values in block x")
 
     def test_estimate_exits_two_when_deaveraging_does_not_converge(self, tmp_path, capsys):
         sim = _write(tmp_path, "sim.json", {"world": {"seed": 0}, "n_events": 4000})

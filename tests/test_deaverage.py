@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import deaverage_row_major
 
 from wpxlab.dml.deaverage import deaverage
 from wpxlab.errors import DomainError
@@ -99,6 +100,72 @@ class TestDeaverage:
         assert _max_group_mean(out, keys) < 1e-9
 
 
+def _estimate_shaped_block(seed: int, n: int = 3000):
+    """C-ordered (n, 10) block like the estimator's stacked target, surrogate,
+    short-term and history columns, with partly crossed `<U` keys."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, 40, n)
+    z = np.where(rng.random(n) < 0.3, q % 25, rng.integers(0, 25, n))
+    values = np.column_stack(
+        [
+            rng.normal(size=n) + 0.1 * q,
+            rng.random((n, 3)) + 0.05 * z[:, None],
+            50.0 * rng.normal(size=(n, 2)),
+            rng.gamma(2.0, 3.0, (n, 4)),
+        ]
+    )
+    return values, [np.array([f"q{v}" for v in q]), np.array([f"z{v}" for v in z])]
+
+
+def _cases():
+    y, X, q, z, _ = _crossed_instance(seed=31)
+    rng = np.random.default_rng(37)
+    ints = rng.integers(0, 6, 90)
+    block, block_keys = _estimate_shaped_block(41)
+    return {
+        "object_keys": (np.column_stack([y[:, None], X]), [q, z], 20),
+        "integer_keys": (rng.normal(size=(90, 3)), [ints, ints % 4 + 7 * (ints > 2)], 20),
+        "single_key": (rng.normal(size=(90, 2)), [ints], 20),
+        "one_dimensional": (y, [q, z], 20),
+        "stopped_at_cap": (np.column_stack([y[:, None], X]), [q, z], 2),
+        "estimate_shaped": (block, block_keys, 20),
+    }
+
+
+class TestAgainstRowMajorOracle:
+    """Bit for bit against the row-major loop that recomputes every sum."""
+
+    @pytest.mark.parametrize("case", sorted(_cases()))
+    def test_bitwise_equal_to_the_oracle(self, case):
+        values, keys, iterations = _cases()[case]
+        out, diag = deaverage(values, keys, iterations)
+        ref, ref_maxima, ref_iterations = deaverage_row_major(values, keys, iterations)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        assert diag.max_group_means == ref_maxima
+        assert diag.iterations_run == ref_iterations
+        if case == "stopped_at_cap":
+            assert diag.iterations_run == 2 and max(diag.max_group_means) > 1e-9
+
+    def test_convergence_sums_are_reused(self, monkeypatch):
+        # demeaning 4 passes x 2 keys x 10 columns takes 80 weighted bincounts
+        # and the end-of-pass checks 80; the first key's check feeds the next
+        # pass (30 saved) and the last check is the diagnostics (20 saved)
+        values, keys = _estimate_shaped_block(43)
+        weighted = []
+        bincount = np.bincount
+
+        def counted(x, weights=None, minlength=0):
+            if weights is not None:
+                weighted.append(len(x))
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        _, diag = deaverage(values, keys, iterations=4)
+        assert diag.iterations_run == 4
+        assert 0 < len(weighted) <= 130
+
+
 class TestDeaverageErrors:
     def test_iterations_below_one_rejected(self):
         with pytest.raises(DomainError):
@@ -115,3 +182,12 @@ class TestDeaverageErrors:
     def test_missing_keys_rejected(self):
         with pytest.raises(DomainError):
             deaverage(np.ones((3, 1)), [], iterations=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_its_column(self, bad):
+        # NaN used to "converge": max(0.0, nan) is 0.0, so the early stop fired
+        v = np.ones((6, 3))
+        v[4, 2] = bad
+        keys = np.array(["a", "b"] * 3)
+        with pytest.raises(DomainError, match="column 2 holds a non-finite value"):
+            deaverage(v, [keys], iterations=5)

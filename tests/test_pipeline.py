@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wpxlab.dml import pipeline
 from wpxlab.dml.deaverage import deaverage
 from wpxlab.dml.panel import PanelDataset, split_train_test
 from wpxlab.dml.pipeline import (
@@ -207,6 +208,30 @@ class TestEstimateDvwpx:
     def test_too_few_rows_fails_in_validate_stage(self):
         panel = synthetic_panel(100, seed=47)
         with pytest.raises(EstimationError, match="stage validate"):
+            estimate_dvwpx(panel, DmlConfig())
+
+    @pytest.mark.parametrize("field", ["query_group", "zip_code"])
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_empty_key_fails_in_validate_stage(self, field, dtype):
+        # object keys are what read_panel_csv builds, `<U` keys what the simulator builds
+        panel = synthetic_panel(600, seed=53)
+        keys = np.array(getattr(panel, field), dtype=dtype)
+        keys[17] = ""
+        panel = replace(panel, **{field: keys})
+        name = "zip" if field == "zip_code" else field
+        with pytest.raises(DomainError, match=f"stage validate: empty {name} key"):
+            estimate_dvwpx(panel, DmlConfig())
+
+    @pytest.mark.parametrize("maxima", [(float("nan"), 0.0), (0.0, float("nan"))])
+    def test_nan_group_mean_fails_in_deaverage_stage(self, monkeypatch, maxima):
+        # `max(...) >= tol` is False for a NaN, and max() drops one that is not first
+        def nan_deaverage(values, group_keys, iterations):
+            out, diag = deaverage(values, group_keys, iterations)
+            return out, replace(diag, max_group_means=maxima)
+
+        monkeypatch.setattr(pipeline, "deaverage", nan_deaverage)
+        panel = synthetic_panel(600, seed=55)
+        with pytest.raises(EstimationError, match="stage deaverage: a group mean of nan"):
             estimate_dvwpx(panel, DmlConfig())
 
     def test_diagnostics_cover_convergence_and_folds(self):

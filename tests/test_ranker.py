@@ -564,18 +564,26 @@ class TestRetraining:
             assert np.array_equal(mean0, mean1) and np.array_equal(cov0, cov1)
         assert bundle.rows_trained == 0
 
-    def test_covariance_losing_positive_definiteness_raises_at_end_of_day(self):
-        # a huge prior against almost noiseless, almost collinear rows: the
-        # rank-one downdates leave a covariance that is no longer positive definite
-        bundle = new_bundle(CATEGORIES, SIGNALS, _reward(), None, False, prior_variance=1e6)
-        bundle = with_noise_variances(bundle, 1e-12)
+    @pytest.mark.parametrize(
+        "prior_variance, noise_variance", [(1e6, 1e-10), (1e6, 1e-12), (1e4, 1e-12), (1e2, 1e-14)]
+    )
+    def test_covariance_losing_positive_definiteness_raises_at_that_row(
+        self, prior_variance, noise_variance
+    ):
+        # a huge prior against almost noiseless, almost collinear rows: some
+        # rank-one downdate leaves x^T S x < 0 for the next row, even where later
+        # rows make the end-of-day covariance factor again
+        bundle = new_bundle(
+            CATEGORIES, SIGNALS, _reward(), None, False, prior_variance=prior_variance
+        )
+        bundle = with_noise_variances(bundle, noise_variance)
         log = [
             _record(_context(Device.MOBILE, {"a": (1.0 + 1e-9 * i,)}), "a", 1.0 + 0.1 * i, 1)
             for i in range(12)
         ]
         with pytest.raises(InvariantViolation):
             apply_impression_per_row(bundle, log[0])
-        with pytest.raises(InvariantViolation, match="positive definite"):
+        with pytest.raises(InvariantViolation, match=r"positive definite at row \d+: x\^T S x = -"):
             incremental_retrain(bundle, log, sample_fraction=1.0, rng=np.random.default_rng(0))
 
     def test_retrain_factors_once_per_linear_model(self, monkeypatch):

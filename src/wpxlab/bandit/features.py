@@ -7,6 +7,8 @@ one-hot, and the candidate's per-template content signals.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..domain import ContextFeatures, Device
@@ -15,6 +17,7 @@ from ..errors import DomainError
 CONTEXT_FEATURE_NAMES = ("bias", "device_mobile", "query_specificity", "membership")
 
 
+@functools.cache
 def feature_schema(
     categories: tuple[str, ...], signal_names: tuple[str, ...]
 ) -> tuple[str, ...]:
@@ -30,6 +33,33 @@ def feature_schema(
     )
 
 
+def encode_rows(
+    rows: list[tuple[ContextFeatures, str]],
+    categories: tuple[str, ...],
+    signal_names: tuple[str, ...],
+) -> np.ndarray:
+    """Encode (request context, candidate template id) pairs as an ``(n, p)``
+    block, one row per pair."""
+    one_hot = {c: [float(d == c) for d in categories] for c in categories}
+    flat: list[float] = []
+    for context, template_id in rows:
+        if context.category_id not in one_hot:
+            raise DomainError(f"unknown category {context.category_id!r}")
+        signals = context.content_signals.get(template_id)
+        if signals is None:
+            raise DomainError(f"context has no content signals for template {template_id!r}")
+        if len(signals) != len(signal_names):
+            raise DomainError(
+                f"template {template_id!r} has {len(signals)} content signals, "
+                f"schema expects {len(signal_names)}"
+            )
+        mobile = float(context.device is Device.MOBILE)
+        flat += (1.0, mobile, context.query_specificity, float(context.membership))
+        flat += one_hot[context.category_id] + list(signals)
+    width = len(CONTEXT_FEATURE_NAMES) + len(categories) + len(signal_names)
+    return np.array(flat, dtype=float).reshape(len(rows), width)
+
+
 def build_features(
     context: ContextFeatures,
     template_id: str,
@@ -37,23 +67,4 @@ def build_features(
     signal_names: tuple[str, ...],
 ) -> np.ndarray:
     """Encode one candidate template under one request context."""
-    if context.category_id not in categories:
-        raise DomainError(f"unknown category {context.category_id!r}")
-    signals = context.content_signals.get(template_id)
-    if signals is None:
-        raise DomainError(f"context has no content signals for template {template_id!r}")
-    if len(signals) != len(signal_names):
-        raise DomainError(
-            f"template {template_id!r} has {len(signals)} content signals, "
-            f"schema expects {len(signal_names)}"
-        )
-    out = np.empty(len(CONTEXT_FEATURE_NAMES) + len(categories) + len(signal_names))
-    out[0] = 1.0
-    out[1] = 1.0 if context.device is Device.MOBILE else 0.0
-    out[2] = context.query_specificity
-    out[3] = float(context.membership)
-    base = len(CONTEXT_FEATURE_NAMES)
-    for i, cat in enumerate(categories):
-        out[base + i] = 1.0 if cat == context.category_id else 0.0
-    out[base + len(categories) :] = signals
-    return out
+    return encode_rows([(context, template_id)], categories, signal_names)[0]

@@ -1,12 +1,12 @@
 """Bayesian weight posteriors for the per-objective ranker models.
 
-Continuous objectives get a conjugate Gaussian linear model updated by
-rank-one Sherman-Morrison steps. Binary objectives get a probit model with a
-factorized Gaussian posterior updated by assumed-density filtering, so both
-kinds train one impression at a time. A batch of impressions streams through
-those steps row by row on plain arrays, and the posterior it ends at is
-validated once per batch, not once per row; a linear step still raises where
-x^T S x < 0, as later rows can make a lost positive definiteness look restored.
+Continuous objectives get a conjugate Gaussian linear model, updated in
+blocks of ``BLOCK_ROWS`` impressions by vector-measurement Kalman steps in
+covariance form: no precision matrix is ever inverted. Binary objectives get
+a probit model with a factorized Gaussian posterior updated by
+assumed-density filtering, one impression at a time, as each step depends on
+the one before. Either kind validates the posterior a batch of impressions
+ends at once, not once per block or row.
 
 Reads work on stacks: weight draws and predictions take any leading shape
 over the feature axis. A stacked ``np.matmul`` runs one gemv or dot per
@@ -26,6 +26,7 @@ from scipy.special import log_ndtr, ndtr
 from ..errors import DomainError, InvariantViolation
 
 COV_SYMMETRY_TOL = 1e-12
+BLOCK_ROWS = 32  # rows per factored linear update
 PROBIT_SLAB = 1.0  # probit link noise scale, fixed at 1
 
 
@@ -61,18 +62,18 @@ class GaussianPosterior:
         if mean.ndim != 1:
             raise DomainError("posterior mean must be a vector")
         p = mean.shape[0]
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise DomainError("posterior parameters must be finite")
         if cov.ndim == 1:
             if cov.shape != (p,):
                 raise DomainError("diagonal covariance length != mean length")
-            if np.any(cov <= 0.0):
+            if (cov <= 0.0).any():
                 raise InvariantViolation("diagonal covariance entries must be > 0")
             factor = np.sqrt(cov)
         elif cov.ndim == 2:
             if cov.shape != (p, p):
                 raise DomainError("covariance shape does not match mean")
-            if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
+            if (cov - cov.T).max() > COV_SYMMETRY_TOL:  # antisymmetric: max is max |.|
                 raise InvariantViolation("covariance not symmetric")
             try:
                 factor = np.linalg.cholesky(cov)
@@ -174,33 +175,41 @@ def _check_rows(model: ObjectiveModel, X: np.ndarray, n_targets: int) -> np.ndar
 
 
 def blr_update_rows(model: ObjectiveModel, X: np.ndarray, y: Sequence[float]) -> ObjectiveModel:
-    """Conjugate Gaussian updates for the rows of `X` against targets `y`, in
-    row order.
+    """Conjugate Gaussian update for the rows of `X` against targets `y`.
 
-    Each step is the rank-one form of precision += x x^T / sigma^2, written
-    with Sherman-Morrison so no matrix inverse is ever taken. Inputs are checked
-    up front, every step checks that x^T S x >= 0, and the final posterior is
-    validated once.
+    Rows go in blocks of up to BLOCK_ROWS, each a Kalman step in covariance
+    form: with A = Xb S, the innovation matrix A Xb^T + sigma^2 I is
+    Cholesky-factored as L L^T, and W = L^-1 [A | yb - Xb m] moves the mean
+    by W_A^T W_r and the covariance by -W_A^T W_A. Inputs are checked up
+    front, a block whose innovation matrix does not factor raises, and the
+    final posterior is validated once.
     """
     if model.kind is not ModelKind.LINEAR:
         raise DomainError("blr_update requires a Linear model")
-    y = [float(target) for target in y]
+    y = np.asarray(y, dtype=float)
     X = _check_rows(model, X, len(y))
-    if not all(math.isfinite(target) for target in y):
+    if not np.isfinite(y).all():
         raise DomainError("non-finite target")
-    if not y:
+    if not len(y):
         return model
     mean, cov = model.posterior.mean, model.posterior.full_cov()
-    for row, (x, target) in enumerate(zip(X, y)):
-        sx = cov @ x
-        quad = float(x @ sx)
-        if quad < 0.0:
-            raise InvariantViolation(
-                f"covariance not positive definite at row {row}: x^T S x = {quad:.3g}"
-            )
-        denom = model.noise_variance + quad
-        mean = mean + sx * ((target - float(x @ mean)) / denom)
-        cov = cov - np.outer(sx, sx) / denom
+    p = len(mean)
+    for start in range(0, len(y), BLOCK_ROWS):
+        Xb, yb = X[start : start + BLOCK_ROWS], y[start : start + BLOCK_ROWS]
+        AR = np.empty((len(yb), p + 1))  # [A | yb - Xb m]
+        A = np.matmul(Xb, cov, out=AR[:, :p])
+        AR[:, p] = yb - Xb @ mean
+        innovation = A @ Xb.T
+        diagonal = innovation.reshape(-1)[:: len(yb) + 1]
+        diagonal += model.noise_variance
+        try:
+            L = np.linalg.cholesky(innovation)
+        except np.linalg.LinAlgError as exc:
+            rows = f"rows {start}..{start + len(yb) - 1}"
+            raise InvariantViolation(f"innovation matrix not positive definite over {rows}") from exc
+        W = np.linalg.solve(L, AR)
+        mean = mean + W[:, :p].T @ W[:, p]
+        cov = cov - W[:, :p].T @ W[:, :p]
         cov = (cov + cov.T) / 2.0  # keep symmetry exact under float drift
     return replace(model, posterior=GaussianPosterior(mean=mean, cov=cov))
 
@@ -230,16 +239,16 @@ def probit_update_rows(
     if not len(labels):
         return model
     mean, v = model.posterior.mean, model.posterior.cov
-    for x, label in zip(X, labels):
+    for x, x2, label in zip(X, X**2, labels):
         t = 2 * label - 1
-        s2 = PROBIT_SLAB**2 + float(v @ x**2)
+        s2 = PROBIT_SLAB**2 + float(v @ x2)
         s = math.sqrt(s2)
         z = t * float(mean @ x) / s
         # phi(z)/Phi(z) in log space; stable for z far below 0
         ratio = math.exp(-0.5 * z * z - 0.5 * math.log(2.0 * math.pi) - log_ndtr(z))
         w = ratio * (ratio + z)
         mean = mean + (t * ratio / s) * (v * x)
-        v = v * (1.0 - w * (v * x**2) / s2)
+        v = v * (1.0 - w * (v * x2) / s2)
     return replace(model, posterior=GaussianPosterior(mean=mean, cov=v))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..domain import ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from ..errors import DomainError
 from ..metrics import RegionWeights
-from .features import build_features, feature_schema
+from .features import encode_rows, feature_schema
 from .posteriors import (
     ModelKind,
     ObjectiveModel,
@@ -219,11 +219,10 @@ def candidate_features(
 ) -> np.ndarray:
     """The candidates' feature rows under one request, checked against the
     bundle's schema width and for finiteness, as a read-only ``(n, p)`` array."""
-    x = [build_features(context, t, bundle.categories, bundle.signal_names) for t in template_ids]
-    x = np.array(x)
+    x = encode_rows([(context, t) for t in template_ids], bundle.categories, bundle.signal_names)
     if x.shape != (len(template_ids), bundle.revenue_model.posterior.dim):
         raise DomainError(f"candidate feature block has shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("non-finite feature vector")
     x.flags.writeable = False
     return x
@@ -249,20 +248,19 @@ def thompson_scores(
     n, c, p = features.shape
     mobile = np.asarray(mobile, dtype=bool)
     n_mobile = int(np.count_nonzero(mobile))
-    # each device's requests, as a slice when they fill the block
+    # each device's requests, a slice when they fill the block; bool keys hash in C, enums do not
     groups = {}
-    for device, count in ((Device.DESKTOP, n - n_mobile), (Device.MOBILE, n_mobile)):
+    for m, count in ((False, n - n_mobile), (True, n_mobile)):
         if count:
-            rows = slice(None) if count == n else np.flatnonzero(mobile == (device is Device.MOBILE))
-            objectives = bundle.active_objectives(device)
-            groups[device] = rows, objectives, np.empty((count, c, len(objectives), p))
+            rows = slice(None) if count == n else np.flatnonzero(mobile == m)
+            objectives = bundle.active_objectives(Device.MOBILE if m else Device.DESKTOP)
+            groups[m] = rows, objectives, np.empty((count, c, len(objectives), p))
     # a request's draw fills the next row of its device's block
     filled = dict.fromkeys(groups, 0)
     for m, rng in zip(mobile.tolist(), rngs, strict=True):
-        device = Device.MOBILE if m else Device.DESKTOP
-        z = groups[device][2]
-        z[filled[device]] = rng.standard_normal(z.shape[1:])
-        filled[device] += 1
+        z = groups[m][2]
+        z[filled[m]] = rng.standard_normal(z.shape[1:])
+        filled[m] += 1
     scores = np.empty((n, c))
     samples = dict(zip(OBJECTIVE_ORDER, np.full((len(OBJECTIVE_ORDER), n, c), np.nan)))
     for rows, objectives, z in groups.values():
@@ -335,19 +333,16 @@ def sample_rows(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray
 def _train_rows(bundle: RankerBundle, records: Sequence[ImpressionRecord]) -> RankerBundle:
     """Stream `records`, in order, through every applicable objective model.
 
-    The rows' features are built once as a block; each model runs its
-    sequential updates over the block and validates its posterior once at the
-    end. Non-abandonment learns from desktop rows only.
+    The rows' features are encoded once as a block; each model updates over
+    the block and validates its posterior once at the end. Non-abandonment
+    learns from desktop rows only.
     """
     if bundle.satisfaction_model is not None and any(
         r.targets.satisfaction is None for r in records
     ):
         raise DomainError("impression lacks a satisfaction target")
-    X = np.array(
-        [
-            build_features(r.context, r.template_id, bundle.categories, bundle.signal_names)
-            for r in records
-        ]
+    X = encode_rows(
+        [(r.context, r.template_id) for r in records], bundle.categories, bundle.signal_names
     )
     desktop = [i for i, r in enumerate(records) if r.context.device is Device.DESKTOP]
     revenue_model = blr_update_rows(bundle.revenue_model, X, [r.targets.revenue for r in records])

@@ -87,16 +87,17 @@ def lasso_fit(
     if beta_init is not None:
         b = np.asarray(beta_init, dtype=float) * np.where(live, scale, 0.0)
     r = y - Xs @ b
+    columns = np.ascontiguousarray(Xs.T)
     cols = [j for j in range(p) if live[j]]
     for _ in range(LASSO_MAX_SWEEPS):
         max_change = 0.0
         for j in cols:
             old = b[j]
             # unit-RMS columns make the curvature along each coordinate 1/n-normalized to 1
-            rho = (Xs[:, j] @ r) / n + old
+            rho = np.add.reduce(columns[j] * r) / n + old  # unlike a BLAS dot, thread-count free
             new = _soft_threshold(rho, penalty[j])
             if new != old:
-                r -= Xs[:, j] * (new - old)
+                r -= columns[j] * (new - old)
                 b[j] = new
             change = abs(new - old)
             if change > max_change:
@@ -156,7 +157,7 @@ def lasso_cv_path(
         for i, lam in enumerate(grid):
             beta = lasso_fit(X[tr], y[tr], lam, beta_init=beta)
             err = y[te] - X[te] @ beta
-            fold_mse[i, f] = float(err @ err) / int(te.sum())
+            fold_mse[i, f] = float(np.add.reduce(err * err)) / int(te.sum())
     mean_mse = fold_mse.mean(axis=1)
     best = 0
     for i in range(1, grid_points):

@@ -285,7 +285,7 @@ def estimate_dvwpx(
             # classical covariance evaluated at the lasso fit, for scale only
             resid = ry - rxm @ coef
             dof = max(len(ry) - rxm.shape[1], 1)
-            sigma2 = float(resid @ resid) / dof
+            sigma2 = float(np.add.reduce(resid * resid)) / dof
             cov = sigma2 * np.linalg.inv(rxm.T @ rxm + 1e-12 * np.eye(rxm.shape[1]))
             stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
         beta = coef[:s]

@@ -53,6 +53,7 @@ SATISFACTION_MODES = (SATISFACTION_NONE, SATISFACTION_CTR, SATISFACTION_DVWPX)
 METRIC_NAMES = ("revenue", "long_term_revenue", "ctr", "pr_wp_bmr")
 
 NOISE_VARIANCE_FLOOR = 1e-6
+BOOTSTRAP_BLOCK = 64  # resamples gathered at once
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,16 @@ def ab_compare(
 
     rng = stream(seed, "bootstrap")
     boot = {m: np.empty(bootstrap_n) for m in metrics}
-    for b in range(bootstrap_n):
-        idx_c = rng.integers(0, n_c, n_c)
-        idx_t = rng.integers(0, n_t, n_t)
+    for start in range(0, bootstrap_n, BOOTSTRAP_BLOCK):
+        # a row's mean over a C-contiguous gather sums like the 1-D mean of that row
+        block = range(start, min(start + BOOTSTRAP_BLOCK, bootstrap_n))
+        resamples = [(rng.integers(0, n_c, n_c), rng.integers(0, n_t, n_t)) for _ in block]
+        idx_c, idx_t = (np.array(side) for side in zip(*resamples))
         for m in metrics:
-            mc = float(np.mean(control_log[m][idx_c]))
-            mt = float(np.mean(treatment_log[m][idx_t]))
-            boot[m][b] = (mt - mc) / mc if mc != 0.0 else np.nan
+            mc = control_log[m][idx_c].mean(axis=1)
+            mt = treatment_log[m][idx_t].mean(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                boot[m][block.start : block.stop] = np.where(mc != 0.0, (mt - mc) / mc, np.nan)
     for m in metrics:
         draws = boot[m][np.isfinite(boot[m])]
         if len(draws) == 0:

@@ -4,18 +4,24 @@ itself does not ship, kept for the tests to compare against."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from wpxlab.bandit.features import build_features
+from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features
 from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, ObjectiveModel
 from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
 from wpxlab.dml.deaverage import EARLY_STOP_TOL
-from wpxlab.domain import ContentKind, Device, Item, PageLayout, PageTemplate
+from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
+
+# a few ulps: what a stable linear update loses on the covariance over many
+# rows, where inverting an ill-conditioned precision matrix loses its
+# condition number times that
+EXACT_RTOL = 1e-14
 
 
 def validate_layout(
@@ -100,6 +106,26 @@ def per_candidate_scores(
     return best, traces
 
 
+def build_features_per_field(
+    context: ContextFeatures,
+    template_id: str,
+    categories: tuple[str, ...],
+    signal_names: tuple[str, ...],
+) -> np.ndarray:
+    """One candidate's feature row, written a field at a time."""
+    signals = context.content_signals[template_id]
+    out = np.empty(len(CONTEXT_FEATURE_NAMES) + len(categories) + len(signal_names))
+    out[0] = 1.0
+    out[1] = 1.0 if context.device is Device.MOBILE else 0.0
+    out[2] = context.query_specificity
+    out[3] = float(context.membership)
+    base = len(CONTEXT_FEATURE_NAMES)
+    for i, cat in enumerate(categories):
+        out[base + i] = 1.0 if cat == context.category_id else 0.0
+    out[base + len(categories) :] = signals
+    return out
+
+
 def _checked_features(model: ObjectiveModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.posterior.dim,):
@@ -125,6 +151,64 @@ def blr_update_per_row(model: ObjectiveModel, x: np.ndarray, y: float) -> Object
     cov = sigma - np.outer(sx, sx) / denom
     cov = (cov + cov.T) / 2.0
     return replace(model, posterior=GaussianPosterior(mean=mean, cov=cov))
+
+
+def _scaled_ints(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers N and a shift s with a == N / 2**s exactly, elementwise."""
+    ratios = [v.as_integer_ratio() for v in np.asarray(a, dtype=float).ravel().tolist()]
+    shift = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    ints = [n << (shift - d.bit_length() + 1) for n, d in ratios]
+    return np.array(ints, dtype=object).reshape(np.shape(a)), shift
+
+
+def _solve_exact(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
+    """A^-1 B by Gauss-Jordan elimination in rational arithmetic."""
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return [row[n:] for row in M]
+
+
+def exact_linear_posterior(
+    post: GaussianPosterior, batches: Iterable[tuple[np.ndarray, np.ndarray, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate posterior after every (X, y, noise variance) batch, in
+    exact rational arithmetic on the floats given: precision
+    S0^-1 + sum X'X / s2 and mean precision^-1 (S0^-1 m0 + sum X'y / s2).
+    Returns the mean and covariance as object arrays of Fractions."""
+    p = post.dim
+    eye = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    cov0 = [[Fraction(v) for v in row] for row in post.full_cov().tolist()]
+    solved = _solve_exact(cov0, [row + [Fraction(m)] for row, m in zip(eye, post.mean.tolist())])
+    precision = [row[:p] for row in solved]
+    shift = [row[p] for row in solved]
+    for X, y, noise_variance in batches:
+        Xi, sx = _scaled_ints(X)
+        yi, sy = _scaled_ints(y)
+        gram, xty = Xi.T @ Xi, Xi.T @ yi
+        s2 = Fraction(noise_variance)
+        for i in range(p):
+            shift[i] += Fraction(int(xty[i]), 2 ** (sx + sy)) / s2
+            for j in range(p):
+                precision[i][j] += Fraction(int(gram[i, j]), 2 ** (2 * sx)) / s2
+    solved = _solve_exact(precision, [row + [b] for row, b in zip(eye, shift)])
+    mean = np.array([row[p] for row in solved], dtype=object)
+    cov = np.array([row[:p] for row in solved], dtype=object)
+    return mean, cov
+
+
+def relative_error(got: np.ndarray, exact: np.ndarray) -> float:
+    """||got - exact|| / ||exact|| (Frobenius), the difference taken exactly."""
+    flat = exact.ravel().tolist()
+    diff = np.linalg.norm([float(Fraction(g) - e) for g, e in zip(np.ravel(got).tolist(), flat)])
+    return float(diff / np.linalg.norm([float(e) for e in flat])) if diff else 0.0
 
 
 def probit_update_per_row(model: ObjectiveModel, x: np.ndarray, label: int) -> ObjectiveModel:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,12 @@ SIM_CONFIG = {
     "n_events": 700,
     "policy": "randomized",
     "event_seed": 3,
+}
+
+# sha256 of estimate.json on `simulate --seed 0`'s panel, per stage-2 fit
+ESTIMATE_DIGESTS = {
+    "ols": "d25320fd8e0419cf867b76821b5dcaeffb77879b007e831716bc16cc7f5fba55",
+    "lasso": "8c723adba9694a5eb8bf01c5cae9da47b73f5672971bc95bffed2b228177260c",
 }
 
 SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}
@@ -86,11 +93,21 @@ class TestSimulateAndEstimate:
         assert cli.main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
         panel = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
         assert panel == "fdda813a4b79ebcbfc410d5f6cc8f0a14891e9b5db95d4702aabf53b6ece85af"
-        for stage2, digest in (
-            ("ols", "d25320fd8e0419cf867b76821b5dcaeffb77879b007e831716bc16cc7f5fba55"),
-            ("lasso", "c6e5194a826c1bfabbeef5a3bb16cf82e7201025b6db6ea858243ab7cb7eb30b"),
-        ):
+        for stage2, digest in ESTIMATE_DIGESTS.items():
             assert cli.main(["estimate", "--stage2", stage2, "--out", str(tmp_path)]) == 0
+            estimate = (tmp_path / "estimate.json").read_bytes()
+            assert hashlib.sha256(estimate).hexdigest() == digest, stage2
+
+    def test_pinned_estimates_hold_on_one_blas_thread(self, tmp_path):
+        # a BLAS dot of a long vector sums in a thread-count-dependent order
+        assert cli.main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        for stage2, digest in ESTIMATE_DIGESTS.items():
+            subprocess.run(
+                [sys.executable, "-m", "wpxlab.harness.cli", "estimate", "--stage2", stage2,
+                 "--out", str(tmp_path)],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
             estimate = (tmp_path / "estimate.json").read_bytes()
             assert hashlib.sha256(estimate).hexdigest() == digest, stage2
 
@@ -223,11 +240,11 @@ class TestRank:
         [
             (
                 {"query_index": 1, "device": "mobile"},
-                "dc5ad4fa61a807839ac9a754be5800d7e0a0958db4125d778825315dee1efb3a",
+                "2a42b5231ab13edbc9b3a812aa9aff820562611d5e6daa824e1ed931d26053b3",
             ),
             (
                 {"query_index": 2, "device": "desktop"},
-                "a44efe9ff1c99127607af50461f370e4ad08fbc6b935b817e8d28abe1cbcf749",
+                "39a861f108febcf3186f886543d9b1d8209927aefa474058f9f4f83b2b393b25",
             ),
         ],
     )

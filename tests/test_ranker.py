@@ -1,14 +1,22 @@
 """Scalarization, Thompson template selection, and incremental retraining."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import stationary_best_template_rate
-from oracles import apply_impression_per_row, per_candidate_scores
+from oracles import (
+    EXACT_RTOL,
+    apply_impression_per_row,
+    build_features_per_field,
+    exact_linear_posterior,
+    per_candidate_scores,
+    relative_error,
+)
 
-from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features, feature_schema
-from wpxlab.bandit.posteriors import GaussianPosterior, thompson_sample_predict
+from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features, encode_rows, feature_schema
+from wpxlab.bandit.posteriors import BLOCK_ROWS, GaussianPosterior, thompson_sample_predict
 from wpxlab.bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
@@ -31,6 +39,7 @@ from wpxlab.bandit.ranker import (
 from wpxlab.domain import ContentKind, ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from wpxlab.errors import DomainError, InvariantViolation
 from wpxlab.metrics import CTR_REGION_WEIGHTS
+from wpxlab.sim.world import WorldConfig, generate_world
 
 CATEGORIES = ("c0", "c1")
 SIGNALS = ("s0",)
@@ -77,6 +86,33 @@ def _record(context, template_id, revenue, label, satisfaction=None, ts=1):
     )
 
 
+def _serve_shaped_day(world, rng, n, ts):
+    """A day of uniformly served impressions over the world's queries, with
+    revenue and satisfaction targets shaped like the simulator's."""
+    log = []
+    for _ in range(n):
+        q = int(rng.integers(world.config.n_queries))
+        query = world.queries[q]
+        context = ContextFeatures(
+            device=Device.MOBILE if rng.random() < world.config.mobile_fraction else Device.DESKTOP,
+            query_specificity=query.specificity,
+            category_id=query.category_id,
+            membership=int(rng.random() < world.config.membership_rate),
+            content_signals={
+                t.template_id: tuple(world.content_signals[q, i]) for i, t in enumerate(world.templates)
+            },
+        )
+        t = int(rng.integers(len(world.templates)))
+        s = world.content_signals[q, t]
+        revenue = max(0.0, 20.0 + 60.0 * s[0] + 25.0 * s[1] + 15.0 * rng.standard_normal())
+        satisfaction = 0.6 * s[0] + 0.25 * s[1] + 0.15 * s[2] + 0.05 * rng.standard_normal()
+        log.append(
+            _record(context, world.templates[t].template_id, revenue, int(rng.random() < 0.6),
+                    float(np.clip(satisfaction, 0.0, 1.0)), ts)
+        )
+    return log
+
+
 class _ZeroNoiseRng:
     """Stands in for a Generator; every posterior draw lands on the mean."""
 
@@ -94,6 +130,21 @@ class TestFeatureEncoding:
         assert np.array_equal(x, np.array([1.0, 0.0, 0.5, 0.0, 1.0, 0.0, 1.0]))
         x_mobile = build_features(_context(device=Device.MOBILE), "b", CATEGORIES, SIGNALS)
         assert x_mobile[1] == 1.0 and x_mobile[-1] == 0.0
+
+    def test_block_encoder_matches_per_field_oracle_bit_for_bit(self):
+        world = generate_world(WorldConfig(seed=0))
+        served = _serve_shaped_day(world, np.random.default_rng(3), 200, 1)
+        cases = [
+            ([(r.context, r.template_id) for r in served], (world.categories, world.signal_names)),
+            ([(_context(signals={"a": (1, 0)}), "a")], (CATEGORIES, ("s0", "s1"))),  # integers
+        ]
+        for rows, schema in cases:
+            block = encode_rows(rows, *schema)
+            want = np.array([build_features_per_field(c, t, *schema) for c, t in rows])
+            assert block.tobytes() == want.tobytes()
+            for (context, template_id), row in zip(rows, block):
+                assert build_features(context, template_id, *schema).tobytes() == row.tobytes()
+            assert encode_rows([], *schema).shape == (0, len(feature_schema(*schema)))
 
     def test_guards(self):
         with pytest.raises(DomainError):
@@ -492,23 +543,30 @@ class TestRetraining:
             rng=np.random.default_rng(22),
         )
         manual = bundle
-        for idx in sample_rows(len(first), 0.5, np.random.default_rng(11)):
-            manual = apply_impression(manual, first[idx])
-        for idx in sample_rows(len(second), 0.5, np.random.default_rng(22)):
-            manual = apply_impression(manual, second[idx])
-        assert np.array_equal(
-            two_step.revenue_model.posterior.mean, manual.revenue_model.posterior.mean
-        )
-        assert np.array_equal(
-            two_step.revenue_model.posterior.cov, manual.revenue_model.posterior.cov
-        )
+        sampled = []
+        for part, seed in ((first, 11), (second, 22)):
+            for idx in sample_rows(len(part), 0.5, np.random.default_rng(seed)):
+                manual = apply_impression(manual, part[idx])
+                sampled.append(part[idx])
+        # the linear model sees exactly the sampled rows, whichever blocks they form
+        X = encode_rows([(r.context, r.template_id) for r in sampled], CATEGORIES, SIGNALS)
+        y = np.array([r.targets.revenue for r in sampled])
+        mean, cov = exact_linear_posterior(bundle.revenue_model.posterior, [(X, y, 1.0)])
+        for got in (two_step, manual):
+            assert relative_error(got.revenue_model.posterior.mean, mean) <= EXACT_RTOL
+            assert relative_error(got.revenue_model.posterior.cov, cov) <= EXACT_RTOL
+        # ADF depends on row order, so the probit posterior must match bit for bit
         assert np.array_equal(
             two_step.non_abandonment_model.posterior.mean,
             manual.non_abandonment_model.posterior.mean,
         )
+        assert np.array_equal(
+            two_step.non_abandonment_model.posterior.cov,
+            manual.non_abandonment_model.posterior.cov,
+        )
 
     @pytest.mark.parametrize("with_satisfaction", [False, True])
-    def test_retrain_matches_per_row_oracle_bit_for_bit(self, with_satisfaction):
+    def test_retrain_matches_per_row_oracle(self, with_satisfaction):
         bundle = with_noise_variances(
             _bundle(with_satisfaction=with_satisfaction), 0.7, 0.3 if with_satisfaction else None
         )
@@ -528,15 +586,61 @@ class TestRetraining:
         for seed in (1, 2):
             day = incremental_retrain(day, log, rng=np.random.default_rng(seed))
         oracle = bundle
+        sampled = []
         for seed in (1, 2):
             for idx in sample_rows(len(log), 0.5, np.random.default_rng(seed)):
                 oracle = apply_impression_per_row(oracle, log[idx])
+                sampled.append(log[idx])
         assert day.rows_trained == oracle.rows_trained == 120
-        for name in bundle.active_objectives(Device.DESKTOP):
-            got, want = day.model_for(name).posterior, oracle.model_for(name).posterior
-            assert np.array_equal(got.mean, want.mean), name
-            assert np.array_equal(got.cov, want.cov), name
-            assert np.array_equal(got.factor, want.factor), name
+        # ADF is sequential: bit for bit the per-row steps
+        got, want = day.non_abandonment_model.posterior, oracle.non_abandonment_model.posterior
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.cov, want.cov)
+        assert np.array_equal(got.factor, want.factor)
+        # the linear models: the exact conjugate posterior of the sampled rows
+        X = encode_rows([(r.context, r.template_id) for r in sampled], CATEGORIES, SIGNALS)
+        for name in bundle.active_objectives(Device.MOBILE):
+            model = bundle.model_for(name)
+            y = np.array([getattr(r.targets, name) for r in sampled])
+            mean, cov = exact_linear_posterior(model.posterior, [(X, y, model.noise_variance)])
+            got = day.model_for(name).posterior
+            assert relative_error(got.mean, mean) <= EXACT_RTOL, name
+            assert relative_error(got.cov, cov) <= EXACT_RTOL, name
+
+    def test_serve_shaped_week_matches_exact_posterior_better_than_per_row_steps(self):
+        # eight nightly retrains (400 rows, then 1,000 a day) on the simulator's
+        # features, each day at its own noise variance; satisfaction's is near
+        # 0.02, which makes its precision's condition number near 1e6
+        world = generate_world(WorldConfig(seed=0))
+        rng = np.random.default_rng(0)
+        reward = RewardWeights(
+            weights={REVENUE: 0.5, SATISFACTION: 0.3},
+            stats={REVENUE: ObjectiveStats(40.0, 20.0), SATISFACTION: ObjectiveStats(0.3, 0.15)},
+        )
+        start = new_bundle(world.categories, world.signal_names, reward, CTR_REGION_WEIGHTS, True)
+        day = oracle = start
+        batches = {REVENUE: [], SATISFACTION: []}
+        for ts in range(8):
+            log = _serve_shaped_day(world, rng, 400 if ts == 0 else 1000, ts)
+            X = encode_rows([(r.context, r.template_id) for r in log], world.categories, world.signal_names)
+            noise = {}
+            for name in batches:
+                y = np.array([getattr(r.targets, name) for r in log])
+                noise[name] = float(y.var())
+                batches[name].append((X, y, noise[name]))
+            day = with_noise_variances(day, noise[REVENUE], noise[SATISFACTION])
+            day = incremental_retrain(day, log, sample_fraction=1.0, rng=np.random.default_rng(ts))
+            oracle = with_noise_variances(oracle, noise[REVENUE], noise[SATISFACTION])
+            for idx in sample_rows(len(log), 1.0, np.random.default_rng(ts)):
+                oracle = apply_impression_per_row(oracle, log[idx])
+        for name, batch in batches.items():
+            mean, cov = exact_linear_posterior(start.model_for(name).posterior, batch)
+            got, per_row = day.model_for(name).posterior, oracle.model_for(name).posterior
+            assert relative_error(got.cov, cov) <= EXACT_RTOL, name
+            assert relative_error(got.cov, cov) <= relative_error(per_row.cov, cov), name
+            # the mean carries the condition number: ~4e-14 blocked, ~3e-13 per row
+            assert relative_error(got.mean, mean) <= 10 * EXACT_RTOL, name
+            assert relative_error(got.mean, mean) <= relative_error(per_row.mean, mean), name
 
     @pytest.mark.parametrize(
         "fault", ["non-finite target", "label outside {0, 1}", "wrong-width features", "no satisfaction"]
@@ -570,9 +674,9 @@ class TestRetraining:
     def test_covariance_losing_positive_definiteness_raises_at_that_row(
         self, prior_variance, noise_variance
     ):
-        # a huge prior against almost noiseless, almost collinear rows: some
-        # rank-one downdate leaves x^T S x < 0 for the next row, even where later
-        # rows make the end-of-day covariance factor again
+        # a huge prior against almost noiseless, almost collinear rows: a
+        # per-row step sees x^T S x < 0, and the block's innovation matrix
+        # does not factor
         bundle = new_bundle(
             CATEGORIES, SIGNALS, _reward(), None, False, prior_variance=prior_variance
         )
@@ -583,11 +687,13 @@ class TestRetraining:
         ]
         with pytest.raises(InvariantViolation):
             apply_impression_per_row(bundle, log[0])
-        with pytest.raises(InvariantViolation, match=r"positive definite at row \d+: x\^T S x = -"):
+        with pytest.raises(InvariantViolation, match=r"innovation matrix not positive definite over rows \d+\.\.\d+"):
             incremental_retrain(bundle, log, sample_fraction=1.0, rng=np.random.default_rng(0))
 
-    def test_retrain_factors_once_per_linear_model(self, monkeypatch):
-        # per-row revalidation factored every posterior it built: 200 per model
+    def test_retrain_factors_once_per_block_and_posterior(self, monkeypatch):
+        # per-row revalidation factored every posterior it built: 200 per model;
+        # a blocked update factors each block's innovation matrix, then the
+        # posterior it ends at once
         calls = []
         cholesky = np.linalg.cholesky
 
@@ -604,8 +710,8 @@ class TestRetraining:
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         out = incremental_retrain(bundle, log, sample_fraction=1.0, rng=np.random.default_rng(4))
         assert out.rows_trained == 200
-        # the counter is live (the linear posteriors are full) and counts one per model
-        assert 0 < len(calls) <= 2
+        # the counter is live (the linear posteriors are full); two linear models
+        assert 0 < len(calls) <= 2 * (math.ceil(200 / BLOCK_ROWS) + 1)
 
     def test_desktop_only_updates_for_non_abandonment(self):
         bundle = _bundle()

@@ -10,7 +10,6 @@ from .domain import (
     ContentKind,
     ContextFeatures,
     Device,
-    HorizonConfig,
     Item,
     ObjectiveVector,
     PageLayout,
@@ -33,7 +32,6 @@ __all__ = [
     "ContentKind",
     "ContextFeatures",
     "Device",
-    "HorizonConfig",
     "Item",
     "ObjectiveVector",
     "PageLayout",

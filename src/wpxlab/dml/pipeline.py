@@ -16,7 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from ..domain import HorizonConfig
 from ..errors import DomainError, EstimationError, WpxError
 from ..metrics import RegionWeights
 from ..rng import stream
@@ -68,11 +67,10 @@ class DmlEstimate:
 
 @dataclass(frozen=True)
 class DvwpxModel:
-    """Downstream-value model: causal surrogate effects plus schema and horizon."""
+    """Downstream-value model: causal surrogate effects plus their schema."""
 
     estimate: DmlEstimate
     surrogate_schema: tuple[str, ...]
-    horizon: HorizonConfig = HorizonConfig()
 
     def __post_init__(self) -> None:
         if len(self.surrogate_schema) != len(self.estimate.beta):
@@ -222,11 +220,7 @@ def _stage(name: str):
         raise wrapped from exc
 
 
-def estimate_dvwpx(
-    dataset: PanelDataset,
-    config: DmlConfig,
-    horizon: HorizonConfig = HorizonConfig(),
-) -> DvwpxModel:
+def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
     """Run the full pipeline on a panel and return the fitted model.
 
     Errors at any stage propagate with the stage named in the message.
@@ -328,7 +322,7 @@ def estimate_dvwpx(
         lambda_selected=lambda_selected,
         diagnostics=diagnostics,
     )
-    return DvwpxModel(estimate=estimate, surrogate_schema=dataset.x_names, horizon=horizon)
+    return DvwpxModel(estimate=estimate, surrogate_schema=dataset.x_names)
 
 
 def naive_ols(dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:

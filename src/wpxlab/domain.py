@@ -1,4 +1,4 @@
-"""Core vocabulary: items, pages, regions, horizons, objectives, contexts.
+"""Core vocabulary: items, pages, regions, objectives, contexts.
 
 All types here are immutable values and safe to share across threads.
 """
@@ -124,21 +124,6 @@ class PageLayout:
     @property
     def n_slots(self) -> int:
         return len(self.slots)
-
-
-@dataclass(frozen=True)
-class HorizonConfig:
-    """Short and long outcome horizons, in days."""
-
-    delta_short_days: int = 14
-    delta_long_days: int = 84
-
-    def __post_init__(self) -> None:
-        if not 0 < self.delta_short_days < self.delta_long_days:
-            raise DomainError(
-                f"horizons must satisfy 0 < short < long, got "
-                f"({self.delta_short_days}, {self.delta_long_days})"
-            )
 
 
 @dataclass(frozen=True)

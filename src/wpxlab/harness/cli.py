@@ -31,7 +31,7 @@ from ..bandit.ranker import (
 )
 from ..dml.panel import read_panel_csv, write_panel_csv
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device, HorizonConfig
+from ..domain import ContextFeatures, Device
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS
 from ..rng import keyed_streams, stream, stream_keys
@@ -83,7 +83,7 @@ def _load_json(path: str, what: str) -> dict[str, Any]:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DomainError(f"{what} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"{what} is not valid JSON: {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DomainError(f"{what} must be a JSON object: {path}")
@@ -221,9 +221,7 @@ def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
     devices = [Device.MOBILE if m else Device.DESKTOP for m in mobile.tolist()]
     members = world.customers.membership[ci].tolist()
     contexts = [request_context(world, q, d, m) for q, d, m in zip(qi.tolist(), devices, members)]
-    log, _ = serve_pages(
-        world, ci, qi, ti, available, u, z, contexts, 1, HorizonConfig(), region_weights
-    )
+    log, _, _ = serve_pages(world, ci, qi, ti, available, u, z, contexts, 1, region_weights)
 
     bundle = new_bundle(
         categories=world.categories,
@@ -341,7 +339,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise DomainError(f"no report at {path}")
     try:
         report = load_report(path)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed report {path}: {exc}") from exc
     print(render_report(report), end="")
     return OK

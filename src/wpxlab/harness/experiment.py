@@ -1,10 +1,11 @@
 """Three-arm A/B experiment harness over the simulated marketplace.
 
 Arms differ only in their satisfaction objective: none (control), the
-fixed click-based region weighting, or the region weighting derived from the
-causal estimator. Sessions share random streams across arms so measured
-lifts come from template choices, not luck. Long-horizon revenue is realized
-up front but embargoed past each impression's availability date: it feeds
+fixed click-based region weighting `CTR_REGION_WEIGHTS`, or the region
+weighting derived from the causal estimator. Sessions share random streams
+across arms so measured lifts come from template choices, not luck. Every
+session is served through `serve_pages`. Long-horizon revenue is realized up
+front but embargoed for `LONG_TERM_DELAY_DAYS` past each impression: it feeds
 reports, never training.
 """
 
@@ -17,7 +18,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replac
 from enum import Enum
 from itertools import product
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,11 +39,11 @@ from ..bandit.ranker import (
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
+from ..domain import ContextFeatures, Device, ObjectiveVector
 from ..errors import DomainError, EstimationError, InvariantViolation
-from ..metrics import CTR_REGION_WEIGHTS, REGION_ORDER, RegionWeights, weighted_bmr
+from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
 from ..rng import keyed_normals, keyed_streams, keyed_uniforms, stream, stream_keys
-from ..sim.panel import CHUNK_EVENTS, RANDOMIZED, X_COLUMNS, simulate_panel
+from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
 from ..sim.session import PageSessions, draw_availability, page_long_term, page_sessions
 from ..sim.world import World, WorldConfig, generate_world, page_item_indices
 
@@ -54,6 +56,10 @@ METRIC_NAMES = ("revenue", "long_term_revenue", "ctr", "pr_wp_bmr")
 
 NOISE_VARIANCE_FLOOR = 1e-6
 BOOTSTRAP_BLOCK = 64  # resamples gathered at once
+#: Days after an impression at which its long-term revenue becomes known. The
+#: long-term outcome is never a training target; the date only stamps records
+#: for the embargo audit.
+LONG_TERM_DELAY_DAYS = 84
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,6 @@ class ExperimentConfig:
     weight_stage2: str = "ols"
     bootstrap_n: int = 1000
     prior_variance: float = 1.0
-    horizon: HorizonConfig = HorizonConfig()
-    # fixed click-based weights are the published configuration; flip this to
-    # re-derive them from randomized simulated clicks instead
-    reestimate_ctr_weights: bool = False
-    ctr_weight_sessions: int = 2000
 
     def __post_init__(self) -> None:
         if not self.arms:
@@ -107,8 +108,6 @@ class ExperimentConfig:
             raise DomainError("sessions_per_day must be >= 1")
         if self.bootstrap_n < 1:
             raise DomainError("bootstrap_n must be >= 1")
-        if self.ctr_weight_sessions < 1:
-            raise DomainError("ctr_weight_sessions must be >= 1")
 
 
 def default_experiment_config(seed: int = 0) -> ExperimentConfig:
@@ -140,7 +139,7 @@ class LiftRow:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config_echo: dict[str, Any]
+    config: dict[str, Any]
     arm_means: dict[str, dict[str, float]]
     lifts: tuple[LiftRow, ...]
     per_day: tuple[dict[str, Any], ...]
@@ -209,48 +208,15 @@ def ab_compare(
 
 
 def _region_weights_for(
-    arm: ArmConfig,
-    dvwpx_weights: RegionWeights | None,
-    ctr_weights: RegionWeights = CTR_REGION_WEIGHTS,
+    arm: ArmConfig, dvwpx_weights: RegionWeights | None
 ) -> RegionWeights | None:
     if arm.satisfaction_mode == SATISFACTION_NONE:
         return None
     if arm.satisfaction_mode == SATISFACTION_CTR:
-        return ctr_weights
+        return CTR_REGION_WEIGHTS
     if dvwpx_weights is None:
         raise EstimationError("no estimated region weights available")
     return dvwpx_weights
-
-
-def estimate_ctr_region_weights(
-    world: World, n_sessions: int, seed: int
-) -> RegionWeights:
-    """Region weights proportional to click share under randomized serving."""
-    if n_sessions < 1:
-        raise DomainError("n_sessions must be >= 1")
-    cfg = world.config
-    counts = np.zeros(len(REGION_ORDER))
-    for start in range(0, n_sessions, CHUNK_EVENTS):
-        block = np.arange(start, min(start + CHUNK_EVENTS, n_sessions))
-        draws = [
-            (
-                r.integers(0, cfg.n_customers),
-                r.integers(0, cfg.n_queries),
-                r.integers(0, len(world.templates)),
-                draw_availability(world, r),
-                r.random((3, world.n_slots)),
-            )
-            for r in keyed_streams(stream_keys(seed, ("ctr_weights",), block))
-        ]
-        ci, qi, ti, available, u = map(np.array, zip(*draws))
-        items = page_item_indices(world, qi, ti, available)
-        clicked = page_sessions(world, ci, qi, ti, items, u).clicked
-        counts += np.bincount(world.slots.region[ti][clicked], minlength=len(REGION_ORDER))
-    total = float(counts.sum())
-    if total == 0.0:
-        raise EstimationError("no clicks observed; cannot derive click weights")
-    w = counts / total
-    return RegionWeights(float(w[0]), float(w[1]), float(w[2]))
 
 
 def _initial_reward(arm: ArmConfig) -> RewardWeights:
@@ -289,44 +255,45 @@ def serve_pages(
     z: np.ndarray,
     contexts: Sequence[ContextFeatures],
     day: int,
-    horizon: HorizonConfig,
     region_weights: RegionWeights | None,
-) -> tuple[list[ImpressionRecord], PageSessions]:
+) -> tuple[list[ImpressionRecord], PageSessions, np.ndarray]:
     """Serve a block of requests, one template each, and log the impressions.
 
     Row ``i`` fills its page under ``available[i]``, realizes its session from
     the ``(3, n_slots)`` uniforms ``u[i]`` and its long-term revenue from the
     normal ``z[i]``; satisfaction is the region-weighted brand match rate when
-    `region_weights` is set. Returns the impressions and the sessions.
+    `region_weights` is set. Returns the impressions, the sessions and the
+    long-term revenue of each row.
     """
     items = page_item_indices(world, query_idx, template_idx, available)
     sessions = page_sessions(world, customer_idx, query_idx, template_idx, items, u)
     long_term = page_long_term(world, customer_idx, query_idx, sessions, z)
+    satisfaction = (
+        [None] * len(contexts)
+        if region_weights is None
+        else weighted_bmr(sessions.region_bmrs, region_weights).tolist()
+    )
     records = [
         ImpressionRecord(
             ts=day,
             context=context,
             template_id=world.templates[ti].template_id,
             targets=ObjectiveVector(
-                revenue=revenue,
-                non_abandonment=int(clicked),
-                satisfaction=(
-                    None if region_weights is None else weighted_bmr(bmrs, region_weights)
-                ),
+                revenue=revenue, non_abandonment=int(clicked), satisfaction=sat
             ),
             long_term_revenue=revenue_long,
-            long_term_available_on=day + horizon.delta_long_days,
+            long_term_available_on=day + LONG_TERM_DELAY_DAYS,
         )
-        for context, ti, revenue, clicked, bmrs, revenue_long in zip(
+        for context, ti, revenue, clicked, sat, revenue_long in zip(
             contexts,
             template_idx.tolist(),
             sessions.short_term_revenue.tolist(),
             sessions.clicked.any(axis=1).tolist(),
-            sessions.region_bmrs.tolist(),
+            satisfaction,
             long_term.tolist(),
         )
     ]
-    return records, sessions
+    return records, sessions, long_term
 
 
 def estimate_dvwpx_region_weights(
@@ -336,9 +303,7 @@ def estimate_dvwpx_region_weights(
     panel = simulate_panel(
         world, config.weight_panel_events, RANDOMIZED, seed=config.seed + 7_000_003
     )
-    model = estimate_dvwpx(
-        panel, DmlConfig(seed=config.seed, stage2=config.weight_stage2), config.horizon
-    )
+    model = estimate_dvwpx(panel, DmlConfig(seed=config.seed, stage2=config.weight_stage2))
     return derive_region_weights(model, X_COLUMNS)
 
 
@@ -357,17 +322,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if any(arm.satisfaction_mode == SATISFACTION_DVWPX for arm in config.arms):
         dvwpx_weights = estimate_dvwpx_region_weights(world, config)
 
-    ctr_weights = CTR_REGION_WEIGHTS
-    if config.reestimate_ctr_weights and any(
-        arm.satisfaction_mode == SATISFACTION_CTR for arm in config.arms
-    ):
-        ctr_weights = estimate_ctr_region_weights(
-            world, config.ctr_weight_sessions, seed + 3_000_017
-        )
-
     arm_region_weights = {
-        arm.name: _region_weights_for(arm, dvwpx_weights, ctr_weights)
-        for arm in config.arms
+        arm.name: _region_weights_for(arm, dvwpx_weights) for arm in config.arms
     }
     bundles: dict[str, RankerBundle] = {}
     for arm in config.arms:
@@ -382,10 +338,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     template_ids = [t.template_id for t in world.templates]
     warmup_log: dict[str, list[ImpressionRecord]] = {arm.name: [] for arm in config.arms}
-    metric_rows: dict[str, dict[str, list[float]]] = {
+    metric_rows: dict[str, dict[str, list[np.ndarray]]] = {
         arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
     }
-    warmup_metric_rows: dict[str, dict[str, list[float]]] = {
+    warmup_metric_rows: dict[str, dict[str, list[np.ndarray]]] = {
         arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
     }
     per_day: list[dict[str, Any]] = []
@@ -423,18 +379,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if not warmup:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
                 ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
-            log, sessions = serve_pages(
+            log, sessions, long_term = serve_pages(
                 world, ci, qi, ti, available, u.reshape(len(s), 3, world.n_slots), z,
-                contexts, day, config.horizon, arm_region_weights[arm.name],
+                contexts, day, arm_region_weights[arm.name],
             )
             day_metrics = {
-                "revenue": [r.targets.revenue for r in log],
-                "long_term_revenue": [r.long_term_revenue for r in log],
-                "ctr": (sessions.engagement / world.n_slots).tolist(),
-                "pr_wp_bmr": [
-                    weighted_bmr(bmrs, CTR_REGION_WEIGHTS)
-                    for bmrs in sessions.region_bmrs.tolist()
-                ],
+                "revenue": sessions.short_term_revenue,
+                "long_term_revenue": long_term,
+                "ctr": sessions.engagement / world.n_slots,
+                "pr_wp_bmr": weighted_bmr(sessions.region_bmrs, CTR_REGION_WEIGHTS),
             }
             consumed_max = max(r.ts for r in log)
             embargo_min = min(r.long_term_available_on for r in log)
@@ -464,7 +417,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
             target = warmup_metric_rows if warmup else metric_rows
             for m in METRIC_NAMES:
-                target[arm.name][m].extend(day_metrics[m])
+                target[arm.name][m].append(day_metrics[m])
             if warmup:
                 warmup_log[arm.name].extend(log)
             per_day.append(
@@ -492,7 +445,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.days == config.warmup_days:
         metric_rows = warmup_metric_rows
     arm_logs: dict[str, MetricLog] = {
-        name: {m: np.array(v) for m, v in rows.items() if len(v) > 0}
+        name: {m: np.concatenate(v) for m, v in rows.items() if v}
         for name, rows in metric_rows.items()
     }
 
@@ -515,7 +468,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     return ExperimentReport(
-        config_echo=config_to_json(config),
+        config=config_to_json(config),
         arm_means=arm_means,
         lifts=tuple(lifts),
         per_day=tuple(per_day),
@@ -535,11 +488,20 @@ def stream_seed_for(seed: int, label: str) -> int:
 def field_from_json(kind: Any, value: Any, name: str) -> Any:
     """``value`` read as the annotation ``kind``: a nested dataclass by
     `config_from_json`, an enum by its value, a ``tuple[T, ...]`` from a list
-    and a ``Mapping[str, T]`` from an object, each entry read as ``T``. An
-    ``int``, ``str`` or ``bool`` must be exactly that type; a ``float`` takes
-    any number and keeps an int an int. Anything else is a DomainError naming
-    the field by its dotted path."""
+    and a ``Mapping[str, T]`` or ``dict[str, T]`` from an object, each entry
+    read as ``T``; a ``tuple[T1, ..., Tn]`` from a list of exactly n entries,
+    entry i read as ``Ti``. ``X | None`` takes null or an ``X``, and ``Any``
+    takes any value as is. An ``int``, ``str`` or ``bool`` must be exactly that
+    type; a ``float`` takes any number and keeps an int an int. Anything else
+    is a DomainError naming the field by its dotted path."""
     origin, args = get_origin(kind), get_args(kind)
+    if kind is Any:
+        return value
+    if origin in (Union, UnionType) and type(None) in args:
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return field_from_json(inner, value, name)
     if is_dataclass(kind):
         return config_from_json(kind, value, name)
     if isinstance(kind, type) and issubclass(kind, Enum):
@@ -550,8 +512,14 @@ def field_from_json(kind: Any, value: Any, name: str) -> Any:
                 f"{name} must be one of {[m.value for m in kind]}, got {value!r}"
             ) from None
     if origin is tuple and isinstance(value, list):
-        return tuple(field_from_json(args[0], v, f"{name}[{i}]") for i, v in enumerate(value))
-    if origin is Mapping and isinstance(value, dict):
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise DomainError(f"{name} must have {len(args)} entries, got {value!r}")
+        return tuple(
+            field_from_json(a, v, f"{name}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    if origin in (Mapping, dict) and isinstance(value, dict):
         return {k: field_from_json(args[1], v, f"{name}.{k}") for k, v in value.items()}
     if kind is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -609,7 +577,7 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "experiment_report",
-        "config": report.config_echo,
+        "config": report.config,
         "arm_means": report.arm_means,
         "lifts": [asdict(r) for r in report.lifts],
         "per_day": list(report.per_day),
@@ -621,20 +589,14 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     }
 
 
-def report_from_dict(payload: dict[str, Any]) -> ExperimentReport:
-    if payload.get("kind") != "experiment_report":
-        raise DomainError(f"not a report payload: kind={payload.get('kind')!r}")
-    return ExperimentReport(
-        config_echo=payload["config"],
-        arm_means=payload["arm_means"],
-        lifts=tuple(LiftRow(**row) for row in payload["lifts"]),
-        per_day=tuple(payload["per_day"]),
-        audit=tuple(payload["audit"]),
-        region_weights={
-            name: None if rw is None else tuple(rw)
-            for name, rw in payload["region_weights"].items()
-        },
-    )
+def report_from_dict(payload: Any) -> ExperimentReport:
+    """The report a `report_to_dict` payload describes, every field read by
+    its annotation; a malformed payload is a DomainError naming its path."""
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "experiment_report":
+        raise DomainError(f"not a report payload: kind={kind!r}")
+    body = {k: v for k, v in payload.items() if k not in ("schema_version", "kind")}
+    return config_from_json(ExperimentReport, body, "report")
 
 
 def report_json(report: ExperimentReport) -> str:

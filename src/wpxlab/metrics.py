@@ -7,7 +7,6 @@ region, and the three region rates are combined with weights summing to one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +83,19 @@ def region_bmr_columns(
     return np.divide(matched, total, out=np.zeros(matched.shape), where=total > 0.0)
 
 
-def weighted_bmr(bmrs: tuple[float, float, float], weights: RegionWeights) -> float:
-    """Combine precomputed region rates; keeps batch code off the slot types."""
-    for value in bmrs:
-        if not (math.isfinite(value) and -1e-9 <= value <= 1.0 + 1e-9):
-            raise DomainError(f"region rate out of [0, 1]: {value}")
-    value = weights.w_top * bmrs[0] + weights.w_mid * bmrs[1] + weights.w_bot * bmrs[2]
-    return min(1.0, max(0.0, value))
+def weighted_bmr(
+    bmrs: np.ndarray | tuple[float, float, float], weights: RegionWeights
+) -> np.ndarray:
+    """Combine precomputed ``(..., 3)`` region rates into ``(...)`` page
+    scores; keeps batch code off the slot types. The products sum left to
+    right and the result is clamped to [0, 1], as for a single page."""
+    rates = np.asarray(bmrs, dtype=float)
+    bad = ~(np.isfinite(rates) & (rates >= -1e-9) & (rates <= 1.0 + 1e-9))
+    if bad.any():
+        raise DomainError(f"region rate out of [0, 1]: {rates[bad][0].item()}")
+    value = (
+        weights.w_top * rates[..., 0]
+        + weights.w_mid * rates[..., 1]
+        + weights.w_bot * rates[..., 2]
+    )
+    return np.minimum(1.0, np.maximum(0.0, value))

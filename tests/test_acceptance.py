@@ -235,4 +235,4 @@ def test_criterion_9_reports_are_byte_identical_across_reruns(experiment_sweep):
     rerun = run_experiment(default_experiment_config(seed=0))
     assert report_json(rerun) == report_json(reports[0])
     digest = hashlib.sha256(report_json(reports[0]).encode()).hexdigest()
-    assert digest == "d29f185fa95121996809062f827320811f6bac182efc61edfc8c00395cb5d834"
+    assert digest == "0fdcd58f96de6553963830a55df52fb0a5e659fe4ae1dbcad77594ed0d6fd7cd"

@@ -72,6 +72,15 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def saved_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("exp")
+    cfg = out / "exp.json"
+    cfg.write_text(json.dumps(EXP_CONFIG))
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
 class TestSimulateAndEstimate:
     def test_simulate_writes_panel_and_world(self, sim_dir):
         assert (sim_dir / "panel.csv").exists()
@@ -425,8 +434,8 @@ class TestExperimentAndReport:
             ),
             ({**EXP_CONFIG, "bootstrapn": 10}, "bootstrapn"),
             (
-                {**EXP_CONFIG, "horizon": {"delta_long_days": 30.0}},
-                "config.horizon.delta_long_days",
+                {**EXP_CONFIG, "world": {"seed": 6, "n_items": 30.0}},
+                "config.world.n_items",
             ),
             (
                 {
@@ -435,6 +444,8 @@ class TestExperimentAndReport:
                 },
                 "config.arms[0].reward_weights.revenue",
             ),
+            ({**EXP_CONFIG, "reestimate_ctr_weights": True}, "reestimate_ctr_weights"),
+            ({**EXP_CONFIG, "horizon": {"delta_long_days": 84}}, "horizon"),
         ],
     )
     def test_malformed_config_exits_one_naming_the_field(
@@ -462,6 +473,27 @@ class TestExperimentAndReport:
         bad.write_text(json.dumps({"kind": "experiment_report"}))
         assert cli.main(["report", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            (None, [1, 2], "kind=None"),
+            ("region_weights", [], "report.region_weights"),
+            ("region_weights", {"t1": [0.5, 0.5]}, "report.region_weights.t1"),
+            ("arm_means", {"a": 5}, "report.arm_means.a"),
+            ("arm_means", {"a": {"revenue": "x"}}, "report.arm_means.a.revenue"),
+            ("lifts", [{"lift": 0.1}], "report.lifts[0]"),
+        ],
+    )
+    def test_malformed_report_exits_one_naming_the_field(
+        self, saved_report, tmp_path, capsys, key, value, field
+    ):
+        # `key` None replaces the whole payload
+        payload = value if key is None else {**saved_report, key: value}
+        bad = _write(tmp_path, "report.json", payload)
+        capsys.readouterr()
+        assert cli.main(["report", "--config", bad]) == 1
+        _assert_error_names(capsys, field)
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_one(self):
@@ -478,6 +510,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "rank", "experiment", "report"])
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.main([command, "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invariant_violation_exits_three(self, monkeypatch, tmp_path):
         def boom(args):

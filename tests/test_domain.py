@@ -8,7 +8,6 @@ from wpxlab.domain import (
     ContentKind,
     ContextFeatures,
     Device,
-    HorizonConfig,
     Item,
     ObjectiveVector,
     PageLayout,
@@ -158,13 +157,6 @@ class TestValueGuards:
             PageTemplate(template_id="t", slot_plan=())
         with pytest.raises(DomainError):
             PageTemplate(template_id="t", slot_plan=((ContentKind.ORGANIC, 0.0),))
-
-    def test_horizon_ordering_enforced(self):
-        HorizonConfig(delta_short_days=14, delta_long_days=84)
-        with pytest.raises(DomainError):
-            HorizonConfig(delta_short_days=84, delta_long_days=14)
-        with pytest.raises(DomainError):
-            HorizonConfig(delta_short_days=0, delta_long_days=5)
 
     def test_objective_vector_guards(self):
         ObjectiveVector(revenue=0.0, non_abandonment=0)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from wpxlab.bandit.ranker import NON_ABANDONMENT, REVENUE, SATISFACTION
-from wpxlab.domain import ContextFeatures, Device, HorizonConfig, ObjectiveVector
+from wpxlab.domain import ContextFeatures, Device, ObjectiveVector
 from wpxlab.dml.pipeline import DmlConfig
 from wpxlab.errors import DomainError, EstimationError
-from wpxlab.harness import experiment
 from wpxlab.harness.experiment import (
+    LONG_TERM_DELAY_DAYS,
     METRIC_NAMES,
     ArmConfig,
     ExperimentConfig,
@@ -20,7 +20,6 @@ from wpxlab.harness.experiment import (
     config_from_json,
     config_to_json,
     default_experiment_config,
-    estimate_ctr_region_weights,
     estimate_dvwpx_region_weights,
     load_report,
     render_report,
@@ -141,12 +140,11 @@ class TestRunExperiment:
         assert len(report.per_day) == 2
 
     def test_report_of_a_pinned_run(self):
-        # the digest of this run's report, recorded before the experiment loop
-        # was batched by day; any change to a random stream or an output byte
-        # of the three-arm loop moves it
+        # any change to a random stream or an output byte of the three-arm
+        # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "33635530b3cec09e23fb31e76dee0f2251374a6a9c5fc025b5327c8f248b722e"
+        assert digest == "0f4fc4367fa8ab0e6b2c4abcce4b355e72e4d291dcece365fbde08d960a2c2e0"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())
@@ -172,27 +170,6 @@ class TestRunExperiment:
     def test_arm_region_weights_reflect_satisfaction_mode(self, two_arm_report):
         assert two_arm_report.region_weights["control"] is None
         assert two_arm_report.region_weights["t1"] == CTR_REGION_WEIGHTS.as_tuple()
-
-    def test_reestimated_click_weights_replace_the_fixed_ones(self):
-        config = ExperimentConfig(
-            world=WorldConfig(seed=23),
-            arms=(
-                ArmConfig("control", "none", BASE_WEIGHTS),
-                ArmConfig("t1", "ctr", SAT_WEIGHTS),
-            ),
-            days=1,
-            sessions_per_day=30,
-            warmup_days=1,
-            seed=23,
-            bootstrap_n=50,
-            reestimate_ctr_weights=True,
-            ctr_weight_sessions=200,
-        )
-        report = run_experiment(config)
-        weights = report.region_weights["t1"]
-        assert weights is not None
-        assert weights != CTR_REGION_WEIGHTS.as_tuple()
-        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_render_and_per_day_csv(self, two_arm_report, tmp_path):
         text = render_report(two_arm_report)
@@ -238,7 +215,7 @@ class TestServing:
         # a block of pages served at once against one page at a time through
         # the object-level chain; `shared_rng` draws a page's long-term noise
         # from its session generator, as `rank`'s warm-up does
-        world, day, horizon = default_world, 4, HorizonConfig()
+        world, day = default_world, 4
         ci = np.array([7, 0, 33, 7, 120, 5, 61])
         qi = np.array([3, 3, 0, 11, 49, 20, 3])
         ti = np.array([2, 0, 5, 1, 3, 4, 2])
@@ -259,8 +236,8 @@ class TestServing:
             session_rng, long_term_rng = rngs(i)
             u[i] = session_rng.random((3, world.n_slots))
             z[i] = long_term_rng.standard_normal()
-        records, sessions = serve_pages(
-            world, ci, qi, ti, available, u, z, contexts, day, horizon, region_weights
+        records, sessions, long_terms = serve_pages(
+            world, ci, qi, ti, available, u, z, contexts, day, region_weights
         )
         assert len(records) == len(ci)
         for i, record in enumerate(records):
@@ -280,34 +257,16 @@ class TestServing:
                 ),
             )
             assert record.long_term_revenue == long_term.long_term_revenue
+            assert long_terms[i] == long_term.long_term_revenue
             assert (record.ts, record.long_term_available_on) == (
                 day,
-                day + horizon.delta_long_days,
+                day + LONG_TERM_DELAY_DAYS,
             )
             assert sessions.engagement[i] == session.engagement_a
             assert tuple(sessions.region_bmrs[i].tolist()) == expected_bmrs
 
 
 class TestRegionWeightEstimation:
-    def test_click_share_weights_decay_down_the_page(self, default_world):
-        weights = estimate_ctr_region_weights(default_world, 400, seed=2)
-        again = estimate_ctr_region_weights(default_world, 400, seed=2)
-        assert weights == again
-        assert weights.w_top > weights.w_mid > weights.w_bot
-        assert sum(weights.as_tuple()) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(DomainError):
-            estimate_ctr_region_weights(default_world, 0, seed=2)
-
-    def test_click_counts_of_a_pinned_run(self, default_world):
-        # 4,487 clicks in 400 sessions: 2,504 top, 1,304 middle, 679 bottom
-        weights = estimate_ctr_region_weights(default_world, 400, seed=2)
-        assert weights.as_tuple() == (2504 / 4487, 1304 / 4487, 679 / 4487)
-
-    def test_click_weights_do_not_depend_on_the_block_size(self, default_world, monkeypatch):
-        whole = estimate_ctr_region_weights(default_world, 300, seed=5)
-        monkeypatch.setattr(experiment, "CHUNK_EVENTS", 64)
-        assert estimate_ctr_region_weights(default_world, 300, seed=5) == whole
-
     def test_causal_weights_from_randomized_panel(self):
         config = ExperimentConfig(
             world=WorldConfig(seed=29),
@@ -354,12 +313,10 @@ OFF_DEFAULT_WORLD = WorldConfig(
     membership_rate=0.3,
 )
 OFF_DEFAULT_ARM = ArmConfig("t1", "ctr", {REVENUE: 1, SATISFACTION: 0.25})
-OFF_DEFAULT_HORIZON = HorizonConfig(delta_short_days=7, delta_long_days=30)
 # each dataclass a command-line config file is read into, every field off its default
 OFF_DEFAULT_CONFIGS = (
     OFF_DEFAULT_WORLD,
     OFF_DEFAULT_ARM,
-    OFF_DEFAULT_HORIZON,
     ExperimentConfig(
         world=OFF_DEFAULT_WORLD,
         arms=(ArmConfig("c", "none", BASE_WEIGHTS), OFF_DEFAULT_ARM),
@@ -371,9 +328,6 @@ OFF_DEFAULT_CONFIGS = (
         weight_stage2="lasso",
         bootstrap_n=50,
         prior_variance=2,
-        horizon=OFF_DEFAULT_HORIZON,
-        reestimate_ctr_weights=True,
-        ctr_weight_sessions=300,
     ),
     DmlConfig(
         deaverage_iterations=5,

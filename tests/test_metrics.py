@@ -251,11 +251,29 @@ class TestLayoutHelpers:
             via_rates = weighted_bmr(layout_region_bmrs(layout, "b1"), weights)
             assert via_rates == pytest.approx(via_page, abs=1e-12)
 
+    def test_weighted_bmr_of_a_block_equals_the_per_page_formula_bitwise(self):
+        rng = np.random.default_rng(59)
+        rates = rng.random((40, 3))
+        rates[::7] = np.round(rates[::7])
+        rates[3], rates[5] = (-1e-10, 0.0, 0.0), (1.0 + 1e-10, 1.0, 1.0)
+        for w in (CTR_REGION_WEIGHTS, DVWPX_WEIGHTS, _random_weights(rng)):
+            expected = [
+                min(1.0, max(0.0, w.w_top * top + w.w_mid * mid + w.w_bot * bot))
+                for top, mid, bot in rates.tolist()
+            ]
+            assert weighted_bmr(rates, w).tolist() == expected
+            blocks = weighted_bmr(rates.reshape(8, 5, 3), w)
+            assert blocks.shape == (8, 5) and blocks.ravel().tolist() == expected
+
     def test_weighted_bmr_rejects_out_of_range_rates(self):
         with pytest.raises(DomainError):
             weighted_bmr((1.2, 0.0, 0.0), CTR_REGION_WEIGHTS)
         with pytest.raises(DomainError):
             weighted_bmr((float("nan"), 0.0, 0.0), CTR_REGION_WEIGHTS)
+        rates = np.full((6, 3), 0.5)
+        rates[2, 1], rates[4, 0] = float("inf"), -0.25
+        with pytest.raises(DomainError, match="out of \\[0, 1\\]: inf$"):
+            weighted_bmr(rates, CTR_REGION_WEIGHTS)
 
 
 @given(

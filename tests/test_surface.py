@@ -1,4 +1,5 @@
-"""Every public function and class in the package has a caller that ships.
+"""Every public function and class in the package has a caller that ships,
+and every config field is read by the code it configures.
 
 A public top-level ``def`` or ``class`` of ``src/wpxlab`` counts as used when
 one of these refers to it:
@@ -10,12 +11,23 @@ one of these refers to it:
 - the allowlist below, of reference oracles kept in ``src/`` on purpose.
 
 Tests do not count: a name that only tests call is dead weight in the package.
+
+A field of a dataclass that a command-line config file is read into counts as
+read when ``src/wpxlab`` reads an attribute of that name outside the class's
+own body; a field that only its own validation reads changes no result.
 """
 
 import ast
 import importlib
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
+
+from wpxlab.dml.pipeline import DmlConfig
+from wpxlab.domain import ContextFeatures
+from wpxlab.harness.experiment import ArmConfig, ExperimentConfig
+from wpxlab.sim.world import WorldConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wpxlab"
@@ -69,6 +81,51 @@ def unreferenced_public_names() -> list[str]:
     return unused
 
 
+#: The dataclasses a command-line config file is read into.
+CONFIG_CLASSES = (WorldConfig, ExperimentConfig, ArmConfig, DmlConfig, ContextFeatures)
+
+
+def config_classes() -> list[type]:
+    """`CONFIG_CLASSES` and every dataclass their field annotations name,
+    nested in a tuple, mapping or union included."""
+    found, todo = [], list(CONFIG_CLASSES)
+    while todo:
+        cls = todo.pop(0)
+        if cls in found:
+            continue
+        found.append(cls)
+        kinds = list(get_type_hints(cls).values())
+        while kinds:
+            kind = kinds.pop()
+            kinds += get_args(kind)
+            if is_dataclass(kind):
+                todo.append(kind)
+    return found
+
+
+def unread_config_fields() -> list[str]:
+    modules = _modules()
+    unread = []
+    for cls in config_classes():
+        path = PACKAGE.joinpath(*cls.__module__.split(".")[1:]).with_suffix(".py")
+        body = next(
+            node
+            for node in modules[path].body
+            if isinstance(node, ast.ClassDef) and node.name == cls.__name__
+        )
+        own = {id(node) for node in ast.walk(body)}
+        reads = {
+            node.attr
+            for tree in modules.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in own
+        }
+        unread += [f"{cls.__name__}.{f.name}" for f in fields(cls) if f.name not in reads]
+    return unread
+
+
 def layer_functions() -> tuple[str, ...]:
     """``LAYER_FUNCTIONS`` of the benchmark's tracer, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
@@ -82,6 +139,10 @@ def layer_functions() -> tuple[str, ...]:
 
 def test_every_public_name_has_a_caller_outside_tests():
     assert unreferenced_public_names() == []
+
+
+def test_every_config_field_is_read_outside_its_class():
+    assert unread_config_fields() == []
 
 
 def test_reference_oracles_still_exist():

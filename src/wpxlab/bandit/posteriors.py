@@ -21,7 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from ..errors import DomainError, InvariantViolation
 
@@ -238,6 +237,10 @@ def probit_update_rows(
     X = _check_rows(model, X, len(labels))
     if not len(labels):
         return model
+    # scipy.special is imported here, not at module load, to keep it out of
+    # CLI commands that never score a probit model
+    from scipy.special import log_ndtr
+
     mean, v = model.posterior.mean, model.posterior.cov
     for x, x2, label in zip(X, X**2, labels):
         t = 2 * label - 1
@@ -268,6 +271,8 @@ def predict_mean(model: ObjectiveModel, x: np.ndarray) -> float:
     score = float(model.posterior.mean @ x)
     if model.kind is ModelKind.LINEAR:
         return score
+    from scipy.special import ndtr
+
     s2 = PROBIT_SLAB**2 + float(model.posterior.cov @ x**2)
     return float(ndtr(score / math.sqrt(s2)))
 
@@ -284,4 +289,8 @@ def predict_with(model: ObjectiveModel, w: np.ndarray, x: np.ndarray) -> np.ndar
     """Predict checked feature rows `x` with weight rows `w`, both ``(..., p)``:
     w.x, or Phi(w.x) for probit, per row."""
     score = np.matmul(w[..., None, :], x[..., :, None])[..., 0, 0]
-    return score if model.kind is ModelKind.LINEAR else ndtr(score)
+    if model.kind is ModelKind.LINEAR:
+        return score
+    from scipy.special import ndtr
+
+    return ndtr(score)

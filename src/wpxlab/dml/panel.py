@@ -4,11 +4,21 @@ One row per search event: string keys (event, customer, query group, zip),
 a long-horizon revenue target, and float64 metric blocks discovered by
 column prefix: ``x_`` quality surrogates, ``m_`` short-term metrics, ``h_``
 customer history controls.
+
+The CSV is UTF-8, a header row and then one row per event, each ended by
+``\r\n``. Key cells are quoted as Python's ``csv`` module quotes them (only a
+cell holding a comma, a quote or a line break, its quotes doubled), and floats
+are written in shortest round-trip form, so a read-back keeps every bit.
+The writer formats ``CHUNK_ROWS`` rows per write; the reader parses the body
+in one ``np.loadtxt`` pass, keys as ``<U`` strings. A blank line, a row whose
+cell count differs from the header's, a numeric cell that is not a number or
+a byte that is not UTF-8 is a ``DomainError`` naming the file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +29,8 @@ from ..rng import stream
 
 KEY_COLUMNS = ("event_id", "customer_id", "query_group", "zip")
 TARGET_COLUMN = "drev"
+CHUNK_ROWS = 4096  # rows formatted per write
+_CSV_SPECIALS = (",", '"', "\r", "\n")  # cells the csv module quotes
 
 
 @dataclass
@@ -85,37 +97,92 @@ class PanelDataset:
         )
 
 
+def _key_cells(keys: np.ndarray) -> list[str]:
+    """Key cells as the ``csv`` module writes them: a cell holding a comma,
+    a quote or a line break is quoted, with its quotes doubled."""
+    keys = np.asarray(keys)
+    cells = keys.tolist()
+    if keys.dtype.kind != "U":
+        # as csv.writer writes any other cell: None empty, the rest str()
+        cells = ["" if c is None else str(c) for c in cells]
+    if any(c in "".join(cells) for c in _CSV_SPECIALS):
+        cells = [
+            '"' + cell.replace('"', '""') + '"' if any(c in cell for c in _CSV_SPECIALS) else cell
+            for cell in cells
+        ]
+    return cells
+
+
 def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
-    """Write the panel; floats use shortest round-trip decimal form, so a
-    read-back reproduces every bit pattern."""
+    """Write the panel as UTF-8 with ``\\r\\n`` line ends; floats use shortest
+    round-trip decimal form, so a read-back reproduces every bit pattern."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.header())
-        keys = (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
-        values = np.column_stack([dataset.drev, dataset.x, dataset.m, dataset.h])
-        for *key, row in zip(*keys, values.astype(float, copy=False)):
-            writer.writerow([*key, *map(repr, row.tolist())])
+    keys = [
+        _key_cells(k)
+        for k in (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
+    ]
+    prefixes = list(map(",".join, zip(*keys)))
+    values = np.column_stack([dataset.drev, dataset.x, dataset.m, dataset.h]).astype(float)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(dataset.header())
+        for a in range(0, len(prefixes), CHUNK_ROWS):
+            rows = values[a : a + CHUNK_ROWS].tolist()
+            fh.write(
+                "".join(
+                    [
+                        f"{key},{','.join(map(repr, row))}\r\n"
+                        for key, row in zip(prefixes[a : a + CHUNK_ROWS], rows)
+                    ]
+                )
+            )
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def _line_ends(text: str) -> int:
+    """Lines in `text`, counting a last one without a line end."""
+    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
+    unended = text != "" and not text.endswith(("\n", "\r"))
+    return ends + unended
+
+
+def _raise_first_problem(
+    path: Path, header: list[str], body: str, float_names: list[str]
+) -> None:
+    """Raise a DomainError naming the first blank, short or long row, or
+    non-number cell, of `body` as ``csv`` reads it; return if there is none."""
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    # the header is line 1, so row i is on line i + 2
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DomainError(
+                f"{path}: line {i + 2} has {len(row)} cells, the header {len(header)}"
+            )
+    col = {name: j for j, name in enumerate(header)}
+    for name in float_names:
+        j = col[name]
+        for i, row in enumerate(rows):
+            try:
+                float(row[j])
+            except ValueError:
+                raise DomainError(
+                    f"{path}: line {i + 2} column {name} is not a number: {row[j]!r}"
+                ) from None
 
 
 def read_panel_csv(path: str | Path) -> PanelDataset:
     """Load a panel CSV, discovering metric blocks by column prefix."""
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        rows = list(reader)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end in \n, \r\n or \r; the sentinel counts the line holding the byte
+        line = len((data[: exc.start] + b"x").splitlines())
+        raise DomainError(f"{path}: line {line} is not valid UTF-8") from None
+    buf = io.StringIO(text, newline="")
+    try:
+        header = next(csv.reader(buf))
+    except StopIteration:
+        raise DomainError(f"{path}: empty file") from None
     missing = [c for c in (*KEY_COLUMNS, TARGET_COLUMN) if c not in header]
     if missing:
         raise DomainError(f"{path}: missing required columns {missing}")
@@ -123,29 +190,38 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
     x_names = tuple(c for c in header if c.startswith("x_"))
     m_names = tuple(c for c in header if c.startswith("m_"))
     h_names = tuple(c for c in header if c.startswith("h_"))
-    n = len(rows)
-    # the header is line 1, so row i is on line i + 2
-    short = next((i for i, r in enumerate(rows) if len(r) != len(header)), None)
-    if short is not None:
-        raise DomainError(
-            f"{path}: line {short + 2} has {len(rows[short])} cells, the header {len(header)}"
-        )
+    float_names = [TARGET_COLUMN, *x_names, *m_names, *h_names]
+    float_cols = {col[name] for name in float_names}
+    # positional field names: a header may repeat a name or leave one empty
+    dtype = [(f"c{j}", "f8" if j in float_cols else "O") for j in range(len(header))]
+    body = text[buf.tell() :]
+    records = np.empty(0, dtype=dtype)
+    error = None
+    if body.strip():
+        try:
+            records = np.loadtxt(
+                io.StringIO(body, newline=""),
+                dtype=dtype,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=1,
+            )
+        except ValueError as exc:
+            error = exc
+    # loadtxt skips blank lines, and a quoted key may span lines
+    if error is not None or len(records) != _line_ends(body):
+        _raise_first_problem(path, header, body, float_names)
+        if error is not None:
+            raise DomainError(f"{path}: {error}")
 
     def strings(name: str) -> np.ndarray:
-        j = col[name]
-        return np.array([r[j] for r in rows], dtype=object)
+        return records[f"c{col[name]}"].astype(str)
 
     def floats(names: tuple[str, ...]) -> np.ndarray:
-        out = np.empty((n, len(names)))
+        out = np.empty((len(records), len(names)))
         for k, name in enumerate(names):
-            j = col[name]
-            try:
-                out[:, k] = [float(r[j]) for r in rows]
-            except ValueError:
-                i = next(i for i, r in enumerate(rows) if not _is_number(r[j]))
-                raise DomainError(
-                    f"{path}: line {i + 2} column {name} is not a number: {rows[i][j]!r}"
-                ) from None
+            out[:, k] = records[f"c{col[name]}"]
         return out
 
     return PanelDataset(

@@ -595,6 +595,11 @@ def report_from_dict(payload: Any) -> ExperimentReport:
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind != "experiment_report":
         raise DomainError(f"not a report payload: kind={kind!r}")
+    version = payload.get("schema_version")
+    if type(version) is not int or version != REPORT_SCHEMA_VERSION:
+        raise DomainError(
+            f"report.schema_version must be {REPORT_SCHEMA_VERSION}, got {version!r}"
+        )
     body = {k: v for k, v in payload.items() if k not in ("schema_version", "kind")}
     return config_from_json(ExperimentReport, body, "report")
 

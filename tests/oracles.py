@@ -3,10 +3,12 @@ itself does not ship, kept for the tests to compare against."""
 
 from __future__ import annotations
 
+import csv
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -15,6 +17,7 @@ from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features
 from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, ObjectiveModel
 from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
 from wpxlab.dml.deaverage import EARLY_STOP_TOL
+from wpxlab.dml.panel import KEY_COLUMNS, TARGET_COLUMN, PanelDataset
 from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
 
@@ -290,3 +293,70 @@ def deaverage_row_major(
         if max([0.0, *key_maxima()]) < EARLY_STOP_TOL:
             break
     return out, tuple(key_maxima()), iterations_run
+
+
+def write_panel_csv_per_row(dataset: PanelDataset, path: str | Path) -> None:
+    """The panel CSV written one ``csv.writer.writerow`` per row, floats as
+    ``repr``: the byte reference for `write_panel_csv`."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataset.header())
+        keys = (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
+        values = np.column_stack([dataset.drev, dataset.x, dataset.m, dataset.h])
+        for *key, row in zip(*keys, values.astype(float, copy=False)):
+            writer.writerow([*key, *map(repr, row.tolist())])
+
+
+def read_panel_csv_per_cell(path: str | Path) -> PanelDataset:
+    """The panel CSV read through ``csv.reader`` and one ``float()`` per
+    cell, keys as object arrays: the array reference for `read_panel_csv`."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DomainError(f"{path}: empty file") from None
+        rows = list(reader)
+    missing = [c for c in (*KEY_COLUMNS, TARGET_COLUMN) if c not in header]
+    if missing:
+        raise DomainError(f"{path}: missing required columns {missing}")
+    col = {name: i for i, name in enumerate(header)}
+    x_names = tuple(c for c in header if c.startswith("x_"))
+    m_names = tuple(c for c in header if c.startswith("m_"))
+    h_names = tuple(c for c in header if c.startswith("h_"))
+    for i, r in enumerate(rows):
+        if len(r) != len(header):
+            raise DomainError(
+                f"{path}: line {i + 2} has {len(r)} cells, the header {len(header)}"
+            )
+
+    def strings(name: str) -> np.ndarray:
+        return np.array([r[col[name]] for r in rows], dtype=object)
+
+    def floats(names: tuple[str, ...]) -> np.ndarray:
+        out = np.empty((len(rows), len(names)))
+        for k, name in enumerate(names):
+            j = col[name]
+            for i, r in enumerate(rows):
+                try:
+                    out[i, k] = float(r[j])
+                except ValueError:
+                    raise DomainError(
+                        f"{path}: line {i + 2} column {name} is not a number: {r[j]!r}"
+                    ) from None
+        return out
+
+    return PanelDataset(
+        event_id=strings("event_id"),
+        customer_id=strings("customer_id"),
+        query_group=strings("query_group"),
+        zip_code=strings("zip"),
+        drev=floats((TARGET_COLUMN,))[:, 0],
+        x=floats(x_names),
+        m=floats(m_names),
+        h=floats(h_names),
+        x_names=x_names,
+        m_names=m_names,
+        h_names=h_names,
+    )

@@ -192,8 +192,10 @@ class TestSimulateAndEstimate:
         [
             (701, lambda cells: cells[:-2], "line 701 has 12 cells"),
             (6, lambda cells: [*cells[:4], "abc", *cells[5:]], "line 6 column drev"),
+            # a lone surrogate escape writes the raw byte 0xff
+            (9, lambda cells: ["\udcff" + cells[0], *cells[1:]], "line 9 is not valid UTF-8"),
         ],
-        ids=["short_row", "non_numeric_cell"],
+        ids=["short_row", "non_numeric_cell", "non_utf8_byte"],
     )
     def test_malformed_panel_exits_one_naming_file_and_line(
         self, sim_dir, tmp_path, capsys, line, cells, where
@@ -201,7 +203,7 @@ class TestSimulateAndEstimate:
         lines = (sim_dir / "panel.csv").read_text().splitlines()
         lines[line - 1] = ",".join(cells(lines[line - 1].split(",")))
         panel = tmp_path / "bad.csv"
-        panel.write_text("\n".join(lines) + "\n")
+        panel.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         cfg = _write(tmp_path, "est.json", {"panel": str(panel)})
         assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path)]) == 1
         _assert_error_names(capsys, f"bad.csv: {where}")
@@ -482,6 +484,8 @@ class TestExperimentAndReport:
             ("arm_means", {"a": 5}, "report.arm_means.a"),
             ("arm_means", {"a": {"revenue": "x"}}, "report.arm_means.a.revenue"),
             ("lifts", [{"lift": 0.1}], "report.lifts[0]"),
+            ("schema_version", 99, "report.schema_version"),
+            ("schema_version", None, "report.schema_version"),
         ],
     )
     def test_malformed_report_exits_one_naming_the_field(
@@ -530,13 +534,14 @@ class TestExitCodes:
             [
                 sys.executable,
                 "-c",
-                "import sys, wpxlab.harness.cli; print('scipy.stats' in sys.modules)",
+                "import sys, wpxlab.harness.cli; "
+                "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)",
             ],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_closed_stdout_exits_one_without_a_traceback(self, tmp_path):
         # the reader closes the pipe before `rank` prints, as `| head -1` can

@@ -23,7 +23,9 @@ from wpxlab.harness.experiment import (
     estimate_dvwpx_region_weights,
     load_report,
     render_report,
+    report_from_dict,
     report_json,
+    report_to_dict,
     request_context,
     run_experiment,
     save_report,
@@ -186,6 +188,16 @@ class TestRunExperiment:
         save_report(two_arm_report, path)
         loaded = load_report(path)
         assert report_json(loaded) == report_json(two_arm_report)
+
+    @pytest.mark.parametrize("version", ["missing", True, 1.0])
+    def test_loading_another_schema_version_rejected(self, two_arm_report, version):
+        payload = report_to_dict(two_arm_report)
+        if version == "missing":
+            del payload["schema_version"]
+        else:
+            payload["schema_version"] = version
+        with pytest.raises(DomainError, match="report.schema_version must be 1"):
+            report_from_dict(payload)
 
     def test_loading_non_report_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

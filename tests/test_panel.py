@@ -1,8 +1,12 @@
 """Event logging, panel emission, and CSV round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from oracles import read_panel_csv_per_cell, write_panel_csv_per_row
+from wpxlab.dml import panel as dml_panel
 from wpxlab.dml.panel import (
     KEY_COLUMNS,
     PanelDataset,
@@ -31,6 +35,9 @@ from wpxlab.sim.session import (
     simulate_session,
 )
 from wpxlab.sim.world import HISTORY_COLUMNS, WorldConfig, generate_world
+
+ODD_KEYS = ("a,b", 'say "hi"', '"lead', "two\r\nlines", "one\nline", " padded ", "naïve ✓")
+ODD_FLOATS = (5e-324, -0.0, 0.1, 1e-05, 1e16, 1.7976931348623157e308, -2.5)
 
 
 def _page_layout(world, template_index, items):
@@ -266,3 +273,117 @@ class TestPanelDataset:
         headless.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DomainError):
             read_panel_csv(headless)
+
+
+def _odd_panel(key_dtype) -> PanelDataset:
+    n = len(ODD_KEYS)
+    keys = np.array(ODD_KEYS, dtype=key_dtype)
+    drev = np.array(ODD_FLOATS)
+    return PanelDataset(
+        event_id=keys,
+        customer_id=keys[::-1].copy(),
+        query_group=np.array([f"q{i}" for i in range(n)], dtype=key_dtype),
+        zip_code=np.array(["", *ODD_KEYS[1:]], dtype=key_dtype),
+        drev=drev,
+        x=np.column_stack([drev[::-1], -drev]),
+        m=drev[:, None] / 3.0,
+        h=np.empty((n, 0)),
+        x_names=("x_a", "x_b"),
+        m_names=("m_a",),
+        h_names=(),
+    )
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_same_arrays(got: PanelDataset, ref: PanelDataset) -> None:
+    for name in ("event_id", "customer_id", "query_group", "zip_code"):
+        keys = getattr(got, name)
+        assert keys.dtype.kind == "U"
+        assert keys.tolist() == getattr(ref, name).tolist()
+    for name in ("drev", "x", "m", "h"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(_bits(a), _bits(b))
+    for name in ("x_names", "m_names", "h_names"):
+        assert getattr(got, name) == getattr(ref, name)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPanelCsvMatchesPerRowReference:
+    """The chunked writer against one ``writerow`` per row, byte for byte;
+    the numpy reader against ``csv.reader`` and ``float()``, bit for bit."""
+
+    @pytest.fixture(params=["simulated", "odd_str_keys", "odd_object_keys", "header_only"])
+    def panel(self, request, default_world):
+        if request.param == "simulated":
+            return simulate_panel(default_world, 300, CONFOUNDED, seed=12)
+        odd = _odd_panel(object if request.param == "odd_object_keys" else str)
+        return odd.subset(np.array([], dtype=np.intp)) if request.param == "header_only" else odd
+
+    @pytest.mark.parametrize("chunk_rows", [3, dml_panel.CHUNK_ROWS])
+    def test_writer_bytes_equal_the_reference(self, panel, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(dml_panel, "CHUNK_ROWS", chunk_rows)
+        write_panel_csv(panel, tmp_path / "new.csv")
+        write_panel_csv_per_row(panel, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_writer_writes_a_none_key_as_the_reference(self, tmp_path):
+        panel = _odd_panel(object)
+        panel.zip_code[0] = None
+        write_panel_csv(panel, tmp_path / "new.csv")
+        write_panel_csv_per_row(panel, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    def test_reader_arrays_equal_the_reference(self, panel, tmp_path, line_end):
+        path = tmp_path / "panel.csv"
+        write_panel_csv_per_row(panel, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", line_end.encode()))
+        got = read_panel_csv(path)
+        _assert_same_arrays(got, read_panel_csv_per_cell(path))
+        if line_end == "\r\n":
+            _assert_same_arrays(got, panel)
+        assert got.n_rows == panel.n_rows
+
+    # unended: the last row has no line end, so a blank line must not be the last
+    @pytest.mark.parametrize(
+        "line, ended", [(2, True), (4, True), (8, True), (9, True), (2, False), (8, False)]
+    )
+    @pytest.mark.parametrize("odd", [False, True], ids=["simulated", "odd_keys"])
+    def test_blank_line_is_an_error_naming_it(self, default_world, tmp_path, odd, line, ended):
+        path = tmp_path / "panel.csv"
+        panel = _odd_panel(str) if odd else simulate_panel(default_world, 7, RANDOMIZED, seed=2)
+        write_panel_csv(panel, path)
+        # odd keys hold quoted line breaks, so physical lines outnumber csv lines
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows.insert(line - 1, [])
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        if not ended:
+            path.write_bytes(path.read_bytes().removesuffix(b"\r\n"))
+        with pytest.raises(DomainError, match=f"line {line} has 0 cells"):
+            read_panel_csv(path)
+        with pytest.raises(DomainError, match=f"line {line} has 0 cells"):
+            read_panel_csv_per_cell(path)
+
+    def test_cell_loadtxt_rejects_but_float_accepts_names_the_file(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(_odd_panel(str), path)
+        path.write_text(path.read_text(encoding="utf-8").replace("-2.5", "1_0"), encoding="utf-8")
+        with pytest.raises(DomainError, match="panel.csv: "):
+            read_panel_csv(path)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(_odd_panel(str), path)
+        data = path.read_bytes()
+        at = data.index(b"q5")
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        # a physical line: quoted line breaks count
+        line = data[:at].count(b"\n") + 1
+        with pytest.raises(DomainError, match=f"panel.csv: line {line} is not valid UTF-8"):
+            read_panel_csv(path)

@@ -213,7 +213,8 @@ class TestEstimateDvwpx:
     @pytest.mark.parametrize("field", ["query_group", "zip_code"])
     @pytest.mark.parametrize("dtype", [object, str])
     def test_empty_key_fails_in_validate_stage(self, field, dtype):
-        # object keys are what read_panel_csv builds, `<U` keys what the simulator builds
+        # `<U` keys are what the simulator and read_panel_csv build; object keys
+        # are any other caller's string arrays
         panel = synthetic_panel(600, seed=53)
         keys = np.array(getattr(panel, field), dtype=dtype)
         keys[17] = ""

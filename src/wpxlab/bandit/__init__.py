@@ -1,69 +1,5 @@
 """Thompson-sampling multi-objective template ranker."""
 
-from .features import CONTEXT_FEATURE_NAMES, build_features, feature_schema
-from .posteriors import (
-    GaussianPosterior,
-    ModelKind,
-    ObjectiveModel,
-    blr_update,
-    gaussian_prior,
-    linear_model,
-    predict_mean,
-    probit_model,
-    probit_update,
-    sample_weights,
-    thompson_sample_predict,
-)
-from .ranker import (
-    NON_ABANDONMENT,
-    OBJECTIVE_ORDER,
-    REVENUE,
-    SATISFACTION,
-    CandidateScore,
-    ImpressionRecord,
-    ObjectiveStats,
-    RankerBundle,
-    RewardWeights,
-    apply_impression,
-    frozen_reward,
-    incremental_retrain,
-    new_bundle,
-    sample_rows,
-    scalarize,
-    select_template,
-    with_noise_variances,
-)
+from .ranker import incremental_retrain, new_bundle, select_template
 
-__all__ = [
-    "CONTEXT_FEATURE_NAMES",
-    "build_features",
-    "feature_schema",
-    "GaussianPosterior",
-    "ModelKind",
-    "ObjectiveModel",
-    "blr_update",
-    "gaussian_prior",
-    "linear_model",
-    "predict_mean",
-    "probit_model",
-    "probit_update",
-    "sample_weights",
-    "thompson_sample_predict",
-    "NON_ABANDONMENT",
-    "OBJECTIVE_ORDER",
-    "REVENUE",
-    "SATISFACTION",
-    "CandidateScore",
-    "ImpressionRecord",
-    "ObjectiveStats",
-    "RankerBundle",
-    "RewardWeights",
-    "apply_impression",
-    "frozen_reward",
-    "incremental_retrain",
-    "new_bundle",
-    "sample_rows",
-    "scalarize",
-    "select_template",
-    "with_noise_variances",
-]
+__all__ = ["new_bundle", "select_template", "incremental_retrain"]

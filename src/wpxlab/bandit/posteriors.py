@@ -265,18 +265,6 @@ def sample_weights(post: GaussianPosterior, rng: np.random.Generator) -> np.ndar
     return post.weights(rng.standard_normal(post.dim))
 
 
-def predict_mean(model: ObjectiveModel, x: np.ndarray) -> float:
-    """Posterior-mean prediction: the Bayes point estimate for this model."""
-    x = _check_rows(model, np.asarray(x, dtype=float)[None], 1)[0]
-    score = float(model.posterior.mean @ x)
-    if model.kind is ModelKind.LINEAR:
-        return score
-    from scipy.special import ndtr
-
-    s2 = PROBIT_SLAB**2 + float(model.posterior.cov @ x**2)
-    return float(ndtr(score / math.sqrt(s2)))
-
-
 def thompson_sample_predict(
     model: ObjectiveModel, x: np.ndarray, rng: np.random.Generator
 ) -> float:

@@ -145,26 +145,31 @@ def _line_ends(text: str) -> int:
 
 
 def _raise_first_problem(
-    path: Path, header: list[str], body: str, float_names: list[str]
+    path: Path, header: list[str], header_lines: int, body: str, float_names: list[str]
 ) -> None:
     """Raise a DomainError naming the first blank, short or long row, or
-    non-number cell, of `body` as ``csv`` reads it; return if there is none."""
-    rows = list(csv.reader(io.StringIO(body, newline="")))
-    # the header is line 1, so row i is on line i + 2
-    for i, row in enumerate(rows):
+    non-number cell, of `body` as ``csv`` reads it, by the physical line the
+    row starts on; return if there is none. The header spans `header_lines`."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    rows, line = [], header_lines + 1
+    for row in reader:
+        rows.append((line, row))
+        # line_num counts the physical lines read so far
+        line = header_lines + reader.line_num + 1
+    for line, row in rows:
         if len(row) != len(header):
             raise DomainError(
-                f"{path}: line {i + 2} has {len(row)} cells, the header {len(header)}"
+                f"{path}: line {line} has {len(row)} cells, the header {len(header)}"
             )
     col = {name: j for j, name in enumerate(header)}
     for name in float_names:
         j = col[name]
-        for i, row in enumerate(rows):
+        for line, row in rows:
             try:
                 float(row[j])
             except ValueError:
                 raise DomainError(
-                    f"{path}: line {i + 2} column {name} is not a number: {row[j]!r}"
+                    f"{path}: line {line} column {name} is not a number: {row[j]!r}"
                 ) from None
 
 
@@ -179,8 +184,9 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
         line = len((data[: exc.start] + b"x").splitlines())
         raise DomainError(f"{path}: line {line} is not valid UTF-8") from None
     buf = io.StringIO(text, newline="")
+    header_reader = csv.reader(buf)
     try:
-        header = next(csv.reader(buf))
+        header = next(header_reader)
     except StopIteration:
         raise DomainError(f"{path}: empty file") from None
     missing = [c for c in (*KEY_COLUMNS, TARGET_COLUMN) if c not in header]
@@ -211,7 +217,7 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
             error = exc
     # loadtxt skips blank lines, and a quoted key may span lines
     if error is not None or len(records) != _line_ends(body):
-        _raise_first_problem(path, header, body, float_names)
+        _raise_first_problem(path, header, header_reader.line_num, body, float_names)
         if error is not None:
             raise DomainError(f"{path}: {error}")
 

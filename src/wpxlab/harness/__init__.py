@@ -1,56 +1,6 @@
 """Experiment harness: the multi-arm comparison loop and the command-line
 front end."""
 
-from .experiment import (
-    ArmConfig,
-    ExperimentConfig,
-    ExperimentReport,
-    LiftRow,
-    METRIC_NAMES,
-    SATISFACTION_CTR,
-    SATISFACTION_DVWPX,
-    SATISFACTION_MODES,
-    SATISFACTION_NONE,
-    ab_compare,
-    config_from_json,
-    config_to_json,
-    default_experiment_config,
-    estimate_dvwpx_region_weights,
-    load_report,
-    render_report,
-    report_from_dict,
-    report_json,
-    report_to_dict,
-    request_context,
-    run_experiment,
-    save_report,
-    serve_pages,
-    write_per_day_csv,
-)
+from .experiment import default_experiment_config, run_experiment
 
-__all__ = [
-    "ArmConfig",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "LiftRow",
-    "METRIC_NAMES",
-    "SATISFACTION_CTR",
-    "SATISFACTION_DVWPX",
-    "SATISFACTION_MODES",
-    "SATISFACTION_NONE",
-    "ab_compare",
-    "config_from_json",
-    "config_to_json",
-    "default_experiment_config",
-    "estimate_dvwpx_region_weights",
-    "load_report",
-    "render_report",
-    "report_from_dict",
-    "report_json",
-    "report_to_dict",
-    "request_context",
-    "run_experiment",
-    "save_report",
-    "serve_pages",
-    "write_per_day_csv",
-]
+__all__ = ["default_experiment_config", "run_experiment"]

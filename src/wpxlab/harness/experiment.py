@@ -577,15 +577,7 @@ def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "experiment_report",
-        "config": report.config,
-        "arm_means": report.arm_means,
-        "lifts": [asdict(r) for r in report.lifts],
-        "per_day": list(report.per_day),
-        "audit": list(report.audit),
-        "region_weights": {
-            name: None if rw is None else list(rw)
-            for name, rw in report.region_weights.items()
-        },
+        **config_to_json(report),
     }
 
 

@@ -1,59 +1,6 @@
 """Synthetic marketplace simulator with planted causal ground truth."""
 
-from .panel import (
-    CONFOUNDED,
-    M_COLUMNS,
-    RANDOMIZED,
-    X_COLUMNS,
-    EventBatch,
-    assign_templates,
-    emit_panel,
-    generate_events,
-    simulate_panel,
-)
-from .session import (
-    LongTermOutcome,
-    SessionOutcome,
-    build_layout,
-    draw_availability,
-    realize_long_term,
-    simulate_session,
-)
-from .world import (
-    HISTORY_COLUMNS,
-    SIGNAL_NAMES,
-    TEMPLATE_TABLE,
-    CustomerTable,
-    QueryGroup,
-    World,
-    WorldConfig,
-    generate_world,
-    layout_item_indices,
-)
+from .panel import simulate_panel
+from .world import WorldConfig, generate_world
 
-__all__ = [
-    "CONFOUNDED",
-    "M_COLUMNS",
-    "RANDOMIZED",
-    "X_COLUMNS",
-    "EventBatch",
-    "assign_templates",
-    "emit_panel",
-    "generate_events",
-    "simulate_panel",
-    "LongTermOutcome",
-    "SessionOutcome",
-    "build_layout",
-    "draw_availability",
-    "realize_long_term",
-    "simulate_session",
-    "HISTORY_COLUMNS",
-    "SIGNAL_NAMES",
-    "TEMPLATE_TABLE",
-    "CustomerTable",
-    "QueryGroup",
-    "World",
-    "WorldConfig",
-    "generate_world",
-    "layout_item_indices",
-]
+__all__ = ["WorldConfig", "generate_world", "simulate_panel"]

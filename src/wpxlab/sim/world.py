@@ -151,7 +151,6 @@ class QueryGroup:
     brand_index: int
     specificity: float
     category_id: str
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ class World:
     template_fe_loading: np.ndarray
     slots: SlotTable = field(repr=False)
     organic_order: np.ndarray = field(repr=False)  # (n_queries, n_items)
-    appeal_order: np.ndarray = field(repr=False)  # (n_items,)
     # per template, (n_queries, pool size) widget fill order padded with n_items
     widget_order: tuple[np.ndarray, ...] = field(repr=False)
     content_signals: np.ndarray = field(repr=False)  # (n_queries, n_templates, 6)
@@ -242,11 +240,11 @@ def _widget_orders(
     query_brand: np.ndarray,
     item_brand: np.ndarray,
     item_appeal: np.ndarray,
-    appeal_order: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Each template's widget pool per query, by descending appeal, padded with
     ``n_items`` to the largest pool: ``query_brand`` keeps the query's brand,
     ``high_appeal`` items at or above the threshold, ``any`` every item."""
+    appeal_order = np.lexsort((np.arange(config.n_items), -item_appeal))
     orders = []
     for template in templates:
         item_filter = template.eligible_item_filter
@@ -335,7 +333,6 @@ def generate_world(config: WorldConfig) -> World:
             brand_index=int(q_brand[i]),
             specificity=float(q_spec[i]),
             category_id=categories[q_cat[i]],
-            alpha=float(query_alpha[i]),
         )
         for i in range(config.n_queries)
     )
@@ -349,7 +346,6 @@ def generate_world(config: WorldConfig) -> World:
     for qi, query in enumerate(queries):
         score = appeal + config.organic_brand_bonus * (brand_idx == query.brand_index)
         organic_order[qi] = np.lexsort((idx, -score))
-    appeal_order = np.lexsort((idx, -appeal))
 
     world = World(
         config=config,
@@ -370,19 +366,10 @@ def generate_world(config: WorldConfig) -> World:
         template_fe_loading=fe_loading,
         slots=_slot_table(config, templates),
         organic_order=organic_order,
-        appeal_order=appeal_order,
-        widget_order=_widget_orders(
-            config, templates, q_brand, brand_idx, appeal, appeal_order
-        ),
+        widget_order=_widget_orders(config, templates, q_brand, brand_idx, appeal),
         content_signals=np.zeros((config.n_queries, config.n_templates, len(SIGNAL_NAMES))),
     )
     return replace(world, content_signals=_content_signal_table(world))
-
-
-def _widget_source(world: World, template_index: int, query_index: int) -> np.ndarray:
-    """Widget fill order: predicate pool by descending appeal."""
-    order = world.widget_order[template_index][query_index]
-    return order[order < world.config.n_items]
 
 
 def layout_item_indices(
@@ -391,40 +378,11 @@ def layout_item_indices(
     template_index: int,
     available: np.ndarray,
 ) -> np.ndarray:
-    """Pick the catalog item for every slot of a template, in position order.
-
-    Widget slots draw from the template's predicate pool by appeal; organic
-    slots draw from the query's relevance order; no item repeats on a page.
-    An exhausted widget pool falls through to the organic order so the page
-    always fills.
-    """
-    template = world.templates[template_index]
-    organic_src = world.organic_order[query_index]
-    widget_src = _widget_source(world, template_index, query_index)
-    used = np.zeros(world.config.n_items, dtype=bool)
-    chosen = np.empty(len(template.slot_plan), dtype=np.intp)
-    o_ptr = 0
-    w_ptr = 0
-
-    def take(source: np.ndarray, ptr: int) -> tuple[int, int]:
-        while ptr < len(source):
-            cand = source[ptr]
-            ptr += 1
-            if available[cand] and not used[cand]:
-                return int(cand), ptr
-        return -1, ptr
-
-    for slot_i, (kind, _) in enumerate(template.slot_plan):
-        item = -1
-        if kind is ContentKind.WIDGET:
-            item, w_ptr = take(widget_src, w_ptr)
-        if item < 0:
-            item, o_ptr = take(organic_src, o_ptr)
-        if item < 0:
-            raise DomainError("catalog exhausted while filling a page")
-        used[item] = True
-        chosen[slot_i] = item
-    return chosen
+    """Pick the catalog item for every slot of a template, in position order:
+    the one-page case of :func:`page_item_indices`."""
+    return page_item_indices(
+        world, np.array([query_index]), np.array([template_index]), np.asarray(available)[None]
+    )[0]
 
 
 #: Leading positions of an order scanned first: pages almost always fill from
@@ -438,8 +396,14 @@ def page_item_indices(
     template_idx: np.ndarray,
     available: np.ndarray,
 ) -> np.ndarray:
-    """:func:`layout_item_indices` for a block of pages: row ``i`` is the page
-    of (``query_idx[i]``, ``template_idx[i]``) under ``available[i]``.
+    """The catalog item of every slot of a block of pages, in position order:
+    row ``i`` is the page of (``query_idx[i]``, ``template_idx[i]``) under
+    ``available[i]``.
+
+    Widget slots draw from the template's predicate pool by appeal; organic
+    slots draw from the query's relevance order; no item repeats on a page.
+    An exhausted widget pool falls through to the organic order so the page
+    always fills; an exhausted catalog is a DomainError.
 
     Works one template at a time. A template's widget slots form one block, so
     a page is a run of organic picks, up to the block's size of widget picks,

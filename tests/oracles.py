@@ -20,6 +20,7 @@ from wpxlab.dml.deaverage import EARLY_STOP_TOL
 from wpxlab.dml.panel import KEY_COLUMNS, TARGET_COLUMN, PanelDataset
 from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout, PageTemplate
 from wpxlab.errors import DomainError
+from wpxlab.sim.world import World
 
 # a few ulps: what a stable linear update loses on the covariance over many
 # rows, where inverting an ill-conditioned precision matrix loses its
@@ -71,6 +72,54 @@ def validate_layout(
                 f"ineligible item {slot.item.item_id!r} at position {slot.position}"
             )
     return violations
+
+
+def _widget_source(world: World, template_index: int, query_index: int) -> np.ndarray:
+    """Widget fill order: predicate pool by descending appeal."""
+    order = world.widget_order[template_index][query_index]
+    return order[order < world.config.n_items]
+
+
+def layout_item_indices_per_slot(
+    world: World,
+    query_index: int,
+    template_index: int,
+    available: np.ndarray,
+) -> np.ndarray:
+    """One page filled a slot at a time, in position order.
+
+    Widget slots draw from the template's predicate pool by appeal; organic
+    slots draw from the query's relevance order; no item repeats on a page.
+    An exhausted widget pool falls through to the organic order so the page
+    always fills.
+    """
+    template = world.templates[template_index]
+    organic_src = world.organic_order[query_index]
+    widget_src = _widget_source(world, template_index, query_index)
+    used = np.zeros(world.config.n_items, dtype=bool)
+    chosen = np.empty(len(template.slot_plan), dtype=np.intp)
+    o_ptr = 0
+    w_ptr = 0
+
+    def take(source: np.ndarray, ptr: int) -> tuple[int, int]:
+        while ptr < len(source):
+            cand = source[ptr]
+            ptr += 1
+            if available[cand] and not used[cand]:
+                return int(cand), ptr
+        return -1, ptr
+
+    for slot_i, (kind, _) in enumerate(template.slot_plan):
+        item = -1
+        if kind is ContentKind.WIDGET:
+            item, w_ptr = take(widget_src, w_ptr)
+        if item < 0:
+            item, o_ptr = take(organic_src, o_ptr)
+        if item < 0:
+            raise DomainError("catalog exhausted while filling a page")
+        used[item] = True
+        chosen[slot_i] = item
+    return chosen
 
 
 def per_candidate_scores(
@@ -136,6 +185,16 @@ def _checked_features(model: ObjectiveModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite feature vector")
     return x
+
+
+def predict_mean(model: ObjectiveModel, x: np.ndarray) -> float:
+    """Posterior-mean prediction: the Bayes point estimate for this model."""
+    x = _checked_features(model, x)
+    score = float(model.posterior.mean @ x)
+    if model.kind is ModelKind.LINEAR:
+        return score
+    s2 = PROBIT_SLAB**2 + float(model.posterior.cov @ x**2)
+    return float(ndtr(score / math.sqrt(s2)))
 
 
 def blr_update_per_row(model: ObjectiveModel, x: np.ndarray, y: float) -> ObjectiveModel:
@@ -317,7 +376,12 @@ def read_panel_csv_per_cell(path: str | Path) -> PanelDataset:
             header = next(reader)
         except StopIteration:
             raise DomainError(f"{path}: empty file") from None
-        rows = list(reader)
+        # each row named by the physical line it starts on
+        rows, lines, line = [], [], reader.line_num + 1
+        for r in reader:
+            rows.append(r)
+            lines.append(line)
+            line = reader.line_num + 1
     missing = [c for c in (*KEY_COLUMNS, TARGET_COLUMN) if c not in header]
     if missing:
         raise DomainError(f"{path}: missing required columns {missing}")
@@ -328,7 +392,7 @@ def read_panel_csv_per_cell(path: str | Path) -> PanelDataset:
     for i, r in enumerate(rows):
         if len(r) != len(header):
             raise DomainError(
-                f"{path}: line {i + 2} has {len(r)} cells, the header {len(header)}"
+                f"{path}: line {lines[i]} has {len(r)} cells, the header {len(header)}"
             )
 
     def strings(name: str) -> np.ndarray:
@@ -343,7 +407,7 @@ def read_panel_csv_per_cell(path: str | Path) -> PanelDataset:
                     out[i, k] = float(r[j])
                 except ValueError:
                     raise DomainError(
-                        f"{path}: line {i + 2} column {name} is not a number: {r[j]!r}"
+                        f"{path}: line {lines[i]} column {name} is not a number: {r[j]!r}"
                     ) from None
         return out
 

@@ -12,13 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import stationary_best_template_rate
+from oracles import predict_mean
 from scipy.stats import kstest, norm
 
 from wpxlab.bandit.posteriors import (
     GaussianPosterior,
     blr_update,
     linear_model,
-    predict_mean,
     probit_model,
     thompson_sample_predict,
 )

@@ -1,6 +1,7 @@
 """Event logging, panel emission, and CSV round-trips."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -273,6 +274,21 @@ class TestPanelDataset:
         headless.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DomainError):
             read_panel_csv(headless)
+        # rows 3 and 4 of the odd panel start on lines 6 and 10, after keys that
+        # span two lines: a short row and a non-number cell name those lines
+        odd = tmp_path / "odd.csv"
+        write_panel_csv(_odd_panel(str), odd)
+        with odd.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for i, edit, where in (
+            (4, lambda cells: cells[:-1], "line 6 has 7 cells, the header 8"),
+            (5, lambda cells: [*cells[:4], "abc", *cells[5:]], "line 10 column drev"),
+        ):
+            with odd.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([*rows[:i], edit(rows[i]), *rows[i + 1 :]])
+            for read in (read_panel_csv, read_panel_csv_per_cell):
+                with pytest.raises(DomainError, match=where):
+                    read(odd)
 
 
 def _odd_panel(key_dtype) -> PanelDataset:
@@ -350,17 +366,21 @@ class TestPanelCsvMatchesPerRowReference:
 
     # unended: the last row has no line end, so a blank line must not be the last
     @pytest.mark.parametrize(
-        "line, ended", [(2, True), (4, True), (8, True), (9, True), (2, False), (8, False)]
+        "record, ended", [(2, True), (4, True), (8, True), (9, True), (2, False), (8, False)]
     )
     @pytest.mark.parametrize("odd", [False, True], ids=["simulated", "odd_keys"])
-    def test_blank_line_is_an_error_naming_it(self, default_world, tmp_path, odd, line, ended):
+    def test_blank_line_is_an_error_naming_it(self, default_world, tmp_path, odd, record, ended):
         path = tmp_path / "panel.csv"
         panel = _odd_panel(str) if odd else simulate_panel(default_world, 7, RANDOMIZED, seed=2)
         write_panel_csv(panel, path)
-        # odd keys hold quoted line breaks, so physical lines outnumber csv lines
         with path.open(encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        rows.insert(line - 1, [])
+        # odd keys hold quoted line breaks, so physical lines outnumber csv records
+        above = io.StringIO()
+        csv.writer(above).writerows(rows[: record - 1])
+        line = len(above.getvalue().encode().splitlines()) + 1
+        assert odd or line == record
+        rows.insert(record - 1, [])
         with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(rows)
         if not ended:

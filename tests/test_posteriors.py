@@ -6,7 +6,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from oracles import EXACT_RTOL, exact_linear_posterior, probit_update_per_row, relative_error
+from oracles import (
+    EXACT_RTOL,
+    exact_linear_posterior,
+    predict_mean,
+    probit_update_per_row,
+    relative_error,
+)
 from scipy.stats import kstest, norm
 
 from wpxlab.bandit.posteriors import (
@@ -18,7 +24,6 @@ from wpxlab.bandit.posteriors import (
     blr_update_rows,
     gaussian_prior,
     linear_model,
-    predict_mean,
     probit_model,
     probit_update,
     probit_update_rows,

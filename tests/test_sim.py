@@ -5,7 +5,7 @@ import pytest
 from conftest import make_item, make_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import validate_layout
+from oracles import layout_item_indices_per_slot, validate_layout
 
 from wpxlab.domain import ContentKind, PageLayout, PageRegion, Slot
 from wpxlab.errors import DomainError
@@ -22,7 +22,6 @@ from wpxlab.sim.world import (
     HISTORY_COLUMNS,
     WorldConfig,
     generate_world,
-    layout_item_indices,
     page_item_indices,
 )
 
@@ -140,7 +139,7 @@ class TestBatchedFill:
         expected = []
         for qi, ti, avail in zip(query_idx, template_idx, available):
             try:
-                expected.append(layout_item_indices(world, int(qi), int(ti), avail))
+                expected.append(layout_item_indices_per_slot(world, int(qi), int(ti), avail))
             except DomainError:
                 expected = None
                 break
@@ -159,7 +158,7 @@ class TestBatchedFill:
         expected = np.empty_like(world.content_signals)
         for qi in range(cfg.n_queries):
             for ti in range(cfg.n_templates):
-                picks = layout_item_indices(world, qi, ti, all_available)
+                picks = layout_item_indices_per_slot(world, qi, ti, all_available)
                 widget = world.slots.widget[ti]
                 area = world.slots.area[ti]
                 appeal = world.item_appeal[picks]

@@ -1,5 +1,6 @@
 """Every public function and class in the package has a caller that ships,
-and every config field is read by the code it configures.
+every config field is read by the code it configures, and the packages
+export only the README's library entry points.
 
 A public top-level ``def`` or ``class`` of ``src/wpxlab`` counts as used when
 one of these refers to it:
@@ -7,8 +8,7 @@ one of these refers to it:
 - another top-level statement of a module in ``src/wpxlab`` other than a
   package ``__init__`` (a re-export is not a use);
 - the benchmark (``perfbench/**/*.py``) or ``pyproject.toml``, where any
-  mention of the name as a word counts;
-- the allowlist below, of reference oracles kept in ``src/`` on purpose.
+  mention of the name as a word counts.
 
 Tests do not count: a name that only tests call is dead weight in the package.
 
@@ -24,6 +24,8 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import pytest
+
 from wpxlab.dml.pipeline import DmlConfig
 from wpxlab.domain import ContextFeatures
 from wpxlab.harness.experiment import ArmConfig, ExperimentConfig
@@ -31,12 +33,6 @@ from wpxlab.sim.world import WorldConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wpxlab"
-
-#: Kept in ``src/`` although only tests call them.
-REFERENCE_ORACLES = {
-    # the closed-form posterior mean that criterion 5 checks the draws against
-    "predict_mean",
-}
 
 
 def _modules() -> dict[Path, ast.Module]:
@@ -73,7 +69,7 @@ def unreferenced_public_names() -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") or name in REFERENCE_ORACLES:
+            if name.startswith("_"):
                 continue
             in_src = any(name in names for top, names in uses if top is not node)
             if not (in_src or re.search(rf"\b{re.escape(name)}\b", outside)):
@@ -126,6 +122,18 @@ def unread_config_fields() -> list[str]:
     return unread
 
 
+def readme_entry_points() -> tuple[str, dict[str, set[str]]]:
+    """The README's "Library entry points" code block, and the names it
+    imports by package."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library entry points\n\n```python\n(.*?)```", text, re.S).group(1)
+    imports: dict[str, set[str]] = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.ImportFrom):
+            imports.setdefault(node.module, set()).update(a.name for a in node.names)
+    return block, imports
+
+
 def layer_functions() -> tuple[str, ...]:
     """``LAYER_FUNCTIONS`` of the benchmark's tracer, read without importing it."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
@@ -145,14 +153,31 @@ def test_every_config_field_is_read_outside_its_class():
     assert unread_config_fields() == []
 
 
-def test_reference_oracles_still_exist():
-    defined = {
-        node.name
-        for tree in _modules().values()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+def test_package_inits_import_only_the_readme_entry_points():
+    _, entry_points = readme_entry_points()
+    inits = {
+        ".".join(("wpxlab", *path.parent.relative_to(PACKAGE).parts)): path
+        for path in PACKAGE.rglob("__init__.py")
     }
-    assert REFERENCE_ORACLES <= defined
+    assert set(entry_points) <= set(inits)
+    for package, path in inits.items():
+        expected = entry_points.get(package, set())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert imported == expected, package
+        assert set(getattr(importlib.import_module(package), "__all__", ())) == expected, package
+
+
+def test_readme_entry_points_run_verbatim():
+    block, _ = readme_entry_points()
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert sum(namespace["weights"].as_tuple()) == pytest.approx(1.0)
+    assert namespace["report"].lifts
 
 
 def test_every_traced_layer_function_resolves():

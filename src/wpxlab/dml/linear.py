@@ -1,5 +1,16 @@
 """Least squares and L1-penalized fitting used by the causal pipeline.
 
+Least squares solves the normal equations by Cholesky: the Gram matrix is
+equilibrated to a unit diagonal (each column scaled by its norm), factored
+once, and solved through that factor, so no SVD runs. The rank rule, with
+tol = max(n, p) machine epsilons: a design is rank deficient when a column's
+norm is at most tol times the largest column norm (lstsq's default cutoff, so
+a column of rounding noise counts as zero), or when the equilibrated Gram
+fails to factor or has a pivot (a column's squared distance from the span of
+the columns before it, as a fraction of its own) at or below tol, the Gram's
+own rounding. ``ols_fit`` raises on such a design and takes its classical
+covariance from the same factor.
+
 ``lasso_fit`` minimizes (1/2n)*||y - X b||^2 + lam*||b||_1 on the raw scale.
 Columns are rescaled to unit root-mean-square internally purely for
 conditioning; the per-coordinate penalty is adjusted so the solved problem is
@@ -16,6 +27,32 @@ from ..rng import stream
 LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 10_000
 LASSO_GRID_SPAN = 1e-4  # smallest grid point relative to lambda_max
+
+
+def gram_cholesky(gram: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Factor a Gram matrix of n rows as ``diag(scale) L Lᵀ diag(scale)``.
+
+    ``scale`` holds the column norms and ``L`` is the lower Cholesky factor of
+    the unit-diagonal (equilibrated) Gram. Returns None when the design is
+    rank deficient by the module's rank rule.
+    """
+    tol = max(n, len(gram)) * np.finfo(float).eps
+    scale = np.sqrt(np.diag(gram))
+    if not np.all(scale > tol * scale.max(initial=0.0)):  # also a column of zeros
+        return None
+    try:
+        factor = np.linalg.cholesky(gram / np.outer(scale, scale))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.diag(factor) ** 2 > tol):
+        return None
+    return factor, scale
+
+
+def cholesky_solve(factor: np.ndarray, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram @ b = rhs`` through `gram_cholesky`'s factorization."""
+    lower = np.linalg.solve(factor, (rhs.T / scale).T)
+    return (np.linalg.solve(factor.T, lower).T / scale).T
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -35,14 +72,17 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EstimationError(f"need n > p, got n={n}, p={p}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DomainError("non-finite values in X or y")
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < p:
-        raise EstimationError(f"design matrix is rank deficient (rank {rank} < {p})")
+    factored = gram_cholesky(X.T @ X, n)
+    if factored is None:
+        raise EstimationError(f"design matrix is rank deficient ({p} columns)")
+    factor, scale = factored
+    beta = cholesky_solve(factor, scale, X.T @ y)
     resid = y - X @ beta
-    rss = float(resid @ resid)
-    sigma2 = rss / (n - p)
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # unlike a BLAS dot, np.add.reduce sums in an order free of the thread count
+    sigma2 = float(np.add.reduce(resid * resid)) / (n - p)
+    # diag((XᵀX)⁻¹) = diag(L⁻ᵀ L⁻¹) / scale², the column sums of (L⁻¹)² over scale²
+    inverse = np.linalg.solve(factor, np.eye(p))
+    stderr = np.sqrt(sigma2 * np.add.reduce(inverse * inverse, axis=0)) / scale
     return beta, stderr
 
 

@@ -6,6 +6,17 @@ and short-term metrics on customer history with cross-fitted linear models, so
 no row's residual comes from a model that saw it. Stage 2 regresses the target
 residual on the surrogate and short-term residuals; the surrogate coefficients
 are the causal effects the downstream-value score aggregates.
+
+Every least-squares fit (the stage-1 predictors, the stage-2 OLS and the
+history coefficients) solves the normal equations through a Cholesky factor
+of the column-equilibrated Gram matrix (`linear.gram_cholesky`). The rank
+rule: a stage-1 predictor whose standardized design is rank deficient falls
+back to a ridge solve and records it; `ols_fit` raises `EstimationError`.
+Stage 1 puts the training rows in the fold permutation's order once, so each
+fold is a slice and the rows of the others are one or two slices, and
+predicts through ``(X − μ) @ (coef / sd)`` without a standardized copy.
+
+Under ``stage2="lasso"`` there is no standard error: ``stderr_beta`` is None.
 """
 
 from __future__ import annotations
@@ -19,8 +30,8 @@ import numpy as np
 from ..errors import DomainError, EstimationError, WpxError
 from ..metrics import RegionWeights
 from ..rng import stream
-from .deaverage import deaverage
-from .linear import lasso_cv_path, ols_fit
+from .deaverage import DeaverageDiagnostics, deaverage
+from .linear import cholesky_solve, gram_cholesky, lasso_cv_path, ols_fit
 from .panel import PanelDataset, split_train_test
 
 RIDGE_FALLBACK_PENALTY = 1e-6  # times n, applied only when plain LS is rank deficient
@@ -60,7 +71,7 @@ class DmlEstimate:
     beta: np.ndarray
     theta: np.ndarray
     gamma: np.ndarray
-    stderr_beta: np.ndarray
+    stderr_beta: np.ndarray | None  # None under a LASSO stage 2
     lambda_selected: float | None
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
@@ -98,25 +109,30 @@ class LinearPredictor:
             Y = Y[:, None]
         n, p = X.shape
         self.mu = X.mean(axis=0)
-        sd = X.std(axis=0)
+        ybar = Y.mean(axis=0)
+        centered = X - self.mu
+        gram = centered.T @ centered
+        # Xcᵀ(Y − ȳ) without centering Y: the columns of Xc sum to about 0
+        cross = centered.T @ Y - np.outer(centered.sum(axis=0), ybar)
+        sd = np.sqrt(np.diag(gram) / n)
         sd[sd == 0.0] = 1.0
         self.sd = sd
-        Xs = (X - self.mu) / sd
-        ybar = Y.mean(axis=0)
-        coef, _, rank, _ = np.linalg.lstsq(Xs, Y - ybar, rcond=None)
-        if rank < p:
+        factored = gram_cholesky(gram, n)
+        if factored is None:
+            # the standardized design's Gram and cross products
             lam = RIDGE_FALLBACK_PENALTY * n
-            gram = Xs.T @ Xs + lam * np.eye(p)
-            coef = np.linalg.solve(gram, Xs.T @ (Y - ybar))
+            standard = gram / np.outer(sd, sd) + lam * np.eye(p)
+            self.coef = np.linalg.solve(standard, cross / sd[:, None])
             self.used_ridge_fallback = True
-        self.coef = coef
+        else:
+            self.coef = cholesky_solve(*factored, cross) * sd[:, None]
         self.intercept = ybar
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         assert self.coef is not None and self.mu is not None
-        Xs = (np.asarray(X, dtype=float) - self.mu) / self.sd
-        return self.intercept + Xs @ self.coef
+        centered = np.asarray(X, dtype=float) - self.mu
+        return self.intercept + centered @ (self.coef / self.sd[:, None])
 
 
 @dataclass(frozen=True)
@@ -152,23 +168,26 @@ def crossfit_residualize(
         raise EstimationError(f"need at least {2 * folds} rows for {folds}-fold cross-fitting")
 
     perm = stream(seed, "crossfit_folds").permutation(n)
+    chunks = np.array_split(perm, folds)
     fold_of = np.empty(n, dtype=np.intp)
-    for f, chunk in enumerate(np.array_split(perm, folds)):
+    for f, chunk in enumerate(chunks):
         fold_of[chunk] = f
+    # rows in permutation order: fold f is rows a:b, the others the rest
+    bounds = np.cumsum([0, *map(len, chunks)])
+    features = np.take(features, perm, axis=0)
+    outcomes = np.take(outcomes, perm, axis=0)
 
     residuals = np.empty((n, q))
     fold_rmse = np.empty((q, folds))
     train_rows: list[np.ndarray] = []
     rank_deficient = 0
-    for f in range(folds):
-        te = fold_of == f
-        tr = ~te
-        train_rows.append(np.flatnonzero(tr))
-        model = LinearPredictor().fit(features[tr], outcomes[tr])
+    for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        train_rows.append(_other_rows(perm, a, b))
+        model = LinearPredictor().fit(_other_rows(features, a, b), _other_rows(outcomes, a, b))
         if model.used_ridge_fallback:
             rank_deficient += 1
-        res = outcomes[te] - model.predict(features[te])
-        residuals[te] = res
+        res = outcomes[a:b] - model.predict(features[a:b])
+        residuals[chunks[f]] = res
         fold_rmse[:, f] = np.sqrt(np.mean(res**2, axis=0))
     return CrossfitResult(
         residuals=residuals,
@@ -179,6 +198,15 @@ def crossfit_residualize(
     )
 
 
+def _other_rows(rows: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``rows`` without rows a:b, those after b first: a view unless a:b is inside."""
+    if a == 0:
+        return rows[b:]
+    if b == len(rows):
+        return rows[:a]
+    return np.concatenate((rows[b:], rows[:a]))
+
+
 def _validate_keys(dataset: PanelDataset) -> None:
     for name, arr in (("query_group", dataset.query_group), ("zip", dataset.zip_code)):
         # `== ""` is the empty-string test for both object and `<U` key arrays
@@ -186,21 +214,16 @@ def _validate_keys(dataset: PanelDataset) -> None:
             raise DomainError(f"empty {name} key in dataset")
 
 
-def _deaveraged_blocks(
+def _deaveraged_block(
     dataset: PanelDataset, iterations: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Any]:
-    """Demean target, surrogates, short-term metrics, and history jointly."""
-    stacked = np.column_stack([dataset.drev[:, None], dataset.x, dataset.m, dataset.h])
-    out, diagnostics = deaverage(
-        stacked, [dataset.query_group, dataset.zip_code], iterations
-    )
-    s = len(dataset.x_names)
-    j = len(dataset.m_names)
-    y = out[:, 0]
-    x = out[:, 1 : 1 + s]
-    m = out[:, 1 + s : 1 + s + j]
-    h = out[:, 1 + s + j :]
-    return y, x, m, h, diagnostics
+) -> tuple[np.ndarray, DeaverageDiagnostics]:
+    """Demean target, surrogates, short-term metrics, and history jointly, in
+    one (n, 1 + s + j + k) block with the columns in that order."""
+    blocks = [dataset.drev[:, None], dataset.x, dataset.m, dataset.h]
+    # column-major, the order deaverage works in, so its copy needs no transpose
+    stacked = np.empty((dataset.n_rows, sum(b.shape[1] for b in blocks)), order="F")
+    np.concatenate(blocks, axis=1, out=stacked)
+    return deaverage(stacked, [dataset.query_group, dataset.zip_code], iterations)
 
 
 @contextmanager
@@ -237,7 +260,7 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
         _validate_keys(dataset)
 
     with _stage("deaverage"):
-        y_t, x_t, m_t, h_t, dd = _deaveraged_blocks(dataset, config.deaverage_iterations)
+        block, dd = _deaveraged_block(dataset, config.deaverage_iterations)
         worst = float(np.max(dd.max_group_means))  # unlike max(), keeps a NaN
         if not worst < DEAVERAGE_TOL:
             raise EstimationError(
@@ -250,22 +273,24 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
         train, test = split_train_test(dataset.n_rows, config.train_fraction, config.seed)
 
     with _stage("stage1"):
-        outcomes = np.column_stack([y_t[:, None], x_t, m_t])
-        cf = crossfit_residualize(
-            outcomes[train], h_t[train], config.crossfit_folds, config.seed
-        )
+        # one copy of the training rows serves the cross-fit and the full-train
+        # fit: the stage-1 outcomes (target, surrogates, short-term) and history
+        train_block = np.take(block, train, axis=0)
+        outcomes_train, h_train = train_block[:, : 1 + s + j], train_block[:, 1 + s + j :]
+        cf = crossfit_residualize(outcomes_train, h_train, config.crossfit_folds, config.seed)
         # separate full-train predictor so the held-out fold can be residualized too
-        full_model = LinearPredictor().fit(h_t[train], outcomes[train])
+        full_model = LinearPredictor().fit(h_train, outcomes_train)
 
     with _stage("stage2"):
         ry = cf.residuals[:, 0]
         rxm = cf.residuals[:, 1:]
         lambda_selected: float | None = None
+        stderr_beta: np.ndarray | None = None
         if config.stage2 == "ols":
             design = np.column_stack([np.ones(len(ry)), rxm])
             coef_all, stderr_all = ols_fit(design, ry)
             coef = coef_all[1:]
-            stderr = stderr_all[1:]
+            stderr_beta = stderr_all[1 : 1 + s]
         else:
             # unit-RMS columns, so the penalty grid is not set by whichever
             # residual has the largest scale (short-term revenue's, by far)
@@ -276,24 +301,18 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
             )
             coef = coef / rms
             lambda_selected = lam_star
-            # classical covariance evaluated at the lasso fit, for scale only
-            resid = ry - rxm @ coef
-            dof = max(len(ry) - rxm.shape[1], 1)
-            sigma2 = float(np.add.reduce(resid * resid)) / dof
-            cov = sigma2 * np.linalg.inv(rxm.T @ rxm + 1e-12 * np.eye(rxm.shape[1]))
-            stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
         beta = coef[:s]
         theta = coef[s : s + j]
-        stderr_beta = stderr[:s]
 
     with _stage("gamma"):
-        leftover = y_t[train] - x_t[train] @ beta - m_t[train] @ theta
-        hdesign = np.column_stack([np.ones(len(train)), h_t[train]])
+        leftover = outcomes_train[:, 0] - outcomes_train[:, 1:] @ coef
+        hdesign = np.column_stack([np.ones(len(train)), h_train])
         gamma_all, _ = ols_fit(hdesign, leftover)
         gamma = gamma_all[1:]
 
     with _stage("evaluate"):
-        test_out = outcomes[test] - full_model.predict(h_t[test])
+        test_block = np.take(block, test, axis=0)
+        test_out = test_block[:, : 1 + s + j] - full_model.predict(test_block[:, 1 + s + j :])
         pred = test_out[:, 1:] @ coef
         test_rmse = float(np.sqrt(np.mean((test_out[:, 0] - pred) ** 2)))
 
@@ -301,6 +320,7 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
         "deaverage_max_group_mean_query": dd.max_group_means[0],
         "deaverage_max_group_mean_zip": dd.max_group_means[1],
         "deaverage_iterations_run": dd.iterations_run,
+        "deaverage_converged": dd.converged,
         "stage1_fold_rmse": {
             name: [float(v) for v in cf.fold_rmse[i]]
             for i, name in enumerate(
@@ -308,6 +328,10 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
             )
         },
         "stage1_rank_deficient_folds": cf.rank_deficient_folds,
+        # near 0: history alone predicts that surrogate, so its beta is not identified
+        "stage1_residual_variance": {
+            name: float(np.var(cf.residuals[:, 1 + i])) for i, name in enumerate(dataset.x_names)
+        },
         "test_rmse": test_rmse,
         "n_train": int(len(train)),
         "n_test": int(len(test)),
@@ -318,7 +342,7 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
         beta=np.asarray(beta, dtype=float),
         theta=np.asarray(theta, dtype=float),
         gamma=np.asarray(gamma, dtype=float),
-        stderr_beta=np.asarray(stderr_beta, dtype=float),
+        stderr_beta=stderr_beta,
         lambda_selected=lambda_selected,
         diagnostics=diagnostics,
     )

@@ -161,9 +161,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     weights = derive_region_weights(model, X_COLUMNS)
     est = model.estimate
 
+    stderr = None  # a LASSO stage 2 has no standard error
+    if est.stderr_beta is not None:
+        stderr = dict(zip(panel.x_names, map(float, est.stderr_beta)))
     lines = ["coefficient            beta    stderr"]
-    for name, b, se in zip(panel.x_names, est.beta, est.stderr_beta):
-        lines.append(f"{name:<18}{b:>10.4f}{se:>10.4f}")
+    for name, b in zip(panel.x_names, est.beta):
+        se = "-" if stderr is None else f"{stderr[name]:.4f}"
+        lines.append(f"{name:<18}{b:>10.4f}{se:>10}")
     for name, t in zip(panel.m_names, est.theta):
         lines.append(f"{name:<18}{t:>10.4f}{'':>10}")
     for name, g in zip(panel.h_names, est.gamma):
@@ -179,7 +183,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "beta": dict(zip(panel.x_names, map(float, est.beta))),
-                "stderr_beta": dict(zip(panel.x_names, map(float, est.stderr_beta))),
+                "stderr_beta": stderr,
                 "theta": dict(zip(panel.m_names, map(float, est.theta))),
                 "gamma": dict(zip(panel.h_names, map(float, est.gamma))),
                 "lambda_selected": est.lambda_selected,

@@ -20,8 +20,8 @@ SIM_CONFIG = {
 
 # sha256 of estimate.json on `simulate --seed 0`'s panel, per stage-2 fit
 ESTIMATE_DIGESTS = {
-    "ols": "d25320fd8e0419cf867b76821b5dcaeffb77879b007e831716bc16cc7f5fba55",
-    "lasso": "8c723adba9694a5eb8bf01c5cae9da47b73f5672971bc95bffed2b228177260c",
+    "ols": "4fa5860969602b545655c0b9866567a2e3ddee4d26441649077edc4f6d050170",
+    "lasso": "ad178bbcd8d6a9fe58f5cbe241f716b3060cde23c345a1fa5242cb67bb7898c7",
 }
 
 SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}
@@ -119,6 +119,15 @@ class TestSimulateAndEstimate:
             )
             estimate = (tmp_path / "estimate.json").read_bytes()
             assert hashlib.sha256(estimate).hexdigest() == digest, stage2
+
+    def test_lasso_estimate_has_no_standard_error(self, sim_dir, capsys):
+        assert cli.main(["estimate", "--stage2", "lasso", "--out", str(sim_dir)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[2] for row in rows if row[0].startswith("x_")] == ["-", "-", "-"]
+        payload = json.loads((sim_dir / "estimate.json").read_text())
+        assert payload["stderr_beta"] is None
+        assert set(payload["diagnostics"]["stage1_residual_variance"]) == set(payload["beta"])
+        assert isinstance(payload["diagnostics"]["deaverage_converged"], bool)
 
     def test_estimate_on_tiny_panel_exits_two(self, tmp_path):
         cfg = _write(

@@ -117,13 +117,28 @@ def _estimate_shaped_block(seed: int, n: int = 3000):
     return values, [np.array([f"q{v}" for v in q]), np.array([f"z{v}" for v in z])]
 
 
+def _wide_code_point_keys(rng, n: int) -> np.ndarray:
+    """`<U6` keys of random code points up to U+10FFFF, widths 1 to 6: the
+    running integer code overflows its limit and is renumbered mid-key."""
+    pool = ["".join(map(chr, rng.integers(1, 0x110000, rng.integers(1, 7)))) for _ in range(9)]
+    return np.array(pool)[rng.integers(0, len(pool), n)]
+
+
 def _cases():
     y, X, q, z, _ = _crossed_instance(seed=31)
     rng = np.random.default_rng(37)
     ints = rng.integers(0, 6, 90)
     block, block_keys = _estimate_shaped_block(41)
+    # `<U` keys of mixed width with non-ASCII code points, some sharing a prefix
+    mixed = np.array(["q1", "q10", "é", "中文", "\U0001f600x", "q", "ü1", "中"])
     return {
         "object_keys": (np.column_stack([y[:, None], X]), [q, z], 20),
+        "unicode_keys": (
+            np.column_stack([y[:, None], X]),
+            [mixed[rng.integers(0, len(mixed), len(y))], q.astype(str)],
+            20,
+        ),
+        "wide_code_points": (rng.normal(size=(90, 2)), [_wide_code_point_keys(rng, 90)], 20),
         "integer_keys": (rng.normal(size=(90, 3)), [ints, ints % 4 + 7 * (ints > 2)], 20),
         "single_key": (rng.normal(size=(90, 2)), [ints], 20),
         "one_dimensional": (y, [q, z], 20),
@@ -144,13 +159,16 @@ class TestAgainstRowMajorOracle:
         assert out.tobytes() == ref.tobytes()
         assert diag.max_group_means == ref_maxima
         assert diag.iterations_run == ref_iterations
+        assert diag.converged == (case != "stopped_at_cap")
         if case == "stopped_at_cap":
             assert diag.iterations_run == 2 and max(diag.max_group_means) > 1e-9
 
     def test_convergence_sums_are_reused(self, monkeypatch):
         # demeaning 4 passes x 2 keys x 10 columns takes 80 weighted bincounts
         # and the end-of-pass checks 80; the first key's check feeds the next
-        # pass (30 saved) and the last check is the diagnostics (20 saved)
+        # pass (30 saved), the last check is the diagnostics (20 saved), and the
+        # last key's means, just subtracted, are checked only on the last pass
+        # (30 saved)
         values, keys = _estimate_shaped_block(43)
         weighted = []
         bincount = np.bincount
@@ -162,8 +180,8 @@ class TestAgainstRowMajorOracle:
 
         monkeypatch.setattr(np, "bincount", counted)
         _, diag = deaverage(values, keys, iterations=4)
-        assert diag.iterations_run == 4
-        assert 0 < len(weighted) <= 130
+        assert diag.iterations_run == 4 and not diag.converged
+        assert 0 < len(weighted) <= 100
 
 
 class TestDeaverageErrors:

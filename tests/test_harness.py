@@ -146,7 +146,7 @@ class TestRunExperiment:
         # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "0f4fc4367fa8ab0e6b2c4abcce4b355e72e4d291dcece365fbde08d960a2c2e0"
+        assert digest == "152cb0584a40348bcf62409eb534ec6b524c04d2a4e7bd0bb4038ec4754fd3d3"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())

@@ -9,6 +9,7 @@ from wpxlab.dml.linear import (
     lasso_lambda_max,
     ols_fit,
 )
+from wpxlab.dml.pipeline import LinearPredictor
 from wpxlab.errors import DomainError, EstimationError
 
 
@@ -63,6 +64,96 @@ class TestOls:
         y = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
         with pytest.raises(DomainError):
             ols_fit(X, y)
+
+
+def _design(seed: int, n: int, scales: np.ndarray):
+    """Intercept plus columns of the given scales (means half a scale off 0),
+    and a target with coefficients of order one per unit of each column."""
+    rng = np.random.default_rng(seed)
+    p = len(scales)
+    X = (rng.normal(size=(n, p)) + 0.5 * rng.normal(size=p)) * scales
+    coef = rng.uniform(0.5, 2.0, p + 1) * rng.choice([-1.0, 1.0], p + 1) / np.r_[1.0, scales]
+    y = np.column_stack([np.ones(n), X]) @ coef + rng.normal(size=n)
+    return X, y
+
+
+def _lstsq_equilibrated(X, Y):
+    """lstsq on unit-norm columns, mapped back: on a design whose columns
+    differ in scale by 10⁶, lstsq on the raw columns is itself off by about
+    1e-10 in the largest column's coefficient."""
+    norm = np.linalg.norm(X, axis=0)
+    coef = np.linalg.lstsq(X / norm, Y, rcond=None)[0]
+    return (coef.T / norm).T
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+WELL_CONDITIONED = [(seed, n, np.ones(p)) for seed, n, p in [(1, 60, 2), (2, 500, 4), (3, 5000, 6)]]
+SCALED = (4, 200_000, np.geomspace(1e-3, 1e3, 5))  # columns 10⁶ apart in scale
+
+
+class TestCholeskySolves:
+    """The Cholesky normal-equation solves against lstsq."""
+
+    @pytest.mark.parametrize("seed,n,scales", WELL_CONDITIONED)
+    def test_ols_matches_lstsq_on_well_conditioned_designs(self, seed, n, scales):
+        X, y = _design(seed, n, scales)
+        design = np.column_stack([np.ones(n), X])
+        beta, stderr = ols_fit(design, y)
+        ref = np.linalg.lstsq(design, y, rcond=None)[0]
+        assert _relative(beta, ref) < 1e-10
+        resid = y - design @ ref
+        sigma2 = resid @ resid / (n - design.shape[1])
+        ref_se = np.sqrt(sigma2 * np.diag(np.linalg.inv(design.T @ design)))
+        assert _relative(stderr, ref_se) < 1e-10
+
+    def test_ols_matches_lstsq_on_columns_a_million_apart_in_scale(self):
+        seed, n, scales = SCALED
+        X, y = _design(seed, n, scales)
+        design = np.column_stack([np.ones(n), X])
+        beta, _ = ols_fit(design, y)
+        assert _relative(beta, _lstsq_equilibrated(design, y)) < 1e-10
+
+    @pytest.mark.parametrize("seed,n,scales", [*WELL_CONDITIONED, SCALED])
+    def test_linear_predictor_matches_lstsq(self, seed, n, scales):
+        X, y = _design(seed, n, scales)
+        Y = np.column_stack([y, X[:, 0] - 3.0 * y + 7.0])
+        model = LinearPredictor().fit(X, Y)
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        ref = np.linalg.lstsq(Xs, Y - Y.mean(axis=0), rcond=None)[0]
+        assert not model.used_ridge_fallback
+        assert _relative(model.coef, ref) < 1e-10
+        fitted = Y.mean(axis=0) + Xs @ ref
+        assert np.max(np.abs(model.predict(X) - fitted)) < 1e-10 * np.max(np.abs(Y))
+
+    @pytest.mark.parametrize("kind", ["duplicated", "constant", "constant_inexact_mean"])
+    def test_dependent_column_takes_the_fallback_or_raises(self, kind):
+        # summed row by row, 200,000 copies of 0.1 do not average to 0.1, so
+        # that column's centered values are rounding noise rather than zeros
+        n = 200_000 if kind == "constant_inexact_mean" else 2000
+        X, y = _design(5, n, np.ones(3))
+        extra = {"duplicated": X[:, 1], "constant": 3.0, "constant_inexact_mean": 0.1}[kind]
+        X = np.column_stack([X, np.full(len(y), extra)])
+        model = LinearPredictor().fit(X, y)
+        assert model.used_ridge_fallback
+        assert np.all(np.isfinite(model.predict(X)))
+        with pytest.raises(EstimationError, match="rank deficient"):
+            ols_fit(np.column_stack([np.ones(len(y)), X]), y)
+
+    def test_correlated_but_full_rank_design_is_solved(self):
+        rng = np.random.default_rng(6)
+        n = 20_000
+        z = rng.normal(size=n)
+        w = 0.999 * z + np.sqrt(1.0 - 0.999**2) * rng.normal(size=n)
+        X = np.column_stack([z, w])
+        y = X @ np.array([1.0, -1.0]) + 0.1 * rng.normal(size=n)
+        model = LinearPredictor().fit(X, y)
+        assert not model.used_ridge_fallback
+        design = np.column_stack([np.ones(n), X])
+        beta, _ = ols_fit(design, y)
+        assert _relative(beta[1:], np.linalg.lstsq(design, y, rcond=None)[0][1:]) < 1e-10
 
 
 class TestLassoFit:

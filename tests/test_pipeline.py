@@ -182,6 +182,8 @@ class TestEstimateDvwpx:
         model = estimate_dvwpx(panel, DmlConfig(stage2="lasso", seed=2))
         assert model.estimate.lambda_selected is not None
         assert model.estimate.lambda_selected > 0.0
+        # a classical covariance at a penalized fit is not a standard error
+        assert model.estimate.stderr_beta is None
 
     def test_lasso_stage2_ignores_the_scale_of_a_residual_column(self):
         panel = synthetic_panel(3000, seed=51, fe_scale=0.5, confound=0.4)
@@ -241,8 +243,55 @@ class TestEstimateDvwpx:
         diag = model.estimate.diagnostics
         assert diag["deaverage_max_group_mean_query"] < 1e-6
         assert diag["deaverage_max_group_mean_zip"] < 1e-6
+        assert diag["deaverage_converged"] is True
+        assert diag["deaverage_iterations_run"] < DmlConfig().deaverage_iterations
         assert diag["n_train"] + diag["n_test"] == 1200
         assert diag["test_rmse"] > 0.0
+
+    def test_stopped_short_of_the_early_stop_is_reported(self):
+        # five passes leave a query-group mean of about 8e-9, between the early
+        # stop (1e-9) and the estimator's DEAVERAGE_TOL (1e-6); six converge
+        panel = synthetic_panel(1200, seed=49, fe_scale=0.5)
+        model = estimate_dvwpx(panel, DmlConfig(seed=3, deaverage_iterations=5))
+        diag = model.estimate.diagnostics
+        assert diag["deaverage_iterations_run"] == 5
+        assert diag["deaverage_converged"] is False
+
+    def test_surrogate_linear_in_history_reports_near_zero_residual_variance(self):
+        panel = synthetic_panel(3000, seed=57, fe_scale=0.5, confound=0.4)
+        rng = np.random.default_rng(57)
+        # x_bmr_mid is history plus a part too small to identify its beta
+        x = panel.x.copy()
+        x[:, 1] = 0.5 + panel.h @ np.array([0.2, -0.1, 0.05, 0.3]) + 1e-7 * rng.normal(size=3000)
+        diag = estimate_dvwpx(replace(panel, x=x), DmlConfig(seed=5)).estimate.diagnostics
+        variance = diag["stage1_residual_variance"]
+        assert list(variance) == list(X_NAMES)
+        assert variance["x_bmr_mid"] < 1e-12
+        assert variance["x_bmr_top"] > 0.05 and variance["x_bmr_bot"] > 0.05
+        # exactly linear, its residual is rounding noise, which stage 2 rejects
+        x[:, 1] = 0.5 + panel.h @ np.array([0.2, -0.1, 0.05, 0.3])
+        with pytest.raises(EstimationError, match="stage stage2: design matrix is rank deficient"):
+            estimate_dvwpx(replace(panel, x=x), DmlConfig(seed=5))
+
+    def test_no_svd_solve_and_no_string_sort(self, monkeypatch, default_world):
+        # `<U` keys, as the simulator and read_panel_csv build them
+        panel = simulate_panel(default_world, 4000, CONFOUNDED, seed=2)
+        calls = {"lstsq": 0, "string unique": 0}
+        lstsq, unique = np.linalg.lstsq, np.unique
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        def counted_unique(ar, *args, **kwargs):
+            calls["string unique"] += np.asarray(ar).dtype.kind in "UO"
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(np, "unique", counted_unique)
+        for stage2 in ("ols", "lasso"):
+            estimate_dvwpx(panel, DmlConfig(stage2=stage2))
+        assert calls == {"lstsq": 0, "string unique": 0}
 
     def test_deaveraging_stopped_at_its_cap_fails_in_deaverage_stage(self, default_world):
         # two passes leave query-group means of order 0.05 on a confounded panel

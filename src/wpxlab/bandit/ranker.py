@@ -5,7 +5,9 @@ stats. At serving time each candidate template is scored by sampling every
 objective's posterior, standardizing against the frozen stats, and combining
 with the configured weights; the argmax template wins. A block of requests is
 scored at once, each from its own random stream. Nightly the bundle retrains
-incrementally on a half-sample of the day's impressions.
+incrementally on a half-sample of the day's impressions, given as a block of
+served feature rows with each same-day objective's targets; one kernel,
+`_train_rows`, checks the block and updates every model from it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from ..domain import ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
-from ..errors import DomainError
+from ..errors import DomainError, InvariantViolation
 from ..metrics import RegionWeights
 from .features import encode_rows, feature_schema
 from .posteriors import (
@@ -154,14 +156,11 @@ def new_bundle(
     noise_variance: float = 1.0,
 ) -> RankerBundle:
     schema = feature_schema(categories, signal_names)
+    linear = linear_model(schema, prior_variance, noise_variance)  # immutable, so shareable
     return RankerBundle(
-        revenue_model=linear_model(schema, prior_variance, noise_variance),
+        revenue_model=linear,
         non_abandonment_model=probit_model(schema, prior_variance),
-        satisfaction_model=(
-            linear_model(schema, prior_variance, noise_variance)
-            if with_satisfaction
-            else None
-        ),
+        satisfaction_model=linear if with_satisfaction else None,
         reward=reward,
         region_weights=region_weights,
         categories=categories,
@@ -278,11 +277,12 @@ def thompson_scores(
 
 @dataclass(frozen=True)
 class ImpressionRecord:
-    """One served page with its realized targets.
+    """One served page with its realized targets: the one-row boundary of
+    training, for callers that log impressions one at a time.
 
-    `targets` holds the objectives available the same day; the long-horizon
-    revenue is realized up front but embargoed until `long_term_available_on`
-    and is never a training target.
+    `targets` holds the objectives available the same day. Nothing in the
+    package reads the long-term fields; dropping them waits for a change to
+    the benchmark, whose inputs build them (ROADMAP items 1 and 5).
     """
 
     ts: int
@@ -297,26 +297,13 @@ class ImpressionRecord:
             raise DomainError("long-term availability precedes the impression day")
 
 
-def frozen_reward(
-    weights: Mapping[str, float],
-    log: Sequence[ImpressionRecord],
-    with_satisfaction: bool,
-) -> RewardWeights:
-    """Scalarization whose stats are frozen from the targets in `log`.
-
-    Each weighted objective is standardized by its mean and spread over the
-    log, the spread floored at STD_FLOOR; satisfaction counts only when
-    `with_satisfaction` is set.
-    """
-    values = {
-        REVENUE: np.array([r.targets.revenue for r in log]),
-        NON_ABANDONMENT: np.array([float(r.targets.non_abandonment) for r in log]),
-    }
-    if with_satisfaction:
-        values[SATISFACTION] = np.array([r.targets.satisfaction for r in log])
+def frozen_reward(weights: Mapping[str, float], targets: Mapping[str, np.ndarray]) -> RewardWeights:
+    """Scalarization that standardizes each weighted objective by the mean and
+    spread of its `targets`, the spread floored at STD_FLOOR; a weighted
+    objective without targets is a DomainError."""
     stats = {
         name: ObjectiveStats(float(v.mean()), max(float(v.std()), STD_FLOOR))
-        for name, v in values.items()
+        for name, v in targets.items()
         if name in weights
     }
     return RewardWeights(weights=weights, stats=stats)
@@ -326,66 +313,99 @@ def sample_rows(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray
     """Uniform without-replacement sample of ceil(fraction * n) row indices."""
     if not 0.0 < fraction <= 1.0:
         raise DomainError("sample fraction must be in (0, 1]")
-    k = math.ceil(fraction * n)
-    return rng.choice(n, size=k, replace=False)
+    return rng.choice(n, size=math.ceil(fraction * n), replace=False)
 
 
-def _train_rows(bundle: RankerBundle, records: Sequence[ImpressionRecord]) -> RankerBundle:
-    """Stream `records`, in order, through every applicable objective model.
+TrainingBlock = tuple[np.ndarray, np.ndarray, Mapping[str, np.ndarray]]
 
-    The rows' features are encoded once as a block; each model updates over
-    the block and validates its posterior once at the end. Non-abandonment
-    learns from desktop rows only.
+
+def _train_rows(
+    bundle: RankerBundle, X: np.ndarray, mobile: np.ndarray, targets: Mapping[str, np.ndarray]
+) -> RankerBundle:
+    """Stream the rows of `X`, in order, through every applicable objective model.
+
+    `mobile` flags each row's device; `targets` maps same-day objectives to
+    ``(n,)`` values, checked as ObjectiveVector checks one record's before any
+    model updates. A target outside OBJECTIVE_ORDER, such as the embargoed
+    long-term revenue, is an InvariantViolation. Each model validates its
+    posterior once at the end; non-abandonment learns from desktop rows only.
     """
-    if bundle.satisfaction_model is not None and any(
-        r.targets.satisfaction is None for r in records
-    ):
-        raise DomainError("impression lacks a satisfaction target")
+    late = sorted(set(targets) - set(OBJECTIVE_ORDER))
+    if late:
+        raise InvariantViolation(f"training would consume targets that are not same-day: {late}")
+    needed = OBJECTIVE_ORDER[: 2 if bundle.satisfaction_model is None else 3]
+    missing = [name for name in needed if name not in targets]
+    if missing:
+        raise DomainError(f"training rows lack targets {missing}")
+    if (targets[REVENUE] < 0.0).any():
+        raise DomainError("revenue must be >= 0")
+    labels = targets[NON_ABANDONMENT]
+    if ((labels != 0) & (labels != 1)).any():
+        raise DomainError("non_abandonment labels must be 0 or 1")
+    satisfaction = targets.get(SATISFACTION)
+    if satisfaction is not None and ((satisfaction < 0.0) | (satisfaction > 1.0)).any():
+        raise DomainError("satisfaction must be in [0, 1]")
+    desktop = ~np.asarray(mobile, dtype=bool)
+    non_ab = probit_update_rows(bundle.non_abandonment_model, X[desktop], labels[desktop].tolist())
+    satisfaction_model = bundle.satisfaction_model
+    if satisfaction_model is not None:
+        satisfaction_model = blr_update_rows(satisfaction_model, X, targets[SATISFACTION])
+    return replace(
+        bundle,
+        revenue_model=blr_update_rows(bundle.revenue_model, X, targets[REVENUE]),
+        non_abandonment_model=non_ab,
+        satisfaction_model=satisfaction_model,
+        rows_trained=bundle.rows_trained + len(X),
+    )
+
+
+def _record_block(bundle: RankerBundle, records: Sequence[ImpressionRecord]) -> TrainingBlock:
+    """The training block of `records`; satisfaction only when all carry one."""
     X = encode_rows(
         [(r.context, r.template_id) for r in records], bundle.categories, bundle.signal_names
     )
-    desktop = [i for i, r in enumerate(records) if r.context.device is Device.DESKTOP]
-    revenue_model = blr_update_rows(bundle.revenue_model, X, [r.targets.revenue for r in records])
-    non_ab = probit_update_rows(
-        bundle.non_abandonment_model,
-        X[desktop],
-        [records[i].targets.non_abandonment for i in desktop],
-    )
-    satisfaction_model = bundle.satisfaction_model
-    if satisfaction_model is not None:
-        satisfaction_model = blr_update_rows(
-            satisfaction_model, X, [r.targets.satisfaction for r in records]
-        )
-    return replace(
-        bundle,
-        revenue_model=revenue_model,
-        non_abandonment_model=non_ab,
-        satisfaction_model=satisfaction_model,
-        rows_trained=bundle.rows_trained + len(records),
-    )
+    mobile = np.array([r.context.device is Device.MOBILE for r in records], dtype=bool)
+    with_satisfaction = all(r.targets.satisfaction is not None for r in records)
+    return X, mobile, {
+        name: np.array([getattr(r.targets, name) for r in records], dtype=float)
+        for name in OBJECTIVE_ORDER[: 3 if with_satisfaction else 2]
+    }
 
 
 def apply_impression(bundle: RankerBundle, record: ImpressionRecord) -> RankerBundle:
     """Stream one impression through every applicable objective model."""
-    return _train_rows(bundle, [record])
+    return _train_rows(bundle, *_record_block(bundle, [record]))
 
 
 def incremental_retrain(
     bundle: RankerBundle,
-    day_log: list[ImpressionRecord],
+    day_log: TrainingBlock | list[ImpressionRecord],
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
     rng: np.random.Generator | None = None,
 ) -> RankerBundle:
     """Sample half the day's impressions and stream them through the models.
 
-    Posteriors carry over from the incoming bundle; an empty log returns the
-    bundle untouched.
+    `day_log` is a block ``(features, mobile, targets)`` of arrays: ``(n, p)``
+    served rows, their device flags and each same-day objective's ``(n,)``
+    targets. A list of ImpressionRecord is sampled first, and only the sampled
+    records are encoded. Posteriors carry over from the incoming bundle; an
+    empty log returns the bundle untouched.
     """
-    if not day_log:
+    if isinstance(day_log, list):
+        n = len(day_log)
+    else:
+        X, mobile, targets = day_log
+        n = len(X)
+        if any(np.shape(v) != (n,) for v in (mobile, *targets.values())):
+            raise DomainError(f"device flags or targets do not match the {n} feature rows")
+    if not n:
         return bundle
     if rng is None:
         raise DomainError("incremental_retrain requires an rng")
-    return _train_rows(bundle, [day_log[i] for i in sample_rows(len(day_log), sample_fraction, rng)])
+    rows = sample_rows(n, sample_fraction, rng)
+    if isinstance(day_log, list):
+        return _train_rows(bundle, *_record_block(bundle, [day_log[i] for i in rows]))
+    return _train_rows(bundle, X[rows], mobile[rows], {k: v[rows] for k, v in targets.items()})
 
 
 def with_noise_variances(
@@ -393,26 +413,20 @@ def with_noise_variances(
     revenue_noise_variance: float,
     satisfaction_noise_variance: float | None = None,
 ) -> RankerBundle:
-    """Swap the observation-noise variance on the linear models.
-
-    Passing None leaves the satisfaction model untouched; a value for a
-    bundle without one is an error.
-    """
-    if revenue_noise_variance <= 0.0:
+    """Swap the observation-noise variance on the linear models. Passing None
+    leaves the satisfaction model untouched; a value for a bundle without one
+    is an error."""
+    if revenue_noise_variance <= 0.0 or (
+        satisfaction_noise_variance is not None and satisfaction_noise_variance <= 0.0
+    ):
         raise DomainError("noise variance must be > 0")
-    out = replace(
+    satisfaction_model = bundle.satisfaction_model
+    if satisfaction_noise_variance is not None:
+        if satisfaction_model is None:
+            raise DomainError("bundle has no satisfaction model")
+        satisfaction_model = replace(satisfaction_model, noise_variance=satisfaction_noise_variance)
+    return replace(
         bundle,
         revenue_model=replace(bundle.revenue_model, noise_variance=revenue_noise_variance),
+        satisfaction_model=satisfaction_model,
     )
-    if satisfaction_noise_variance is not None:
-        if satisfaction_noise_variance <= 0.0:
-            raise DomainError("noise variance must be > 0")
-        if out.satisfaction_model is None:
-            raise DomainError("bundle has no satisfaction model")
-        out = replace(
-            out,
-            satisfaction_model=replace(
-                out.satisfaction_model, noise_variance=satisfaction_noise_variance
-            ),
-        )
-    return out

@@ -192,12 +192,12 @@ def lasso_cv_path(
     fold_mse = np.zeros((grid_points, folds))
     for f in range(folds):
         tr = fold_of != f
-        te = ~tr
+        X_tr, y_tr, X_te, y_te = X[tr], y[tr], X[~tr], y[~tr]
         beta = None
         for i, lam in enumerate(grid):
-            beta = lasso_fit(X[tr], y[tr], lam, beta_init=beta)
-            err = y[te] - X[te] @ beta
-            fold_mse[i, f] = float(np.add.reduce(err * err)) / int(te.sum())
+            beta = lasso_fit(X_tr, y_tr, lam, beta_init=beta)
+            err = y_te - X_te @ beta
+            fold_mse[i, f] = float(np.add.reduce(err * err)) / len(y_te)
     mean_mse = fold_mse.mean(axis=1)
     best = 0
     for i in range(1, grid_points):

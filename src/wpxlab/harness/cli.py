@@ -51,6 +51,7 @@ from .experiment import (
     load_report,
     render_report,
     request_context,
+    request_rows,
     run_experiment,
     save_report,
     serve_pages,
@@ -222,20 +223,19 @@ def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
         for r in keyed_streams(stream_keys(seed, ("rank_warmup",), np.arange(n_sessions)))
     ]
     ci, qi, ti, mobile, available, u, z = map(np.array, zip(*draws))
-    devices = [Device.MOBILE if m else Device.DESKTOP for m in mobile.tolist()]
-    members = world.customers.membership[ci].tolist()
-    contexts = [request_context(world, q, d, m) for q, d, m in zip(qi.tolist(), devices, members)]
-    log, _, _ = serve_pages(world, ci, qi, ti, available, u, z, contexts, 1, region_weights)
+    _, _, targets = serve_pages(world, ci, qi, ti, available, u, z, region_weights)
 
     bundle = new_bundle(
         categories=world.categories,
         signal_names=world.signal_names,
-        reward=frozen_reward(arm.reward_weights, log, region_weights is not None),
+        reward=frozen_reward(arm.reward_weights, targets),
         region_weights=region_weights,
         with_satisfaction=region_weights is not None,
     )
+    members = world.customers.membership[ci]
+    rows = request_rows(world, bundle)[mobile.astype(np.intp), qi, members, ti]
     return incremental_retrain(
-        bundle, log, sample_fraction=1.0, rng=stream(seed, "rank_retrain")
+        bundle, (rows, mobile, targets), sample_fraction=1.0, rng=stream(seed, "rank_retrain")
     )
 
 
@@ -261,14 +261,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
             raise DomainError(f"query_index out of range: {qi}")
         query = asdict(request_context(world, qi, Device.DESKTOP, 0))
     context = config_from_json(ContextFeatures, given, "config", query)
-    bundle = _train_rank_bundle(world, arm, n_sessions, seed)
-
     by_id = {t.template_id: t for t in world.templates}
     candidate_ids = list(by_id) if candidate_ids is None else candidate_ids
     unknown = [t for t in candidate_ids if t not in by_id]
     if unknown:
         raise DomainError(f"unknown template ids: {unknown}")
+    repeated = sorted({t for t in candidate_ids if candidate_ids.count(t) > 1})
+    if repeated:
+        raise DomainError(f"repeated template ids: {repeated}")
     candidates = [by_id[t] for t in candidate_ids]
+    bundle = _train_rank_bundle(world, arm, n_sessions, seed)
     chosen, scores = select_template(
         context, candidates, bundle, stream(seed, "rank_select")
     )

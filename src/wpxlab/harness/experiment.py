@@ -4,16 +4,17 @@ Arms differ only in their satisfaction objective: none (control), the
 fixed click-based region weighting `CTR_REGION_WEIGHTS`, or the region
 weighting derived from the causal estimator. Sessions share random streams
 across arms so measured lifts come from template choices, not luck. Every
-session is served through `serve_pages`. Long-horizon revenue is realized up
-front but embargoed for `LONG_TERM_DELAY_DAYS` past each impression: it feeds
-reports, never training.
+session is served through `serve_pages`; each arm retrains nightly on the
+`request_rows` rows it scored and one array of same-day targets per objective.
+Long-horizon revenue is realized up front but embargoed for
+`LONG_TERM_DELAY_DAYS` past each impression: it feeds reports, never training.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from itertools import product
@@ -27,7 +28,7 @@ from ..bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
     SATISFACTION,
-    ImpressionRecord,
+    OBJECTIVE_ORDER,
     ObjectiveStats,
     RankerBundle,
     RewardWeights,
@@ -39,8 +40,8 @@ from ..bandit.ranker import (
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device, ObjectiveVector
-from ..errors import DomainError, EstimationError, InvariantViolation
+from ..domain import ContextFeatures, Device
+from ..errors import DomainError, EstimationError
 from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
 from ..rng import keyed_normals, keyed_streams, keyed_uniforms, stream, stream_keys
 from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
@@ -57,8 +58,8 @@ METRIC_NAMES = ("revenue", "long_term_revenue", "ctr", "pr_wp_bmr")
 NOISE_VARIANCE_FLOOR = 1e-6
 BOOTSTRAP_BLOCK = 64  # resamples gathered at once
 #: Days after an impression at which its long-term revenue becomes known. The
-#: long-term outcome is never a training target; the date only stamps records
-#: for the embargo audit.
+#: long-term outcome is never a training target; the date only stamps the
+#: embargo audit.
 LONG_TERM_DELAY_DAYS = 84
 
 
@@ -70,6 +71,9 @@ class ArmConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reward_weights", dict(self.reward_weights))
+        unknown = sorted(set(self.reward_weights) - set(OBJECTIVE_ORDER))
+        if unknown:
+            raise DomainError(f"reward_weights has unknown objectives {unknown}")
         if self.satisfaction_mode not in SATISFACTION_MODES:
             raise DomainError(
                 f"satisfaction_mode must be one of {SATISFACTION_MODES}, "
@@ -219,14 +223,6 @@ def _region_weights_for(
     return dvwpx_weights
 
 
-def _initial_reward(arm: ArmConfig) -> RewardWeights:
-    # placeholder stats; frozen from warmup targets before any Thompson serving
-    return RewardWeights(
-        weights=arm.reward_weights,
-        stats={name: ObjectiveStats(0.0, 1.0) for name in arm.reward_weights},
-    )
-
-
 def request_context(
     world: World, query_index: int, device: Device, membership: int
 ) -> ContextFeatures:
@@ -245,6 +241,18 @@ def request_context(
     )
 
 
+def request_rows(world: World, bundle: RankerBundle) -> np.ndarray:
+    """Every request's checked candidate feature rows, read-only, as a
+    ``(2, n_queries, 2, c, p)`` table indexed by (mobile, query, membership)."""
+    template_ids = [t.template_id for t in world.templates]
+    requests = product((Device.DESKTOP, Device.MOBILE), range(world.config.n_queries), (0, 1))
+    contexts = [request_context(world, qi, device, m) for device, qi, m in requests]
+    table = np.stack([candidate_features(c, template_ids, bundle) for c in contexts])
+    table = table.reshape(2, world.config.n_queries, 2, *table.shape[1:])
+    table.flags.writeable = False
+    return table
+
+
 def serve_pages(
     world: World,
     customer_idx: np.ndarray,
@@ -253,47 +261,27 @@ def serve_pages(
     available: np.ndarray,
     u: np.ndarray,
     z: np.ndarray,
-    contexts: Sequence[ContextFeatures],
-    day: int,
     region_weights: RegionWeights | None,
-) -> tuple[list[ImpressionRecord], PageSessions, np.ndarray]:
-    """Serve a block of requests, one template each, and log the impressions.
+) -> tuple[PageSessions, np.ndarray, dict[str, np.ndarray]]:
+    """Serve a block of requests, one template each.
 
     Row ``i`` fills its page under ``available[i]``, realizes its session from
     the ``(3, n_slots)`` uniforms ``u[i]`` and its long-term revenue from the
-    normal ``z[i]``; satisfaction is the region-weighted brand match rate when
-    `region_weights` is set. Returns the impressions, the sessions and the
-    long-term revenue of each row.
+    normal ``z[i]``. Returns the sessions, the long-term revenue of each row
+    and each same-day objective's ``(n,)`` targets: revenue, non-abandonment
+    and, when `region_weights` is set, satisfaction as the region-weighted
+    brand match rate.
     """
     items = page_item_indices(world, query_idx, template_idx, available)
     sessions = page_sessions(world, customer_idx, query_idx, template_idx, items, u)
     long_term = page_long_term(world, customer_idx, query_idx, sessions, z)
-    satisfaction = (
-        [None] * len(contexts)
-        if region_weights is None
-        else weighted_bmr(sessions.region_bmrs, region_weights).tolist()
-    )
-    records = [
-        ImpressionRecord(
-            ts=day,
-            context=context,
-            template_id=world.templates[ti].template_id,
-            targets=ObjectiveVector(
-                revenue=revenue, non_abandonment=int(clicked), satisfaction=sat
-            ),
-            long_term_revenue=revenue_long,
-            long_term_available_on=day + LONG_TERM_DELAY_DAYS,
-        )
-        for context, ti, revenue, clicked, sat, revenue_long in zip(
-            contexts,
-            template_idx.tolist(),
-            sessions.short_term_revenue.tolist(),
-            sessions.clicked.any(axis=1).tolist(),
-            satisfaction,
-            long_term.tolist(),
-        )
-    ]
-    return records, sessions, long_term
+    targets = {
+        REVENUE: sessions.short_term_revenue,
+        NON_ABANDONMENT: sessions.clicked.any(axis=1).astype(float),
+    }
+    if region_weights is not None:
+        targets[SATISFACTION] = weighted_bmr(sessions.region_bmrs, region_weights)
+    return sessions, long_term, targets
 
 
 def estimate_dvwpx_region_weights(
@@ -325,34 +313,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     arm_region_weights = {
         arm.name: _region_weights_for(arm, dvwpx_weights) for arm in config.arms
     }
-    bundles: dict[str, RankerBundle] = {}
-    for arm in config.arms:
-        bundles[arm.name] = new_bundle(
+    bundles: dict[str, RankerBundle] = {
+        arm.name: new_bundle(
             categories=world.categories,
             signal_names=world.signal_names,
-            reward=_initial_reward(arm),
+            # placeholder stats; frozen from warmup targets before any Thompson serving
+            reward=RewardWeights(
+                arm.reward_weights, {name: ObjectiveStats(0.0, 1.0) for name in arm.reward_weights}
+            ),
             region_weights=arm_region_weights[arm.name],
             with_satisfaction=arm.satisfaction_mode != SATISFACTION_NONE,
             prior_variance=config.prior_variance,
         )
+        for arm in config.arms
+    }
 
     template_ids = [t.template_id for t in world.templates]
-    warmup_log: dict[str, list[ImpressionRecord]] = {arm.name: [] for arm in config.arms}
-    metric_rows: dict[str, dict[str, list[np.ndarray]]] = {
-        arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
-    }
-    warmup_metric_rows: dict[str, dict[str, list[np.ndarray]]] = {
-        arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms
+    warmup_targets: dict[str, list[dict[str, np.ndarray]]] = {arm.name: [] for arm in config.arms}
+    # each arm's daily metric arrays, keyed first by whether the day is warm-up
+    metric_rows: dict[bool, dict[str, dict[str, list[np.ndarray]]]] = {
+        warmup: {arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms}
+        for warmup in (True, False)
     }
     per_day: list[dict[str, Any]] = []
     audit: list[dict[str, Any]] = []
-    # every request context of the world by (mobile, query, membership), with
-    # its candidates' checked, read-only feature rows
-    requests = {}
-    for mobile, qi, m in product((False, True), range(cfg.n_queries), (0, 1)):
-        context = request_context(world, qi, Device.MOBILE if mobile else Device.DESKTOP, m)
-        features = candidate_features(context, template_ids, bundles[config.arms[0].name])
-        requests[mobile, qi, m] = context, features
+    table = request_rows(world, bundles[config.arms[0].name])
 
     for day in range(1, config.days + 1):
         warmup = day <= config.warmup_days
@@ -371,17 +356,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # every arm serves a session with the same outcome and long-term draws
         u = keyed_uniforms(stream_keys(seed, ("exp_outcome", day), s), 3 * world.n_slots)
         z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
-        day_requests = zip(mobile.tolist(), qi.tolist(), world.customers.membership[ci].tolist())
-        contexts, day_features = zip(*(requests[r] for r in day_requests))
-        day_features = np.stack(day_features)
+        day_features = table[mobile.astype(np.intp), qi, world.customers.membership[ci]]
         for arm in config.arms:
             ti = warmup_choice
             if not warmup:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
                 ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
-            log, sessions, long_term = serve_pages(
+            sessions, long_term, targets = serve_pages(
                 world, ci, qi, ti, available, u.reshape(len(s), 3, world.n_slots), z,
-                contexts, day, arm_region_weights[arm.name],
+                arm_region_weights[arm.name],
             )
             day_metrics = {
                 "revenue": sessions.short_term_revenue,
@@ -389,64 +372,55 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "ctr": sessions.engagement / world.n_slots,
                 "pr_wp_bmr": weighted_bmr(sessions.region_bmrs, CTR_REGION_WEIGHTS),
             }
-            consumed_max = max(r.ts for r in log)
-            embargo_min = min(r.long_term_available_on for r in log)
-            if consumed_max > day:
-                raise InvariantViolation(
-                    f"arm {arm.name} day {day}: training would consume an outcome "
-                    f"available only on day {consumed_max}"
-                )
+            # training reads same-day targets only, as `incremental_retrain`
+            # enforces by name; the long-term revenue waits out its delay
             audit.append(
                 {
                     "day": day,
                     "arm": arm.name,
-                    "rows": len(log),
-                    "consumed_max_availability": consumed_max,
-                    "long_term_min_availability": embargo_min,
-                    "long_term_embargoed": embargo_min > day,
+                    "rows": len(s),
+                    "consumed_max_availability": day,
+                    "long_term_min_availability": day + LONG_TERM_DELAY_DAYS,
+                    "long_term_embargoed": LONG_TERM_DELAY_DAYS > 0,
                 }
             )
-            sat = [r.targets.satisfaction for r in log]
+            sat = targets.get(SATISFACTION)
             bundle = with_noise_variances(
                 bundles[arm.name],
-                max(float(np.var(day_metrics["revenue"])), NOISE_VARIANCE_FLOOR),
-                None if sat[0] is None else max(float(np.var(sat)), NOISE_VARIANCE_FLOOR),
+                max(float(np.var(targets[REVENUE])), NOISE_VARIANCE_FLOOR),
+                None if sat is None else max(float(np.var(sat)), NOISE_VARIANCE_FLOOR),
             )
             bundles[arm.name] = incremental_retrain(
-                bundle, log, rng=stream(seed, "exp_retrain", arm.name, day)
+                bundle,
+                (day_features[s, ti], mobile, targets),
+                rng=stream(seed, "exp_retrain", arm.name, day),
             )
-            target = warmup_metric_rows if warmup else metric_rows
             for m in METRIC_NAMES:
-                target[arm.name][m].append(day_metrics[m])
+                metric_rows[warmup][arm.name][m].append(day_metrics[m])
             if warmup:
-                warmup_log[arm.name].extend(log)
+                warmup_targets[arm.name].append(targets)
             per_day.append(
                 {
                     "day": day,
                     "arm": arm.name,
                     "warmup": warmup,
-                    "n_sessions": len(log),
+                    "n_sessions": len(s),
                     **{m: float(np.mean(day_metrics[m])) for m in METRIC_NAMES},
                 }
             )
 
         if day == config.warmup_days:
             for arm in config.arms:
+                logged = warmup_targets[arm.name]
+                warmup_all = {name: np.concatenate([t[name] for t in logged]) for name in logged[0]}
                 bundles[arm.name] = replace(
-                    bundles[arm.name],
-                    reward=frozen_reward(
-                        arm.reward_weights,
-                        warmup_log[arm.name],
-                        arm.satisfaction_mode != SATISFACTION_NONE,
-                    ),
+                    bundles[arm.name], reward=frozen_reward(arm.reward_weights, warmup_all)
                 )
 
     # no post-warmup days: fall back to the warmup window for reporting
-    if config.days == config.warmup_days:
-        metric_rows = warmup_metric_rows
     arm_logs: dict[str, MetricLog] = {
         name: {m: np.concatenate(v) for m, v in rows.items() if v}
-        for name, rows in metric_rows.items()
+        for name, rows in metric_rows[config.days == config.warmup_days].items()
     }
 
     arm_means = {

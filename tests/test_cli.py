@@ -388,6 +388,30 @@ class TestRank:
         )
         assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
 
+    def test_repeated_templates_exit_one_naming_them(self, tmp_path, capsys):
+        templates = ["brand_top", "brand_top", "organic_grid", "organic_grid", "brand_top"]
+        cfg = _write(
+            tmp_path,
+            "ctx.json",
+            {"world": {"seed": 3}, "query_index": 0, "warmup_sessions": 20, "templates": templates},
+        )
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated template ids: ['brand_top', 'organic_grid']" in captured.err
+
+    def test_misspelt_objective_exits_one_before_the_warmup(self, tmp_path, capsys, monkeypatch):
+        def warmup(*args):
+            raise AssertionError("the warm-up ran")
+
+        monkeypatch.setattr(cli, "_train_rank_bundle", warmup)
+        arm = {"reward_weights": {"revenue": 0.5, "non_abandonmnt": 0.2}}
+        cfg = _write(
+            tmp_path, "ctx.json", {"world": {"seed": 3}, "query_index": 0, "arm": arm}
+        )
+        assert cli.main(["rank", "--config", cfg, "--seed", "3"]) == 1
+        _assert_error_names(capsys, "unknown objectives ['non_abandonmnt']")
+
 
 class TestExperimentAndReport:
     def test_experiment_writes_report_and_per_day(self, tmp_path, capsys):
@@ -465,6 +489,16 @@ class TestExperimentAndReport:
         cfg = _write(tmp_path, "exp.json", payload)
         assert cli.main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
         _assert_error_names(capsys, field)
+
+    def test_misspelt_objective_exits_one_at_parse_time(self, tmp_path, capsys, monkeypatch):
+        def run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        arm = {**EXP_CONFIG["arms"][0], "reward_weights": {"revenue": 0.5, "non_abandonmnt": 0.2}}
+        cfg = _write(tmp_path, "exp.json", {**EXP_CONFIG, "arms": [arm]})
+        assert cli.main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+        _assert_error_names(capsys, "unknown objectives ['non_abandonmnt']")
 
     def test_unknown_arm_exits_one(self, tmp_path):
         cfg = _write(tmp_path, "exp.json", EXP_CONFIG)

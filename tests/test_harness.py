@@ -7,7 +7,17 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
-from wpxlab.bandit.ranker import NON_ABANDONMENT, REVENUE, SATISFACTION
+from wpxlab.bandit.ranker import (
+    NON_ABANDONMENT,
+    REVENUE,
+    SATISFACTION,
+    ImpressionRecord,
+    ObjectiveStats,
+    RewardWeights,
+    incremental_retrain,
+    new_bundle,
+    with_noise_variances,
+)
 from wpxlab.domain import ContextFeatures, Device, ObjectiveVector
 from wpxlab.dml.pipeline import DmlConfig
 from wpxlab.errors import DomainError, EstimationError
@@ -27,6 +37,7 @@ from wpxlab.harness.experiment import (
     report_json,
     report_to_dict,
     request_context,
+    request_rows,
     run_experiment,
     save_report,
     serve_pages,
@@ -227,17 +238,13 @@ class TestServing:
         # a block of pages served at once against one page at a time through
         # the object-level chain; `shared_rng` draws a page's long-term noise
         # from its session generator, as `rank`'s warm-up does
-        world, day = default_world, 4
+        world = default_world
         ci = np.array([7, 0, 33, 7, 120, 5, 61])
         qi = np.array([3, 3, 0, 11, 49, 20, 3])
         ti = np.array([2, 0, 5, 1, 3, 4, 2])
         available = np.array(
             [draw_availability(world, np.random.default_rng(i)) for i in range(len(ci))]
         )
-        contexts = [
-            request_context(world, int(q), device, int(world.customers.membership[c]))
-            for q, c, device in zip(qi, ci, [Device.DESKTOP, Device.MOBILE] * 4)
-        ]
 
         def rngs(i):
             session_rng = np.random.default_rng(100 + i)
@@ -248,34 +255,109 @@ class TestServing:
             session_rng, long_term_rng = rngs(i)
             u[i] = session_rng.random((3, world.n_slots))
             z[i] = long_term_rng.standard_normal()
-        records, sessions, long_terms = serve_pages(
-            world, ci, qi, ti, available, u, z, contexts, day, region_weights
+        sessions, long_terms, targets = serve_pages(
+            world, ci, qi, ti, available, u, z, region_weights
         )
-        assert len(records) == len(ci)
-        for i, record in enumerate(records):
+        expected_names = [REVENUE, NON_ABANDONMENT] + ([] if region_weights is None else [SATISFACTION])
+        assert list(targets) == expected_names
+        assert all(v.shape == (len(ci),) for v in targets.values())
+        for i in range(len(ci)):
             session_rng, long_term_rng = rngs(i)
             c, q, t = int(ci[i]), int(qi[i]), int(ti[i])
             layout = build_layout(world, q, t, available[i])
             session = simulate_session(world, c, q, layout, session_rng)
             long_term = realize_long_term(world, c, q, layout, session, long_term_rng)
             expected_bmrs = layout_region_bmrs(layout, world.brands[world.queries[q].brand_index])
-            assert record.context is contexts[i]
-            assert record.template_id == world.templates[t].template_id
-            assert record.targets == ObjectiveVector(
+            # the targets pass the checks an ObjectiveVector makes
+            served = ObjectiveVector(
+                revenue=float(targets[REVENUE][i]),
+                non_abandonment=int(targets[NON_ABANDONMENT][i]),
+                satisfaction=None if region_weights is None else float(targets[SATISFACTION][i]),
+            )
+            assert served == ObjectiveVector(
                 revenue=session.short_term_revenue,
                 non_abandonment=session.non_abandonment,
                 satisfaction=(
                     None if region_weights is None else weighted_bmr(expected_bmrs, region_weights)
                 ),
             )
-            assert record.long_term_revenue == long_term.long_term_revenue
+            assert targets[NON_ABANDONMENT][i] == session.non_abandonment
             assert long_terms[i] == long_term.long_term_revenue
-            assert (record.ts, record.long_term_available_on) == (
-                day,
-                day + LONG_TERM_DELAY_DAYS,
-            )
             assert sessions.engagement[i] == session.engagement_a
             assert tuple(sessions.region_bmrs[i].tolist()) == expected_bmrs
+
+
+class TestTrainingBlock:
+    @pytest.mark.parametrize("region_weights", [None, CTR_REGION_WEIGHTS])
+    def test_block_retrain_equals_record_retrain_bit_for_bit(self, default_world, region_weights):
+        # an experiment-shaped day: 400 sessions served uniformly, the block
+        # gathered from the request table, the records built one per session
+        world, day, n = default_world, 3, 400
+        rng = np.random.default_rng(5)
+        ci = rng.integers(0, world.config.n_customers, n)
+        qi = rng.integers(0, world.config.n_queries, n)
+        ti = rng.integers(0, len(world.templates), n)
+        mobile = rng.random(n) < world.config.mobile_fraction
+        available = np.array([draw_availability(world, rng) for _ in range(n)])
+        u, z = rng.random((n, 3, world.n_slots)), rng.standard_normal(n)
+        _, long_term, targets = serve_pages(world, ci, qi, ti, available, u, z, region_weights)
+        members = world.customers.membership[ci]
+        weights = BASE_WEIGHTS if region_weights is None else SAT_WEIGHTS
+        reward = RewardWeights(weights, {name: ObjectiveStats(0.0, 1.0) for name in weights})
+        start = new_bundle(
+            world.categories, world.signal_names, reward, region_weights, region_weights is not None
+        )
+        start = with_noise_variances(
+            start, 40.0, None if region_weights is None else 0.02
+        )
+        block = (request_rows(world, start)[mobile.astype(int), qi, members, ti], mobile, targets)
+        sat = targets.get(SATISFACTION, np.full(n, None))
+        records = [
+            ImpressionRecord(
+                ts=day,
+                context=request_context(
+                    world, int(qi[i]), Device.MOBILE if mobile[i] else Device.DESKTOP, int(members[i])
+                ),
+                template_id=world.templates[ti[i]].template_id,
+                targets=ObjectiveVector(
+                    revenue=float(targets[REVENUE][i]),
+                    non_abandonment=int(targets[NON_ABANDONMENT][i]),
+                    satisfaction=None if sat[i] is None else float(sat[i]),
+                ),
+                long_term_revenue=float(long_term[i]),
+                long_term_available_on=day + LONG_TERM_DELAY_DAYS,
+            )
+            for i in range(n)
+        ]
+        by_block = by_records = start
+        for seed in (1, 2):
+            by_block = incremental_retrain(by_block, block, rng=np.random.default_rng(seed))
+            by_records = incremental_retrain(by_records, records, rng=np.random.default_rng(seed))
+        assert by_block.rows_trained == by_records.rows_trained == n
+        names = [REVENUE, NON_ABANDONMENT] + ([] if region_weights is None else [SATISFACTION])
+        for name in names:
+            got, want = by_block.model_for(name).posterior, by_records.model_for(name).posterior
+            assert np.array_equal(got.mean, want.mean), name
+            assert np.array_equal(got.cov, want.cov), name
+        # the block still moved every model off its prior
+        for name in names:
+            assert not np.array_equal(by_block.model_for(name).posterior.mean, start.model_for(name).posterior.mean)
+
+    def test_run_experiment_builds_no_per_session_objects(self, monkeypatch):
+        counts = dict.fromkeys(["ImpressionRecord", "ContextFeatures"], 0)
+        for cls in (ImpressionRecord, ContextFeatures):
+
+            def counted(self, original=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        config = _two_arm_config()
+        run_experiment(config)
+        assert counts["ImpressionRecord"] == 0
+        # one context per (device, query, membership), not one per session
+        assert 0 < counts["ContextFeatures"] <= 2 * config.world.n_queries * 2
+        assert 2 * config.world.n_queries * 2 < len(config.arms) * config.days * config.sessions_per_day
 
 
 class TestRegionWeightEstimation:

@@ -113,6 +113,17 @@ def _serve_shaped_day(world, rng, n, ts):
     return log
 
 
+def _posteriors(bundle):
+    return [(m.posterior.mean.copy(), m.posterior.cov.copy()) for m in
+            (bundle.revenue_model, bundle.non_abandonment_model, bundle.satisfaction_model)]
+
+
+def _assert_unchanged(bundle, before):
+    for (mean0, cov0), (mean1, cov1) in zip(before, _posteriors(bundle)):
+        assert np.array_equal(mean0, mean1) and np.array_equal(cov0, cov1)
+    assert bundle.rows_trained == 0
+
+
 class _ZeroNoiseRng:
     """Stands in for a Generator; every posterior draw lands on the mean."""
 
@@ -466,9 +477,8 @@ class TestScoreCandidates:
 
 class TestFrozenReward:
     def test_zero_variance_objective_std_is_floored(self):
-        context = _context()
-        log = [_record(context, "a", 2.0, 1), _record(context, "b", 2.0, 0)]
-        reward = frozen_reward({REVENUE: 0.5, NON_ABANDONMENT: 0.2}, log, False)
+        targets = {REVENUE: np.array([2.0, 2.0]), NON_ABANDONMENT: np.array([1.0, 0.0])}
+        reward = frozen_reward({REVENUE: 0.5, NON_ABANDONMENT: 0.2}, targets)
         assert STD_FLOOR == 1e-6
         assert reward.stats == {
             REVENUE: ObjectiveStats(2.0, STD_FLOOR),
@@ -476,19 +486,20 @@ class TestFrozenReward:
         }
 
     def test_satisfaction_and_unweighted_objectives_are_omitted(self):
-        context = _context()
-        log = [
-            _record(context, "a", 1.0, 1, satisfaction=0.2),
-            _record(context, "b", 3.0, 0, satisfaction=0.6),
-        ]
-        assert set(frozen_reward({REVENUE: 1.0}, log, True).stats) == {REVENUE}
+        targets = {
+            REVENUE: np.array([1.0, 3.0]),
+            NON_ABANDONMENT: np.array([1.0, 0.0]),
+            SATISFACTION: np.array([0.2, 0.6]),
+        }
+        assert set(frozen_reward({REVENUE: 1.0}, targets).stats) == {REVENUE}
         weights = {REVENUE: 1.0, SATISFACTION: 0.3}
-        reward = frozen_reward(weights, log, True)
+        reward = frozen_reward(weights, targets)
         assert set(reward.stats) == {REVENUE, SATISFACTION}
         assert reward.stats[SATISFACTION].mean == pytest.approx(0.4)
         assert reward.stats[SATISFACTION].std == pytest.approx(0.2)
+        without_satisfaction = {k: v for k, v in targets.items() if k != SATISFACTION}
         with pytest.raises(DomainError):
-            frozen_reward(weights, log, False)
+            frozen_reward(weights, without_satisfaction)
 
 
 class TestImpressionRecord:
@@ -647,8 +658,7 @@ class TestRetraining:
     )
     def test_bad_day_raises_before_any_model_changes(self, fault):
         bundle = _bundle(with_satisfaction=True)
-        before = [(m.posterior.mean.copy(), m.posterior.cov.copy()) for m in
-                  (bundle.revenue_model, bundle.non_abandonment_model, bundle.satisfaction_model)]
+        before = _posteriors(bundle)
         log = [_record(_context(), "a" if i % 2 else "b", 1.0, i % 2, 0.5) for i in range(9)]
         if fault == "non-finite target":
             bad = _record(_context(), "a", float("inf"), 1, 0.5)
@@ -662,11 +672,58 @@ class TestRetraining:
             bad = _record(_context(), "a", 1.0, 1, None)
         with pytest.raises(DomainError):
             incremental_retrain(bundle, [*log, bad], sample_fraction=1.0, rng=np.random.default_rng(0))
-        after = [(m.posterior.mean, m.posterior.cov) for m in
-                 (bundle.revenue_model, bundle.non_abandonment_model, bundle.satisfaction_model)]
-        for (mean0, cov0), (mean1, cov1) in zip(before, after):
-            assert np.array_equal(mean0, mean1) and np.array_equal(cov0, cov1)
-        assert bundle.rows_trained == 0
+        _assert_unchanged(bundle, before)
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("non-finite target", DomainError),
+            ("negative revenue", DomainError),
+            ("label outside {0, 1}", DomainError),
+            ("fractional label", DomainError),
+            ("satisfaction outside [0, 1]", DomainError),
+            ("wrong-width features", DomainError),
+            ("short device flags", DomainError),
+            ("no satisfaction", DomainError),
+            ("long-term revenue target", InvariantViolation),
+        ],
+    )
+    def test_bad_block_raises_before_any_model_changes(self, fault, error):
+        # the checks an ObjectiveVector makes per record, made on a forged block
+        bundle = _bundle(with_satisfaction=True)
+        before = _posteriors(bundle)
+        n = 10
+        X = encode_rows([(_context(), "a" if i % 2 else "b") for i in range(n)], CATEGORIES, SIGNALS)
+        mobile = np.arange(n) % 3 == 0
+        targets = {
+            REVENUE: np.ones(n),
+            NON_ABANDONMENT: (np.arange(n) % 2).astype(float),
+            SATISFACTION: np.full(n, 0.5),
+        }
+        if fault == "non-finite target":
+            targets[REVENUE][-1] = np.inf
+        elif fault == "negative revenue":
+            targets[REVENUE][-1] = -0.5
+        elif fault == "label outside {0, 1}":
+            targets[NON_ABANDONMENT][0] = 2.0
+        elif fault == "fractional label":
+            # a mobile row: the probit update never sees it
+            assert mobile[0]
+            targets[NON_ABANDONMENT][0] = 0.5
+        elif fault == "satisfaction outside [0, 1]":
+            targets[SATISFACTION][-1] = 1.5
+        elif fault == "wrong-width features":
+            X = np.column_stack([X, np.ones(n)])
+        elif fault == "short device flags":
+            mobile = mobile[:-1]
+        elif fault == "no satisfaction":
+            del targets[SATISFACTION]
+        else:
+            # the embargoed long-horizon outcome is never a training target
+            targets["long_term_revenue"] = np.full(n, 40.0)
+        with pytest.raises(error):
+            incremental_retrain(bundle, (X, mobile, targets), sample_fraction=1.0, rng=np.random.default_rng(0))
+        _assert_unchanged(bundle, before)
 
     @pytest.mark.parametrize(
         "prior_variance, noise_variance", [(1e6, 1e-10), (1e6, 1e-12), (1e4, 1e-12), (1e2, 1e-14)]

@@ -90,9 +90,6 @@ class GaussianPosterior:
     def diagonal(self) -> bool:
         return self.cov.ndim == 1
 
-    def variance_vector(self) -> np.ndarray:
-        return self.cov if self.diagonal else np.diag(self.cov)
-
     def full_cov(self) -> np.ndarray:
         return np.diag(self.cov) if self.diagonal else self.cov
 

@@ -153,10 +153,9 @@ def new_bundle(
     region_weights: RegionWeights | None,
     with_satisfaction: bool,
     prior_variance: float = 1.0,
-    noise_variance: float = 1.0,
 ) -> RankerBundle:
     schema = feature_schema(categories, signal_names)
-    linear = linear_model(schema, prior_variance, noise_variance)  # immutable, so shareable
+    linear = linear_model(schema, prior_variance)  # immutable, so shareable
     return RankerBundle(
         revenue_model=linear,
         non_abandonment_model=probit_model(schema, prior_variance),

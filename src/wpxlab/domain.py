@@ -105,10 +105,6 @@ class PageTemplate:
             if not area > 0.0:
                 raise DomainError(f"slot_plan pixel area must be positive, got {area}")
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.slot_plan)
-
 
 @dataclass(frozen=True)
 class PageLayout:
@@ -120,10 +116,6 @@ class PageLayout:
 
     template_id: str
     slots: tuple[Slot, ...]
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.slots)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,8 @@ from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
 from ..domain import ContextFeatures, Device
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS
-from ..rng import keyed_streams, stream, stream_keys
+from ..rng import stream
 from ..sim.panel import CONFOUNDED, RANDOMIZED, X_COLUMNS, simulate_panel
-from ..sim.session import draw_availability
 from ..sim.world import WorldConfig, generate_world
 from .experiment import (
     SATISFACTION_CTR,
@@ -47,6 +46,7 @@ from .experiment import (
     config_from_json,
     config_to_json,
     default_experiment_config,
+    draw_sessions,
     field_from_json,
     load_report,
     render_report,
@@ -202,27 +202,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
-    """Fit a quick bundle on uniformly served sessions so `rank` has posteriors."""
+    """Fit a quick bundle on uniformly served sessions so `rank` has posteriors:
+    one warm-up day of `draw_sessions` under a label no experiment day uses."""
     if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
     region_weights = CTR_REGION_WEIGHTS if arm.satisfaction_mode == SATISFACTION_CTR else None
     if n_sessions < 1:
         raise DomainError("warmup_sessions must be >= 1")
 
-    wc = world.config
-    draws = [
-        (
-            r.integers(0, wc.n_customers),
-            r.integers(0, wc.n_queries),
-            r.integers(0, len(world.templates)),
-            r.random() < wc.mobile_fraction,
-            draw_availability(world, r),
-            r.random((3, world.n_slots)),
-            r.standard_normal(),
-        )
-        for r in keyed_streams(stream_keys(seed, ("rank_warmup",), np.arange(n_sessions)))
-    ]
-    ci, qi, ti, mobile, available, u, z = map(np.array, zip(*draws))
+    ci, qi, mobile, ti, available, u, z = draw_sessions(world, seed, "rank", n_sessions)
     _, _, targets = serve_pages(world, ci, qi, ti, available, u, z, region_weights)
 
     bundle = new_bundle(

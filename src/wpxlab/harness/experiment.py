@@ -253,6 +253,32 @@ def request_rows(world: World, bundle: RankerBundle) -> np.ndarray:
     return table
 
 
+def draw_sessions(world: World, seed: int, day: int | str, n: int) -> tuple[np.ndarray, ...]:
+    """The requests of ``n`` sessions of ``day`` and their random draws.
+
+    Session ``i`` draws its customer, query, mobile flag, uniform template and
+    item availability from ``stream(seed, "exp_session", day, i)``, its
+    ``(3, n_slots)`` session uniforms from ``"exp_outcome"`` and its long-term
+    normal from ``"exp_longterm"``. Returns ``(ci, qi, mobile, template,
+    available, u, z)``, one row per session, ``u`` shaped ``(n, 3, n_slots)``.
+    """
+    cfg = world.config
+    s = np.arange(n)
+    draws = [
+        (
+            r.integers(0, cfg.n_customers),
+            r.integers(0, cfg.n_queries),
+            r.random() < cfg.mobile_fraction,
+            r.integers(0, len(world.templates)),
+            draw_availability(world, r),
+        )
+        for r in keyed_streams(stream_keys(seed, ("exp_session", day), s))
+    ]
+    u = keyed_uniforms(stream_keys(seed, ("exp_outcome", day), s), 3 * world.n_slots)
+    z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
+    return (*map(np.array, zip(*draws)), u.reshape(n, 3, world.n_slots), z)
+
+
 def serve_pages(
     world: World,
     customer_idx: np.ndarray,
@@ -303,7 +329,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     has none).
     """
     world = generate_world(config.world)
-    cfg = config.world
     seed = config.seed
 
     dvwpx_weights = None
@@ -342,20 +367,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for day in range(1, config.days + 1):
         warmup = day <= config.warmup_days
         s = np.arange(config.sessions_per_day)
-        draws = [
-            (
-                r.integers(0, cfg.n_customers),
-                r.integers(0, cfg.n_queries),
-                r.random() < cfg.mobile_fraction,
-                r.integers(0, len(world.templates)),
-                draw_availability(world, r),
-            )
-            for r in keyed_streams(stream_keys(seed, ("exp_session", day), s))
-        ]
-        ci, qi, mobile, warmup_choice, available = map(np.array, zip(*draws))
         # every arm serves a session with the same outcome and long-term draws
-        u = keyed_uniforms(stream_keys(seed, ("exp_outcome", day), s), 3 * world.n_slots)
-        z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
+        ci, qi, mobile, warmup_choice, available, u, z = draw_sessions(world, seed, day, len(s))
         day_features = table[mobile.astype(np.intp), qi, world.customers.membership[ci]]
         for arm in config.arms:
             ti = warmup_choice
@@ -363,8 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
                 ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
             sessions, long_term, targets = serve_pages(
-                world, ci, qi, ti, available, u.reshape(len(s), 3, world.n_slots), z,
-                arm_region_weights[arm.name],
+                world, ci, qi, ti, available, u, z, arm_region_weights[arm.name]
             )
             day_metrics = {
                 "revenue": sessions.short_term_revenue,

@@ -30,10 +30,9 @@ CHUNK_EVENTS = 4096
 
 @dataclass(frozen=True)
 class EventBatch:
-    """Logged search events as columns: one row per event, with its page and
-    both horizons' outcomes."""
+    """Logged search events as columns: row ``i`` is event ``i``, with its page
+    and both horizons' outcomes."""
 
-    event_index: np.ndarray  # position in the generated sequence; names the event
     customer_index: np.ndarray
     query_index: np.ndarray
     template_index: np.ndarray
@@ -42,12 +41,6 @@ class EventBatch:
     short_term_revenue: np.ndarray
     engagement: np.ndarray
     long_term_revenue: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.event_index)
-
-    def take(self, idx: np.ndarray) -> "EventBatch":
-        return EventBatch(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
 def assign_templates(
@@ -110,7 +103,6 @@ def generate_events(
         sessions = page_sessions(world, ci, qi, ti, items, u.reshape(len(ids), 3, -1))
         blocks.append(
             EventBatch(
-                event_index=ids,
                 customer_index=ci,
                 query_index=qi,
                 template_index=ti,
@@ -134,16 +126,15 @@ def generate_events(
 def emit_panel(world: World, events: EventBatch) -> PanelDataset:
     """Flatten events into the estimator's panel: keys, target, X, M, H.
 
-    Rows are ordered by event index regardless of input order, so blocked or
-    parallel generation cannot change the output.
+    Panel row ``i`` is event ``i``, with event id ``e{i:08d}``.
     """
-    if len(events) == 0:
+    n = len(events.customer_index)
+    if n == 0:
         raise DomainError("no events to emit")
-    events = events.take(np.argsort(events.event_index, kind="stable"))
     customers = world.customers
     query_ids = np.array([q.query_id for q in world.queries])
     return PanelDataset(
-        event_id=np.array([f"e{i:08d}" for i in events.event_index.tolist()]),
+        event_id=np.array([f"e{i:08d}" for i in range(n)]),
         customer_id=np.array([f"c{c:06d}" for c in events.customer_index.tolist()]),
         query_group=query_ids[events.query_index],
         zip_code=np.array(world.zip_ids)[customers.zip_index[events.customer_index]],

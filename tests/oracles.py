@@ -45,9 +45,9 @@ def validate_layout(
             f"template mismatch: layout says {layout.template_id!r}, "
             f"template is {template.template_id!r}"
         )
-    if layout.n_slots != template.n_slots:
+    if len(layout.slots) != len(template.slot_plan):
         violations.append(
-            f"slot count {layout.n_slots} != template plan length {template.n_slots}"
+            f"slot count {len(layout.slots)} != template plan length {len(template.slot_plan)}"
         )
     positions = [slot.position for slot in layout.slots]
     if positions != list(range(1, len(positions) + 1)):

@@ -260,11 +260,11 @@ class TestRank:
         [
             (
                 {"query_index": 1, "device": "mobile"},
-                "2a42b5231ab13edbc9b3a812aa9aff820562611d5e6daa824e1ed931d26053b3",
+                "734ca70aaef5262076ffb5917db539655bbfaf5fd4b1c650f6911797ab20609d",
             ),
             (
                 {"query_index": 2, "device": "desktop"},
-                "39a861f108febcf3186f886543d9b1d8209927aefa474058f9f4f83b2b393b25",
+                "2f40c9ff1a4601ac077debce472266ca6caa6d015da0a915d4206abaf59dcbe2",
             ),
         ],
     )

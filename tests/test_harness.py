@@ -267,7 +267,7 @@ class TestServing:
             layout = build_layout(world, q, t, available[i])
             session = simulate_session(world, c, q, layout, session_rng)
             long_term = realize_long_term(world, c, q, layout, session, long_term_rng)
-            expected_bmrs = layout_region_bmrs(layout, world.brands[world.queries[q].brand_index])
+            expected_bmrs = layout_region_bmrs(layout, world.brands[world.query_brand[q]])
             # the targets pass the checks an ObjectiveVector makes
             served = ObjectiveVector(
                 revenue=float(targets[REVENUE][i]),

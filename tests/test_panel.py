@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from wpxlab.sim.panel import (
     M_COLUMNS,
     RANDOMIZED,
     X_COLUMNS,
+    EventBatch,
     assign_templates,
     emit_panel,
     generate_events,
@@ -72,7 +74,7 @@ def _scalar_panel(world, n_events, policy, seed):
         long_term = realize_long_term(
             world, ci, qi, layout, session, stream(seed, i, "long_term")
         )
-        x.append(layout_region_bmrs(layout, world.brands[world.queries[qi].brand_index]))
+        x.append(layout_region_bmrs(layout, world.brands[world.query_brand[qi]]))
         m.append((session.short_term_revenue, session.engagement_a))
         drev.append(long_term.long_term_revenue)
     return customer_idx, query_idx, np.array(x), np.array(m), np.array(drev)
@@ -91,22 +93,13 @@ class TestEventGeneration:
         panel = emit_panel(default_world, events)
         ci, qi = int(events.customer_index[0]), int(events.query_index[0])
         layout = _page_layout(default_world, int(events.template_index[0]), events.items[0])
-        brand = default_world.brands[default_world.queries[qi].brand_index]
+        brand = default_world.brands[default_world.query_brand[qi]]
         assert tuple(panel.x[0]) == layout_region_bmrs(layout, brand)
         assert panel.m[0, 0] == events.short_term_revenue[0]
         assert panel.m[0, 1] == events.engagement[0]
         assert panel.drev[0] == events.long_term_revenue[0]
         assert panel.event_id[0] == "e00000000"
         assert panel.customer_id[0] == f"c{ci:06d}"
-
-    def test_rows_sorted_by_event_id_regardless_of_input_order(self, default_world):
-        events = generate_events(default_world, 10, RANDOMIZED, seed=6)
-        shuffled = events.take(np.array([7, 2, 9, 0, 4, 1, 8, 3, 6, 5]))
-        a = emit_panel(default_world, events)
-        b = emit_panel(default_world, shuffled)
-        assert np.array_equal(a.event_id, b.event_id)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.drev, b.drev)
 
     def test_randomized_assignment_uniform_and_seeded(self, default_world):
         rng = np.random.default_rng(2)
@@ -145,8 +138,9 @@ class TestEventGeneration:
                 np.random.default_rng(0),
             )
         events = generate_events(default_world, 1, RANDOMIZED, seed=0)
+        empty = EventBatch(**{f.name: getattr(events, f.name)[:0] for f in fields(events)})
         with pytest.raises(DomainError):
-            emit_panel(default_world, events.take(np.array([], dtype=np.intp)))
+            emit_panel(default_world, empty)
 
 
 class TestBatchMatchesScalarChain:

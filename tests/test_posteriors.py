@@ -58,7 +58,7 @@ class TestGaussianPosterior:
     def test_diagonal_mode(self):
         post = gaussian_prior(4, variance=0.5, diagonal=True)
         assert post.diagonal
-        assert np.array_equal(post.variance_vector(), np.full(4, 0.5))
+        assert np.array_equal(post.cov, np.full(4, 0.5))
         assert np.array_equal(post.full_cov(), 0.5 * np.eye(4))
 
     def test_guards(self):

@@ -61,7 +61,7 @@ class TestWorldGeneration:
         assert np.array_equal(a.item_price, b.item_price)
         assert np.array_equal(a.item_appeal, b.item_appeal)
         assert np.array_equal(a.customers.history, b.customers.history)
-        assert np.array_equal(a.customers.propensity, b.customers.propensity)
+        assert np.array_equal(a.customers.spend_multiplier, b.customers.spend_multiplier)
         assert np.array_equal(a.query_alpha, b.query_alpha)
         assert np.array_equal(a.zip_zeta, b.zip_zeta)
         assert np.array_equal(a.organic_order, b.organic_order)
@@ -76,7 +76,8 @@ class TestWorldGeneration:
     def test_propensity_visibly_correlates_with_spend_history(self):
         world = generate_world(WorldConfig(seed=5, n_customers=10_000))
         spend = world.customers.history[:, HISTORY_COLUMNS.index("h_spend")]
-        corr = np.corrcoef(spend, world.customers.propensity)[0, 1]
+        propensity = np.log(world.customers.spend_multiplier) / world.config.spend_sensitivity
+        corr = np.corrcoef(spend, propensity)[0, 1]
         assert corr > 0.3
 
     def test_config_guards(self):
@@ -276,7 +277,7 @@ class TestSimulateSession:
 class TestRealizeLongTerm:
     def test_fully_silenced_welfare_returns_exact_zero(self):
         world = generate_world(WorldConfig(seed=1, **ZERO_WELFARE))
-        brand = world.brands[world.queries[0].brand_index]
+        brand = world.brands[world.query_brand[0]]
         layout = make_layout([True] * 24, query_brand=brand)
         out = realize_long_term(
             world, 0, 0, layout, _zero_session(), np.random.default_rng(0)
@@ -287,7 +288,7 @@ class TestRealizeLongTerm:
         cfg = dict(ZERO_WELFARE)
         cfg["true_region_effects"] = (1.0, 0.6, 0.0)
         world = generate_world(WorldConfig(seed=1, **cfg))
-        brand = world.brands[world.queries[0].brand_index]
+        brand = world.brands[world.query_brand[0]]
         top = make_layout([True] * 8 + [False] * 16, query_brand=brand, other_brand="x")
         bottom = make_layout([False] * 16 + [True] * 8, query_brand=brand, other_brand="x")
         lt_top = realize_long_term(
@@ -299,7 +300,7 @@ class TestRealizeLongTerm:
         assert lt_top.long_term_revenue - lt_bottom.long_term_revenue == 1.0
 
     def test_monotone_in_top_region_match_rate(self, default_world):
-        brand = default_world.brands[default_world.queries[0].brand_index]
+        brand = default_world.brands[default_world.query_brand[0]]
         layouts = [
             make_layout(
                 [True] * k + [False] * (8 - k) + [False] * 16,

@@ -10,6 +10,10 @@ one of these refers to it:
 - the benchmark (``perfbench/**/*.py``) or ``pyproject.toml``, where any
   mention of the name as a word counts.
 
+A public method or property of a public class counts as used by the same
+rule, where only an attribute read of its name counts in ``src/wpxlab`` and
+the class's own body is not another statement.
+
 Tests do not count: a name that only tests call is dead weight in the package.
 
 A field of a dataclass that a command-line config file is read into counts as
@@ -54,27 +58,58 @@ def _outside_text() -> str:
     return "\n".join(path.read_text() for path in paths)
 
 
-def unreferenced_public_names() -> list[str]:
+def _attributes_read(node: ast.AST) -> set[str]:
+    return {
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def _unused(reader, found) -> list[str]:
+    """``found(tree)`` yields the (owner statement, name, label) of each public
+    name to check; a name is used when ``reader`` finds it in a top-level
+    statement of ``src/wpxlab`` other than its owner and other than a package
+    ``__init__``, or it is a word of the benchmark or ``pyproject.toml``."""
     modules = _modules()
     outside = _outside_text()
     uses = [
-        (top, _names_in(top))
+        (top, reader(top))
         for path, tree in modules.items()
         if path.name != "__init__.py"
         for top in tree.body
     ]
     unused = []
     for path, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        for owner, name, label in found(tree):
             if name.startswith("_"):
                 continue
-            in_src = any(name in names for top, names in uses if top is not node)
+            in_src = any(name in names for top, names in uses if top is not owner)
             if not (in_src or re.search(rf"\b{re.escape(name)}\b", outside)):
-                unused.append(f"{path.relative_to(PACKAGE)}:{name}")
+                unused.append(f"{path.relative_to(PACKAGE)}:{label}")
     return unused
+
+
+def unreferenced_public_names() -> list[str]:
+    def found(tree: ast.Module):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node, node.name, node.name
+
+    return _unused(_names_in, found)
+
+
+def unreferenced_public_members() -> list[str]:
+    """Public methods and properties of public classes that nothing reads."""
+
+    def found(tree: ast.Module):
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        yield cls, node.name, f"{cls.name}.{node.name}"
+
+    return _unused(_attributes_read, found)
 
 
 #: The dataclasses a command-line config file is read into.
@@ -147,6 +182,10 @@ def layer_functions() -> tuple[str, ...]:
 
 def test_every_public_name_has_a_caller_outside_tests():
     assert unreferenced_public_names() == []
+
+
+def test_every_public_method_and_property_has_a_reader_outside_tests():
+    assert unreferenced_public_members() == []
 
 
 def test_every_config_field_is_read_outside_its_class():

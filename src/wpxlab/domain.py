@@ -88,22 +88,15 @@ class Slot:
 
 @dataclass(frozen=True)
 class PageTemplate:
-    """An eligible arrangement of organic and widget slots.
+    """An eligible arrangement of organic and widget slots, by id.
 
-    ``slot_plan`` fixes kind and pixel area per position; the item filter id
-    names a predicate restricting which items may fill the widget slots.
+    The world's slot table holds each template's kind and pixel area per
+    position; the item filter id names a predicate restricting which items
+    may fill the widget slots.
     """
 
     template_id: str
-    slot_plan: tuple[tuple[ContentKind, float], ...]
     eligible_item_filter: str = "any"
-
-    def __post_init__(self) -> None:
-        if not self.slot_plan:
-            raise DomainError("slot_plan must be non-empty")
-        for kind, area in self.slot_plan:
-            if not area > 0.0:
-                raise DomainError(f"slot_plan pixel area must be positive, got {area}")
 
 
 @dataclass(frozen=True)

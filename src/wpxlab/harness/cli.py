@@ -221,7 +221,7 @@ def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
         with_satisfaction=region_weights is not None,
     )
     members = world.customers.membership[ci]
-    rows = request_rows(world, bundle)[mobile.astype(np.intp), qi, members, ti]
+    rows = request_rows(world, bundle, mobile, qi, members)[np.arange(n_sessions), ti]
     return incremental_retrain(
         bundle, (rows, mobile, targets), sample_fraction=1.0, rng=stream(seed, "rank_retrain")
     )

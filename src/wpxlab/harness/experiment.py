@@ -17,7 +17,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import product
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -241,16 +240,21 @@ def request_context(
     )
 
 
-def request_rows(world: World, bundle: RankerBundle) -> np.ndarray:
-    """Every request's checked candidate feature rows, read-only, as a
-    ``(2, n_queries, 2, c, p)`` table indexed by (mobile, query, membership)."""
+def request_rows(
+    world: World, bundle: RankerBundle, mobile: np.ndarray, qi: np.ndarray, members: np.ndarray
+) -> np.ndarray:
+    """Each request's checked candidate feature rows, read-only, as an
+    ``(n, c, p)`` block: row ``i`` serves (``mobile[i]``, ``qi[i]``,
+    ``members[i]``). Each distinct request is encoded once."""
     template_ids = [t.template_id for t in world.templates]
-    requests = product((Device.DESKTOP, Device.MOBILE), range(world.config.n_queries), (0, 1))
-    contexts = [request_context(world, qi, device, m) for device, qi, m in requests]
-    table = np.stack([candidate_features(c, template_ids, bundle) for c in contexts])
-    table = table.reshape(2, world.config.n_queries, 2, *table.shape[1:])
-    table.flags.writeable = False
-    return table
+    keys, inverse = np.unique(np.column_stack([mobile, qi, members]), axis=0, return_inverse=True)
+    contexts = (
+        request_context(world, q, Device.MOBILE if m else Device.DESKTOP, member)
+        for m, q, member in keys.tolist()
+    )
+    rows = np.stack([candidate_features(c, template_ids, bundle) for c in contexts])[inverse]
+    rows.flags.writeable = False
+    return rows
 
 
 def draw_sessions(world: World, seed: int, day: int | str, n: int) -> tuple[np.ndarray, ...]:
@@ -354,15 +358,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
 
     template_ids = [t.template_id for t in world.templates]
-    warmup_targets: dict[str, list[dict[str, np.ndarray]]] = {arm.name: [] for arm in config.arms}
-    # each arm's daily metric arrays, keyed first by whether the day is warm-up
-    metric_rows: dict[bool, dict[str, dict[str, list[np.ndarray]]]] = {
-        warmup: {arm.name: {m: [] for m in METRIC_NAMES} for arm in config.arms}
-        for warmup in (True, False)
-    }
-    per_day: list[dict[str, Any]] = []
-    audit: list[dict[str, Any]] = []
-    table = request_rows(world, bundles[config.arms[0].name])
+    # one record per arm-day: (day, arm name, same-day targets, metric arrays)
+    records: list[tuple[int, str, dict[str, np.ndarray], MetricLog]] = []
+    # every request's rows, indexed by (mobile, query, membership)
+    requests = np.indices((2, world.config.n_queries, 2)).reshape(3, -1)
+    table = request_rows(world, bundles[config.arms[0].name], *requests)
+    table = table.reshape(2, world.config.n_queries, 2, *table.shape[1:])
 
     for day in range(1, config.days + 1):
         warmup = day <= config.warmup_days
@@ -384,18 +385,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "ctr": sessions.engagement / world.n_slots,
                 "pr_wp_bmr": weighted_bmr(sessions.region_bmrs, CTR_REGION_WEIGHTS),
             }
-            # training reads same-day targets only, as `incremental_retrain`
-            # enforces by name; the long-term revenue waits out its delay
-            audit.append(
-                {
-                    "day": day,
-                    "arm": arm.name,
-                    "rows": len(s),
-                    "consumed_max_availability": day,
-                    "long_term_min_availability": day + LONG_TERM_DELAY_DAYS,
-                    "long_term_embargoed": LONG_TERM_DELAY_DAYS > 0,
-                }
-            )
+            records.append((day, arm.name, targets, day_metrics))
             sat = targets.get(SATISFACTION)
             bundle = with_noise_variances(
                 bundles[arm.name],
@@ -407,32 +397,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 (day_features[s, ti], mobile, targets),
                 rng=stream(seed, "exp_retrain", arm.name, day),
             )
-            for m in METRIC_NAMES:
-                metric_rows[warmup][arm.name][m].append(day_metrics[m])
-            if warmup:
-                warmup_targets[arm.name].append(targets)
-            per_day.append(
-                {
-                    "day": day,
-                    "arm": arm.name,
-                    "warmup": warmup,
-                    "n_sessions": len(s),
-                    **{m: float(np.mean(day_metrics[m])) for m in METRIC_NAMES},
-                }
-            )
 
         if day == config.warmup_days:
+            # every record so far is a warm-up day
             for arm in config.arms:
-                logged = warmup_targets[arm.name]
-                warmup_all = {name: np.concatenate([t[name] for t in logged]) for name in logged[0]}
+                logged = [t for _, name, t, _ in records if name == arm.name]
+                warmup_all = {k: np.concatenate([t[k] for t in logged]) for k in logged[0]}
                 bundles[arm.name] = replace(
                     bundles[arm.name], reward=frozen_reward(arm.reward_weights, warmup_all)
                 )
 
     # no post-warmup days: fall back to the warmup window for reporting
+    reported = [r for r in records if r[0] > config.warmup_days] or records
     arm_logs: dict[str, MetricLog] = {
-        name: {m: np.concatenate(v) for m, v in rows.items() if v}
-        for name, rows in metric_rows[config.days == config.warmup_days].items()
+        arm.name: {
+            m: np.concatenate([v[m] for _, name, _, v in reported if name == arm.name])
+            for m in METRIC_NAMES
+        }
+        for arm in config.arms
     }
 
     arm_means = {
@@ -457,8 +439,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         config=config_to_json(config),
         arm_means=arm_means,
         lifts=tuple(lifts),
-        per_day=tuple(per_day),
-        audit=tuple(audit),
+        per_day=tuple(
+            {
+                "day": day,
+                "arm": name,
+                "warmup": day <= config.warmup_days,
+                "n_sessions": config.sessions_per_day,
+                **{m: float(np.mean(v[m])) for m in METRIC_NAMES},
+            }
+            for day, name, _, v in records
+        ),
+        # training reads same-day targets only, as `incremental_retrain`
+        # enforces by name; the long-term revenue waits out its delay
+        audit=tuple(
+            {
+                "day": day,
+                "arm": name,
+                "rows": config.sessions_per_day,
+                "consumed_max_availability": day,
+                "long_term_min_availability": day + LONG_TERM_DELAY_DAYS,
+                "long_term_embargoed": LONG_TERM_DELAY_DAYS > 0,
+            }
+            for day, name, _, _ in records
+        ),
         region_weights={
             name: None if rw is None else rw.as_tuple()
             for name, rw in arm_region_weights.items()

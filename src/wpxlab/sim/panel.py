@@ -30,13 +30,11 @@ CHUNK_EVENTS = 4096
 
 @dataclass(frozen=True)
 class EventBatch:
-    """Logged search events as columns: row ``i`` is event ``i``, with its page
-    and both horizons' outcomes."""
+    """Logged search events as columns: row ``i`` is event ``i``, with its
+    page's region brand match rates and both horizons' outcomes."""
 
     customer_index: np.ndarray
     query_index: np.ndarray
-    template_index: np.ndarray
-    items: np.ndarray  # (n, n_slots) catalog item per page position
     region_bmrs: np.ndarray  # (n, 3) top, middle, bottom
     short_term_revenue: np.ndarray
     engagement: np.ndarray
@@ -105,8 +103,6 @@ def generate_events(
             EventBatch(
                 customer_index=ci,
                 query_index=qi,
-                template_index=ti,
-                items=items,
                 region_bmrs=sessions.region_bmrs,
                 short_term_revenue=sessions.short_term_revenue,
                 engagement=sessions.engagement,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..domain import ContentKind, PageLayout, Slot
+from ..domain import ContentKind, Item, PageLayout, Slot
 from ..errors import DomainError
 from ..metrics import layout_region_bmrs, region_bmr_columns
 from .world import World, WorldConfig, examination_probability, layout_item_indices
@@ -68,19 +68,29 @@ def build_layout(
     template_index: int,
     available: np.ndarray,
 ) -> PageLayout:
-    """Materialize the page a template produces given today's availability."""
-    template = world.templates[template_index]
+    """Materialize the page a template produces given today's availability.
+
+    Each slot's kind and pixel area come from ``world.slots``; its `Item` is
+    built from the catalog arrays at the filled index, with id ``i{j:05d}``.
+    """
     picks = layout_item_indices(world, query_index, template_index, available)
+    widget = world.slots.widget[template_index].tolist()
+    area = world.slots.area[template_index].tolist()
     slots = tuple(
         Slot(
-            position=i + 1,
-            content_kind=kind,
-            item=world.items[picks[i]],
-            pixel_area=area,
+            position=p + 1,
+            content_kind=ContentKind.WIDGET if widget[p] else ContentKind.ORGANIC,
+            item=Item(
+                item_id=f"i{j:05d}",
+                brand_id=world.brands[world.item_brand[j]],
+                base_appeal=float(world.item_appeal[j]),
+                price=float(world.item_price[j]),
+            ),
+            pixel_area=area[p],
         )
-        for i, (kind, area) in enumerate(template.slot_plan)
+        for p, j in enumerate(picks.tolist())
     )
-    return PageLayout(template_id=template.template_id, slots=slots)
+    return PageLayout(template_id=world.templates[template_index].template_id, slots=slots)
 
 
 def draw_availability(world: World, rng: np.random.Generator) -> np.ndarray:

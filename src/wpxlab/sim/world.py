@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..domain import ContentKind, Item, PageTemplate, region_of_position
+from ..domain import PageTemplate, region_of_position
 from ..errors import DomainError
 from ..metrics import REGION_ORDER, region_bmr_columns
 from ..rng import stream
@@ -152,10 +152,11 @@ class QueryGroup:
 
 @dataclass(frozen=True)
 class World:
-    """Everything fixed before any session runs."""
+    """Everything fixed before any session runs. The catalog is its ``item_*``
+    columns, item ``j`` of brand ``brands[item_brand[j]]``; ``templates`` are
+    ids and item filters, and ``slots`` holds their layouts."""
 
     config: WorldConfig
-    items: tuple[Item, ...]
     item_appeal: np.ndarray
     item_price: np.ndarray
     item_brand: np.ndarray  # brand index per item
@@ -191,42 +192,21 @@ def examination_probability(config: WorldConfig, position: int, widget: bool) ->
     return min(e, 1.0)
 
 
-def _make_templates(n_templates: int) -> tuple[PageTemplate, ...]:
-    templates = []
-    for template_id, widget_range, item_filter, _, _ in TEMPLATE_TABLE[:n_templates]:
-        plan = []
-        for pos in range(1, PAGE_SLOTS + 1):
-            if widget_range is not None and widget_range[0] <= pos <= widget_range[1]:
-                plan.append((ContentKind.WIDGET, WIDGET_AREA))
-            else:
-                plan.append((ContentKind.ORGANIC, ORGANIC_AREA))
-        templates.append(
-            PageTemplate(
-                template_id=template_id,
-                slot_plan=tuple(plan),
-                eligible_item_filter=item_filter,
-            )
-        )
-    return tuple(templates)
-
-
-def _slot_table(config: WorldConfig, templates: tuple[PageTemplate, ...]) -> SlotTable:
-    plans = [t.slot_plan for t in templates]
-    widget = np.array([[kind is ContentKind.WIDGET for kind, _ in plan] for plan in plans])
+def _slot_table(config: WorldConfig) -> SlotTable:
+    """Each pooled template's slot columns from its `TEMPLATE_TABLE` widget
+    range: widget slots of `WIDGET_AREA` inside it, organic slots of
+    `ORGANIC_AREA` elsewhere."""
+    pos = range(1, PAGE_SLOTS + 1)
+    # an empty range for a template without a widget block
+    spans = [row[1] or (0, 0) for row in TEMPLATE_TABLE[: config.n_templates]]
+    widget = [[lo <= p <= hi for p in pos] for lo, hi in spans]
+    region = [REGION_ORDER.index(region_of_position(p)) for p in pos]
     return SlotTable(
-        region=np.array(
-            [
-                [REGION_ORDER.index(region_of_position(p + 1)) for p in range(len(plan))]
-                for plan in plans
-            ]
-        ),
-        area=np.array([[area for _, area in plan] for plan in plans]),
-        widget=widget,
+        region=np.array([region] * len(spans)),
+        area=np.where(widget, WIDGET_AREA, ORGANIC_AREA),
+        widget=np.array(widget),
         examination=np.array(
-            [
-                [examination_probability(config, p + 1, w) for p, w in enumerate(row)]
-                for row in widget
-            ]
+            [[examination_probability(config, p, w) for p, w in zip(pos, row)] for row in widget]
         ),
     )
 
@@ -276,15 +256,6 @@ def generate_world(config: WorldConfig) -> World:
     price = np.exp(r_items.normal(3.0, 0.45, config.n_items))
     brand_idx = np.arange(config.n_items) % config.n_brands
     brands = tuple(f"b{i:03d}" for i in range(config.n_brands))
-    items = tuple(
-        Item(
-            item_id=f"i{i:05d}",
-            brand_id=brands[brand_idx[i]],
-            base_appeal=float(appeal[i]),
-            price=float(price[i]),
-        )
-        for i in range(config.n_items)
-    )
 
     r_cust = stream(seed, "world", "customers")
     spend = r_cust.gamma(4.0, 25.0, config.n_customers)
@@ -333,9 +304,10 @@ def generate_world(config: WorldConfig) -> World:
         for i in range(config.n_queries)
     )
 
-    templates = _make_templates(config.n_templates)
-    affinity = np.array([row[3] for row in TEMPLATE_TABLE[: config.n_templates]])
-    fe_loading = np.array([row[4] for row in TEMPLATE_TABLE[: config.n_templates]])
+    pool = TEMPLATE_TABLE[: config.n_templates]
+    templates = tuple(PageTemplate(row[0], eligible_item_filter=row[2]) for row in pool)
+    affinity = np.array([row[3] for row in pool])
+    fe_loading = np.array([row[4] for row in pool])
 
     idx = np.arange(config.n_items)
     organic_order = np.empty((config.n_queries, config.n_items), dtype=np.intp)
@@ -345,7 +317,6 @@ def generate_world(config: WorldConfig) -> World:
 
     world = World(
         config=config,
-        items=items,
         item_appeal=appeal,
         item_price=price,
         item_brand=brand_idx,
@@ -360,7 +331,7 @@ def generate_world(config: WorldConfig) -> World:
         templates=templates,
         template_affinity=affinity,
         template_fe_loading=fe_loading,
-        slots=_slot_table(config, templates),
+        slots=_slot_table(config),
         organic_order=organic_order,
         widget_order=_widget_orders(config, templates, q_brand, brand_idx, appeal),
         content_signals=np.zeros((config.n_queries, config.n_templates, len(SIGNAL_NAMES))),

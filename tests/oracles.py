@@ -18,9 +18,18 @@ from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, 
 from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
 from wpxlab.dml.deaverage import EARLY_STOP_TOL
 from wpxlab.dml.panel import KEY_COLUMNS, TARGET_COLUMN, PanelDataset
-from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout, PageTemplate
+from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout
 from wpxlab.errors import DomainError
-from wpxlab.sim.world import World
+from wpxlab.sim.world import (
+    ORGANIC_AREA,
+    PAGE_SLOTS,
+    TEMPLATE_TABLE,
+    WIDGET_AREA,
+    World,
+)
+
+#: A template's (kind, pixel area) per position.
+SlotPlan = tuple[tuple[ContentKind, float], ...]
 
 # a few ulps: what a stable linear update loses on the covariance over many
 # rows, where inverting an ill-conditioned precision matrix loses its
@@ -28,31 +37,44 @@ from wpxlab.sim.world import World
 EXACT_RTOL = 1e-14
 
 
+def template_plan(template_index: int) -> SlotPlan:
+    """A pooled template's reference plan, a position at a time from its
+    `TEMPLATE_TABLE` widget range: widget slots inside it, organic outside."""
+    _, widget_range, *_ = TEMPLATE_TABLE[template_index]
+    plan = []
+    for pos in range(1, PAGE_SLOTS + 1):
+        if widget_range is not None and widget_range[0] <= pos <= widget_range[1]:
+            plan.append((ContentKind.WIDGET, WIDGET_AREA))
+        else:
+            plan.append((ContentKind.ORGANIC, ORGANIC_AREA))
+    return tuple(plan)
+
+
 def validate_layout(
     layout: PageLayout,
-    template: PageTemplate,
+    template_id: str,
+    plan: SlotPlan,
     widget_item_filter: Callable[[Item], bool] | None = None,
 ) -> list[str]:
-    """Check a layout against its template; return every violation found.
+    """Check a layout against its template's id and plan; return every
+    violation found.
 
     Violations are data, not failures: an empty list means the layout is ok.
     ``widget_item_filter`` is the resolved predicate for the template's
     ``eligible_item_filter``; when omitted, eligibility is not checked.
     """
     violations: list[str] = []
-    if layout.template_id != template.template_id:
+    if layout.template_id != template_id:
         violations.append(
             f"template mismatch: layout says {layout.template_id!r}, "
-            f"template is {template.template_id!r}"
+            f"template is {template_id!r}"
         )
-    if len(layout.slots) != len(template.slot_plan):
-        violations.append(
-            f"slot count {len(layout.slots)} != template plan length {len(template.slot_plan)}"
-        )
+    if len(layout.slots) != len(plan):
+        violations.append(f"slot count {len(layout.slots)} != template plan length {len(plan)}")
     positions = [slot.position for slot in layout.slots]
     if positions != list(range(1, len(positions) + 1)):
         violations.append(f"non-contiguous positions: {positions}")
-    for slot, (kind, area) in zip(layout.slots, template.slot_plan):
+    for slot, (kind, area) in zip(layout.slots, plan):
         if slot.content_kind is not kind:
             violations.append(
                 f"kind mismatch at position {slot.position}: "
@@ -93,11 +115,11 @@ def layout_item_indices_per_slot(
     An exhausted widget pool falls through to the organic order so the page
     always fills.
     """
-    template = world.templates[template_index]
+    plan = template_plan(template_index)
     organic_src = world.organic_order[query_index]
     widget_src = _widget_source(world, template_index, query_index)
     used = np.zeros(world.config.n_items, dtype=bool)
-    chosen = np.empty(len(template.slot_plan), dtype=np.intp)
+    chosen = np.empty(len(plan), dtype=np.intp)
     o_ptr = 0
     w_ptr = 0
 
@@ -109,7 +131,7 @@ def layout_item_indices_per_slot(
                 return int(cand), ptr
         return -1, ptr
 
-    for slot_i, (kind, _) in enumerate(template.slot_plan):
+    for slot_i, (kind, _) in enumerate(plan):
         item = -1
         if kind is ContentKind.WIDGET:
             item, w_ptr = take(widget_src, w_ptr)

@@ -12,7 +12,6 @@ from wpxlab.domain import (
     ObjectiveVector,
     PageLayout,
     PageRegion,
-    PageTemplate,
     Slot,
     region_of_position,
 )
@@ -65,7 +64,7 @@ def _slot(position, kind=ContentKind.ORGANIC, area=100.0, brand="b0"):
 
 
 def _template(plan, template_id="tpl"):
-    return PageTemplate(template_id=template_id, slot_plan=tuple(plan))
+    return template_id, tuple(plan)
 
 
 class TestValidateLayout:
@@ -75,12 +74,12 @@ class TestValidateLayout:
             template_id="tpl",
             slots=(_slot(1), _slot(2, kind=ContentKind.WIDGET, area=150.0)),
         )
-        assert validate_layout(layout, template) == []
+        assert validate_layout(layout, *template) == []
 
     def test_non_contiguous_positions_reported(self):
         template = _template([(ContentKind.ORGANIC, 100.0)] * 2)
         layout = PageLayout(template_id="tpl", slots=(_slot(1), _slot(3)))
-        violations = validate_layout(layout, template)
+        violations = validate_layout(layout, *template)
         assert any("non-contiguous" in v for v in violations)
 
     def test_widget_in_organic_slot_reported_as_kind_mismatch(self):
@@ -88,25 +87,25 @@ class TestValidateLayout:
         layout = PageLayout(
             template_id="tpl", slots=(_slot(1, kind=ContentKind.WIDGET),)
         )
-        violations = validate_layout(layout, template)
+        violations = validate_layout(layout, *template)
         assert any("kind mismatch" in v for v in violations)
 
     def test_slot_count_mismatch_reported(self):
         template = _template([(ContentKind.ORGANIC, 100.0)] * 3)
         layout = PageLayout(template_id="tpl", slots=(_slot(1),))
-        violations = validate_layout(layout, template)
+        violations = validate_layout(layout, *template)
         assert any("slot count" in v for v in violations)
 
     def test_pixel_area_mismatch_reported(self):
         template = _template([(ContentKind.ORGANIC, 100.0)])
         layout = PageLayout(template_id="tpl", slots=(_slot(1, area=99.0),))
-        violations = validate_layout(layout, template)
+        violations = validate_layout(layout, *template)
         assert any("pixel area mismatch" in v for v in violations)
 
     def test_template_id_mismatch_reported(self):
         template = _template([(ContentKind.ORGANIC, 100.0)], template_id="other")
         layout = PageLayout(template_id="tpl", slots=(_slot(1),))
-        violations = validate_layout(layout, template)
+        violations = validate_layout(layout, *template)
         assert any("template mismatch" in v for v in violations)
 
     def test_ineligible_widget_item_reported(self):
@@ -115,7 +114,7 @@ class TestValidateLayout:
             template_id="tpl", slots=(_slot(1, kind=ContentKind.WIDGET, brand="bad"),)
         )
         violations = validate_layout(
-            layout, template, widget_item_filter=lambda item: item.brand_id == "good"
+            layout, *template, widget_item_filter=lambda item: item.brand_id == "good"
         )
         assert any("ineligible item" in v for v in violations)
 
@@ -125,7 +124,7 @@ class TestValidateLayout:
             template_id="tpl", slots=(_slot(1, kind=ContentKind.WIDGET, brand="good"),)
         )
         violations = validate_layout(
-            layout, template, widget_item_filter=lambda item: item.brand_id == "good"
+            layout, *template, widget_item_filter=lambda item: item.brand_id == "good"
         )
         assert violations == []
 
@@ -151,12 +150,6 @@ class TestValueGuards:
         assert _slot(3).region is PageRegion.TOP
         assert _slot(12).region is PageRegion.MIDDLE
         assert _slot(20).region is PageRegion.BOTTOM
-
-    def test_template_requires_slots_and_positive_areas(self):
-        with pytest.raises(DomainError):
-            PageTemplate(template_id="t", slot_plan=())
-        with pytest.raises(DomainError):
-            PageTemplate(template_id="t", slot_plan=((ContentKind.ORGANIC, 0.0),))
 
     def test_objective_vector_guards(self):
         ObjectiveVector(revenue=0.0, non_abandonment=0)

@@ -310,7 +310,8 @@ class TestTrainingBlock:
         start = with_noise_variances(
             start, 40.0, None if region_weights is None else 0.02
         )
-        block = (request_rows(world, start)[mobile.astype(int), qi, members, ti], mobile, targets)
+        rows = request_rows(world, start, mobile, qi, members)[np.arange(n), ti]
+        block = (rows, mobile, targets)
         sat = targets.get(SATISFACTION, np.full(n, None))
         records = [
             ImpressionRecord(

@@ -15,7 +15,7 @@ from wpxlab.dml.panel import (
     read_panel_csv,
     write_panel_csv,
 )
-from wpxlab.domain import PageLayout, Slot
+from wpxlab.domain import ContentKind
 from wpxlab.errors import DomainError
 from wpxlab.metrics import layout_region_bmrs
 from wpxlab.rng import stream
@@ -43,21 +43,9 @@ ODD_KEYS = ("a,b", 'say "hi"', '"lead', "two\r\nlines", "one\nline", " padded ",
 ODD_FLOATS = (5e-324, -0.0, 0.1, 1e-05, 1e16, 1.7976931348623157e308, -2.5)
 
 
-def _page_layout(world, template_index, items):
-    template = world.templates[template_index]
-    return PageLayout(
-        template.template_id,
-        tuple(
-            Slot(p + 1, kind, world.items[item], area)
-            for p, ((kind, area), item) in enumerate(zip(template.slot_plan, items))
-        ),
-    )
-
-
-def _scalar_panel(world, n_events, policy, seed):
-    """The per-event composition the batch simulator replaces, one page at a
-    time: stream(seed, i, purpose) -> draw_availability -> build_layout ->
-    simulate_session -> realize_long_term."""
+def _scalar_pages(world, n_events, policy, seed):
+    """Each event's customer, query and page, one page at a time:
+    stream(seed, i, "availability") -> draw_availability -> build_layout."""
     cfg = world.config
     r = stream(seed, "panel_events")
     customer_idx = r.integers(0, cfg.n_customers, n_events)
@@ -65,18 +53,27 @@ def _scalar_panel(world, n_events, policy, seed):
     template_idx = assign_templates(
         world, customer_idx, query_idx, policy, stream(seed, "panel_assignment")
     )
-    x, m, drev = [], [], []
     for i in range(n_events):
         ci, qi, ti = int(customer_idx[i]), int(query_idx[i]), int(template_idx[i])
         available = draw_availability(world, stream(seed, i, "availability"))
-        layout = build_layout(world, qi, ti, available)
+        yield ci, qi, build_layout(world, qi, ti, available)
+
+
+def _scalar_panel(world, n_events, policy, seed):
+    """The per-event composition the batch simulator replaces, one page at a
+    time: `_scalar_pages` -> simulate_session -> realize_long_term, each on
+    stream(seed, i, purpose)."""
+    keys, x, m, drev = [], [], [], []
+    for i, (ci, qi, layout) in enumerate(_scalar_pages(world, n_events, policy, seed)):
         session = simulate_session(world, ci, qi, layout, stream(seed, i, "session"))
         long_term = realize_long_term(
             world, ci, qi, layout, session, stream(seed, i, "long_term")
         )
+        keys.append((ci, qi))
         x.append(layout_region_bmrs(layout, world.brands[world.query_brand[qi]]))
         m.append((session.short_term_revenue, session.engagement_a))
         drev.append(long_term.long_term_revenue)
+    customer_idx, query_idx = np.array(keys).T
     return customer_idx, query_idx, np.array(x), np.array(m), np.array(drev)
 
 
@@ -91,8 +88,8 @@ class TestEventGeneration:
     def test_single_event_panel_mirrors_its_layout(self, default_world):
         events = generate_events(default_world, 1, RANDOMIZED, seed=5)
         panel = emit_panel(default_world, events)
-        ci, qi = int(events.customer_index[0]), int(events.query_index[0])
-        layout = _page_layout(default_world, int(events.template_index[0]), events.items[0])
+        ((ci, qi, layout),) = _scalar_pages(default_world, 1, RANDOMIZED, seed=5)
+        assert (ci, qi) == (events.customer_index[0], events.query_index[0])
         brand = default_world.brands[default_world.query_brand[qi]]
         assert tuple(panel.x[0]) == layout_region_bmrs(layout, brand)
         assert panel.m[0, 0] == events.short_term_revenue[0]
@@ -170,14 +167,17 @@ class TestBatchMatchesScalarChain:
             assert np.array_equal(getattr(whole, name), getattr(blocked, name))
 
     def test_many_brands_world_exercises_widget_fallback(self, many_brands_world):
-        events = generate_events(many_brands_world, 200, RANDOMIZED, seed=2)
         world = many_brands_world
+        by_id = {t.template_id: t for t in world.templates}
         fell_through = 0
-        for ti, qi, items in zip(events.template_index, events.query_index, events.items):
-            widget = world.slots.widget[ti]
-            if world.templates[ti].eligible_item_filter == "query_brand":
-                off_brand = world.item_brand[items[widget]] != world.query_brand[qi]
-                fell_through += int(off_brand.any())
+        for _, qi, layout in _scalar_pages(world, 200, RANDOMIZED, seed=2):
+            if by_id[layout.template_id].eligible_item_filter == "query_brand":
+                brand = world.brands[world.query_brand[qi]]
+                fell_through += any(
+                    s.item.brand_id != brand
+                    for s in layout.slots
+                    if s.content_kind is ContentKind.WIDGET
+                )
         assert fell_through > 0
 
 

@@ -36,7 +36,7 @@ from wpxlab.bandit.ranker import (
     thompson_scores,
     with_noise_variances,
 )
-from wpxlab.domain import ContentKind, ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
+from wpxlab.domain import ContextFeatures, Device, ObjectiveVector, PageLayout, PageTemplate
 from wpxlab.errors import DomainError, InvariantViolation
 from wpxlab.metrics import CTR_REGION_WEIGHTS
 from wpxlab.sim.world import WorldConfig, generate_world
@@ -295,8 +295,7 @@ class TestSelectTemplate:
         assert NON_ABANDONMENT not in trace[0].samples
 
     def test_page_templates_are_candidates_and_the_chosen_one_is_returned(self):
-        plan = ((ContentKind.ORGANIC, 1.0),)
-        candidates = (PageTemplate("a", plan), PageTemplate("b", plan))
+        candidates = (PageTemplate("a"), PageTemplate("b"))
         chosen, trace = select_template(
             _context(), candidates, _bundle(), np.random.default_rng(3)
         )

@@ -1,11 +1,14 @@
 """World generation and session realization behave like the planted model."""
 
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import make_item, make_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import layout_item_indices_per_slot, validate_layout
+from oracles import layout_item_indices_per_slot, template_plan, validate_layout
 
 from wpxlab.domain import ContentKind, PageLayout, PageRegion, Slot
 from wpxlab.errors import DomainError
@@ -90,12 +93,36 @@ class TestWorldGeneration:
         with pytest.raises(DomainError):
             WorldConfig(history_effects=(1.0,))
 
+    def test_world_tables_keep_their_bytes(self):
+        # the slot tables, content signals and widget orders of worlds 0-4 at
+        # 1, 3 and 6 templates, dtype, shape and bytes
+        digest = hashlib.sha256()
+        for seed in range(5):
+            for n_templates in (1, 3, 6):
+                world = generate_world(WorldConfig(seed=seed, n_templates=n_templates))
+                arrays = [getattr(world.slots, f.name) for f in fields(world.slots)]
+                for a in (*arrays, world.content_signals, *world.widget_order):
+                    digest.update(f"{a.dtype.str}{a.shape}".encode())
+                    digest.update(np.ascontiguousarray(a).tobytes())
+        assert (
+            digest.hexdigest()
+            == "48f46a172bd114e7f8ba2e1d11b88ef33c5c2a16d9034c6c5f6cdd79bf9821e7"
+        )
+
     def test_built_layouts_validate_against_their_templates(self, default_world):
-        available = np.ones(default_world.config.n_items, dtype=bool)
-        for ti, template in enumerate(default_world.templates):
-            layout = build_layout(default_world, 0, ti, available)
+        world = default_world
+        available = np.ones(world.config.n_items, dtype=bool)
+        for ti, template in enumerate(world.templates):
+            layout = build_layout(world, 0, ti, available)
             assert layout.template_id == template.template_id
-            assert validate_layout(layout, template) == []
+            assert validate_layout(layout, template.template_id, template_plan(ti)) == []
+            # each item is built from the catalog arrays at the filled index
+            picks = layout_item_indices_per_slot(world, 0, ti, available)
+            for slot, j in zip(layout.slots, picks):
+                assert slot.item.item_id == f"i{j:05d}"
+                assert slot.item.brand_id == world.brands[world.item_brand[j]]
+                assert slot.item.base_appeal == world.item_appeal[j]
+                assert slot.item.price == world.item_price[j]
 
     def test_availability_draw_is_per_item_bernoulli(self, default_world):
         avail = draw_availability(default_world, np.random.default_rng(1))
@@ -174,7 +201,8 @@ class TestBatchedFill:
 
     def test_slot_tables_follow_the_templates(self, default_world):
         slots = default_world.slots
-        for ti, template in enumerate(default_world.templates):
+        for ti in range(len(default_world.templates)):
+            plan = template_plan(ti)
             layout = build_layout(
                 default_world, 0, ti, np.ones(default_world.config.n_items, dtype=bool)
             )
@@ -182,10 +210,8 @@ class TestBatchedFill:
                 (PageRegion.TOP, PageRegion.MIDDLE, PageRegion.BOTTOM)[c]
                 for c in slots.region[ti]
             ]
-            assert list(slots.area[ti]) == [area for _, area in template.slot_plan]
-            assert list(slots.widget[ti]) == [
-                kind is ContentKind.WIDGET for kind, _ in template.slot_plan
-            ]
+            assert list(slots.area[ti]) == [area for _, area in plan]
+            assert list(slots.widget[ti]) == [kind is ContentKind.WIDGET for kind, _ in plan]
             cfg = default_world.config
             assert list(slots.examination[ti]) == [
                 min(
@@ -193,7 +219,7 @@ class TestBatchedFill:
                     * (cfg.widget_attention_multiplier if kind is ContentKind.WIDGET else 1.0),
                     1.0,
                 )
-                for p, (kind, _) in enumerate(template.slot_plan)
+                for p, (kind, _) in enumerate(plan)
             ]
 
 

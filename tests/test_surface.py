@@ -1,6 +1,6 @@
 """Every public function and class in the package has a caller that ships,
-every config field is read by the code it configures, and the packages
-export only the README's library entry points.
+every config field is read by the code it configures, the packages export
+only the README's library entry points, and one function builds page objects.
 
 A public top-level ``def`` or ``class`` of ``src/wpxlab`` counts as used when
 one of these refers to it:
@@ -15,6 +15,10 @@ rule, where only an attribute read of its name counts in ``src/wpxlab`` and
 the class's own body is not another statement.
 
 Tests do not count: a name that only tests call is dead weight in the package.
+
+Pages travel as arrays of item indices over per-template slot tables; only
+``sim/session.build_layout``, the one-page boundary, calls the `Item`, `Slot`
+or `PageLayout` constructor.
 
 A field of a dataclass that a command-line config file is read into counts as
 read when ``src/wpxlab`` reads an attribute of that name outside the class's
@@ -88,6 +92,23 @@ def _unused(reader, found) -> list[str]:
             if not (in_src or re.search(rf"\b{re.escape(name)}\b", outside)):
                 unused.append(f"{path.relative_to(PACKAGE)}:{label}")
     return unused
+
+
+def page_object_builders() -> set[str]:
+    """Each top-level statement of ``src/wpxlab`` that calls the `Item`,
+    `Slot` or `PageLayout` constructor, as ``path:name``."""
+    builders = set()
+    for path, tree in _modules().items():
+        for top in tree.body:
+            called = {
+                node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+            }
+            if called & {"Item", "Slot", "PageLayout"}:
+                name = getattr(top, "name", type(top).__name__)
+                builders.add(f"{path.relative_to(PACKAGE).as_posix()}:{name}")
+    return builders
 
 
 def unreferenced_public_names() -> list[str]:
@@ -186,6 +207,10 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 def test_every_public_method_and_property_has_a_reader_outside_tests():
     assert unreferenced_public_members() == []
+
+
+def test_only_build_layout_builds_page_objects():
+    assert page_object_builders() == {"sim/session.py:build_layout"}
 
 
 def test_every_config_field_is_read_outside_its_class():

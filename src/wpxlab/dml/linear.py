@@ -15,6 +15,7 @@ covariance from the same factor.
 Columns are rescaled to unit root-mean-square internally purely for
 conditioning; the per-coordinate penalty is adjusted so the solved problem is
 identical, and coefficients are reported on the original scale.
+``lasso_cv_path`` rescales each fold's design once for its whole penalty grid.
 """
 
 from __future__ import annotations
@@ -94,40 +95,45 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def lasso_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    beta_init: np.ndarray | None = None,
-) -> np.ndarray:
-    """Coordinate descent for the L1-penalized least squares objective.
-
-    Sweeps until the largest coefficient change falls below ``LASSO_TOL`` or
-    ``LASSO_MAX_SWEEPS`` is reached. ``beta_init`` (original scale) warm-starts
-    path computations.
-    """
+def _lasso_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, checked: a 2-D design, one target per row,
+    every value finite."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise DomainError(f"X must be 2-D, got shape {X.shape}")
-    n, p = X.shape
-    if len(y) != n:
-        raise DomainError(f"y length {len(y)} != {n} rows")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y)) and np.isfinite(lam)):
+    if len(y) != len(X):
+        raise DomainError(f"y length {len(y)} != {len(X)} rows")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise DomainError("non-finite values in lasso inputs")
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    return X, y
 
-    scale = np.linalg.norm(X, axis=0) / np.sqrt(n)
+
+def _unit_rms(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X with each nonzero column scaled to unit root-mean-square (a zero
+    column stays zero), the same columns as contiguous rows, and the scales."""
+    scale = np.linalg.norm(X, axis=0) / np.sqrt(len(X))
     live = scale > 0.0
     Xs = np.where(live, X / np.where(live, scale, 1.0), 0.0)
+    return Xs, np.ascontiguousarray(Xs.T), scale
+
+
+def _coordinate_descent(
+    scaled: tuple[np.ndarray, np.ndarray, np.ndarray],
+    y: np.ndarray,
+    lam: float,
+    beta_init: np.ndarray | None,
+) -> np.ndarray:
+    """`lasso_fit` on a design `_unit_rms` has already scaled."""
+    Xs, columns, scale = scaled
+    n, p = Xs.shape
+    live = scale > 0.0
     penalty = np.where(live, lam / np.where(live, scale, 1.0), np.inf)
 
     b = np.zeros(p)
     if beta_init is not None:
         b = np.asarray(beta_init, dtype=float) * np.where(live, scale, 0.0)
     r = y - Xs @ b
-    columns = np.ascontiguousarray(Xs.T)
     cols = [j for j in range(p) if live[j]]
     for _ in range(LASSO_MAX_SWEEPS):
         max_change = 0.0
@@ -149,6 +155,26 @@ def lasso_fit(
     snap = 1e-12 * max(1.0, float(np.abs(b).max(initial=0.0)))
     b[np.abs(b) < snap] = 0.0
     return np.where(live, b / np.where(live, scale, 1.0), 0.0)
+
+
+def lasso_fit(
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    beta_init: np.ndarray | None = None,
+) -> np.ndarray:
+    """Coordinate descent for the L1-penalized least squares objective.
+
+    Sweeps until the largest coefficient change falls below ``LASSO_TOL`` or
+    ``LASSO_MAX_SWEEPS`` is reached. ``beta_init`` (original scale) warm-starts
+    path computations.
+    """
+    X, y = _lasso_inputs(X, y)
+    if not np.isfinite(lam):
+        raise DomainError("non-finite values in lasso inputs")
+    if lam < 0:
+        raise DomainError(f"lambda must be >= 0, got {lam}")
+    return _coordinate_descent(_unit_rms(X), y, lam, beta_init)
 
 
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -189,13 +215,16 @@ def lasso_cv_path(
     for f, chunk in enumerate(np.array_split(perm, folds)):
         fold_of[chunk] = f
 
+    X, y = _lasso_inputs(X, y)
     fold_mse = np.zeros((grid_points, folds))
     for f in range(folds):
         tr = fold_of != f
         X_tr, y_tr, X_te, y_te = X[tr], y[tr], X[~tr], y[~tr]
+        # scaled once per fold; each warm start still passes through the original scale
+        scaled = _unit_rms(X_tr)
         beta = None
         for i, lam in enumerate(grid):
-            beta = lasso_fit(X_tr, y_tr, lam, beta_init=beta)
+            beta = _coordinate_descent(scaled, y_tr, lam, beta)
             err = y_te - X_te @ beta
             fold_mse[i, f] = float(np.add.reduce(err * err)) / len(y_te)
     mean_mse = fold_mse.mean(axis=1)

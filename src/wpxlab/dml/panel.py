@@ -9,8 +9,11 @@ The CSV is UTF-8, a header row and then one row per event, each ended by
 ``\r\n``. Key cells are quoted as Python's ``csv`` module quotes them (only a
 cell holding a comma, a quote or a line break, its quotes doubled), and floats
 are written in shortest round-trip form, so a read-back keeps every bit.
-The writer formats ``CHUNK_ROWS`` rows per write; the reader parses the body
-in one ``np.loadtxt`` pass, keys as ``<U`` strings. A blank line, a row whose
+Each function holds about one copy of its data. The writer works one
+``CHUNK_ROWS`` chunk at a time and formats each distinct float bit pattern of
+a chunk once. The reader decodes the file once, drops the bytes, and feeds the
+text's physical lines one at a time to ``csv`` for the header and to
+``np.loadtxt`` for the body, keys as ``<U`` strings. A blank line, a row whose
 cell count differs from the header's, a numeric cell that is not a number or
 a byte that is not UTF-8 is a ``DomainError`` naming the file and line.
 """
@@ -18,7 +21,8 @@ a byte that is not UTF-8 is a ``DomainError`` naming the file and line.
 from __future__ import annotations
 
 import csv
-import io
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,44 +117,58 @@ def _key_cells(keys: np.ndarray) -> list[str]:
     return cells
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of a C-contiguous float64 block in row-major
+    order, each distinct bit pattern formatted once (so ``-0.0`` stays apart
+    from ``0.0``)."""
+    bits, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    cells = list(map(repr, bits.view(np.float64).tolist()))
+    return [cells[k] for k in inverse.tolist()]
+
+
 def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
     """Write the panel as UTF-8 with ``\\r\\n`` line ends; floats use shortest
     round-trip decimal form, so a read-back reproduces every bit pattern."""
     path = Path(path)
-    keys = [
-        _key_cells(k)
-        for k in (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
-    ]
-    prefixes = list(map(",".join, zip(*keys)))
-    values = np.column_stack([dataset.drev, dataset.x, dataset.m, dataset.h]).astype(float)
+    keys = (dataset.event_id, dataset.customer_id, dataset.query_group, dataset.zip_code)
+    blocks = (dataset.drev[:, None], dataset.x, dataset.m, dataset.h)
+    width = sum(b.shape[1] for b in blocks)
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(dataset.header())
-        for a in range(0, len(prefixes), CHUNK_ROWS):
-            rows = values[a : a + CHUNK_ROWS].tolist()
-            fh.write(
-                "".join(
-                    [
-                        f"{key},{','.join(map(repr, row))}\r\n"
-                        for key, row in zip(prefixes[a : a + CHUNK_ROWS], rows)
-                    ]
-                )
-            )
+        for a in range(0, dataset.n_rows, CHUNK_ROWS):
+            b = a + CHUNK_ROWS
+            prefixes = map(",".join, zip(*(_key_cells(k[a:b]) for k in keys)))
+            values = np.concatenate([blk[a:b] for blk in blocks], axis=1, dtype=float)
+            rows = zip(*[iter(_float_cells(values))] * width)
+            fh.write("".join([f"{key},{','.join(row)}\r\n" for key, row in zip(prefixes, rows)]))
 
 
-def _line_ends(text: str) -> int:
-    """Lines in `text`, counting a last one without a line end."""
-    ends = text.count("\n") + text.count("\r") - text.count("\r\n")
-    unended = text != "" and not text.endswith(("\n", "\r"))
+#: one physical line and its line end (``\r\n``, ``\r`` or ``\n``), or an
+#: unended last line: the lines a ``newline=""`` text file yields
+_PHYSICAL_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_NON_SPACE = re.compile(r"\S")
+
+
+def _physical_lines(text: str, start: int = 0) -> Iterator[str]:
+    """The physical lines of ``text[start:]``, one at a time, without copying it."""
+    return map(re.Match.group, _PHYSICAL_LINE.finditer(text, start))
+
+
+def _line_ends(text: str, start: int) -> int:
+    """Lines in ``text[start:]``, counting a last one without a line end."""
+    ends = text.count("\n", start) + text.count("\r", start) - text.count("\r\n", start)
+    unended = len(text) > start and not text.endswith(("\n", "\r"))
     return ends + unended
 
 
 def _raise_first_problem(
-    path: Path, header: list[str], header_lines: int, body: str, float_names: list[str]
+    path: Path, header: list[str], header_lines: int, text: str, start: int, float_names: list[str]
 ) -> None:
     """Raise a DomainError naming the first blank, short or long row, or
-    non-number cell, of `body` as ``csv`` reads it, by the physical line the
-    row starts on; return if there is none. The header spans `header_lines`."""
-    reader = csv.reader(io.StringIO(body, newline=""))
+    non-number cell, of the body ``text[start:]`` as ``csv`` reads it, by the
+    physical line the row starts on; return if there is none. The header spans
+    `header_lines`."""
+    reader = csv.reader(_physical_lines(text, start))
     rows, line = [], header_lines + 1
     for row in reader:
         rows.append((line, row))
@@ -183,12 +201,17 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
         # lines end in \n, \r\n or \r; the sentinel counts the line holding the byte
         line = len((data[: exc.start] + b"x").splitlines())
         raise DomainError(f"{path}: line {line} is not valid UTF-8") from None
-    buf = io.StringIO(text, newline="")
-    header_reader = csv.reader(buf)
+    del data
+    # the header's lines are kept to find where the body starts; the body's
+    # lines go to np.loadtxt one at a time
+    lines = _physical_lines(text)
+    header_text: list[str] = []
+    header_reader = csv.reader(header_text.append(line) or line for line in lines)
     try:
         header = next(header_reader)
     except StopIteration:
         raise DomainError(f"{path}: empty file") from None
+    body_start = sum(map(len, header_text))
     missing = [c for c in (*KEY_COLUMNS, TARGET_COLUMN) if c not in header]
     if missing:
         raise DomainError(f"{path}: missing required columns {missing}")
@@ -200,13 +223,12 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
     float_cols = {col[name] for name in float_names}
     # positional field names: a header may repeat a name or leave one empty
     dtype = [(f"c{j}", "f8" if j in float_cols else "O") for j in range(len(header))]
-    body = text[buf.tell() :]
     records = np.empty(0, dtype=dtype)
     error = None
-    if body.strip():
+    if _NON_SPACE.search(text, body_start):
         try:
             records = np.loadtxt(
-                io.StringIO(body, newline=""),
+                lines,
                 dtype=dtype,
                 delimiter=",",
                 quotechar='"',
@@ -216,10 +238,11 @@ def read_panel_csv(path: str | Path) -> PanelDataset:
         except ValueError as exc:
             error = exc
     # loadtxt skips blank lines, and a quoted key may span lines
-    if error is not None or len(records) != _line_ends(body):
-        _raise_first_problem(path, header, header_reader.line_num, body, float_names)
+    if error is not None or len(records) != _line_ends(text, body_start):
+        _raise_first_problem(path, header, header_reader.line_num, text, body_start, float_names)
         if error is not None:
             raise DomainError(f"{path}: {error}")
+    del text
 
     def strings(name: str) -> np.ndarray:
         return records[f"c{col[name]}"].astype(str)

@@ -271,11 +271,14 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
 
     with _stage("split"):
         train, test = split_train_test(dataset.n_rows, config.train_fraction, config.seed)
+        # the split rows are all later stages read: the whole block goes
+        train_block = np.take(block, train, axis=0)
+        test_block = np.take(block, test, axis=0)
+        del block
 
     with _stage("stage1"):
         # one copy of the training rows serves the cross-fit and the full-train
         # fit: the stage-1 outcomes (target, surrogates, short-term) and history
-        train_block = np.take(block, train, axis=0)
         outcomes_train, h_train = train_block[:, : 1 + s + j], train_block[:, 1 + s + j :]
         cf = crossfit_residualize(outcomes_train, h_train, config.crossfit_folds, config.seed)
         # separate full-train predictor so the held-out fold can be residualized too
@@ -311,7 +314,6 @@ def estimate_dvwpx(dataset: PanelDataset, config: DmlConfig) -> DvwpxModel:
         gamma = gamma_all[1:]
 
     with _stage("evaluate"):
-        test_block = np.take(block, test, axis=0)
         test_out = test_block[:, : 1 + s + j] - full_model.predict(test_block[:, 1 + s + j :])
         pred = test_out[:, 1:] @ coef
         test_rmse = float(np.sqrt(np.mean((test_out[:, 0] - pred) ** 2)))

@@ -305,13 +305,20 @@ def serve_pages(
     items = page_item_indices(world, query_idx, template_idx, available)
     sessions = page_sessions(world, customer_idx, query_idx, template_idx, items, u)
     long_term = page_long_term(world, customer_idx, query_idx, sessions, z)
+    return sessions, long_term, _same_day_targets(sessions, region_weights)
+
+
+def _same_day_targets(
+    sessions: PageSessions, region_weights: RegionWeights | None
+) -> dict[str, np.ndarray]:
+    """The `serve_pages` targets of served sessions."""
     targets = {
         REVENUE: sessions.short_term_revenue,
         NON_ABANDONMENT: sessions.clicked.any(axis=1).astype(float),
     }
     if region_weights is not None:
         targets[SATISFACTION] = weighted_bmr(sessions.region_bmrs, region_weights)
-    return sessions, long_term, targets
+    return targets
 
 
 def estimate_dvwpx_region_weights(
@@ -371,14 +378,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # every arm serves a session with the same outcome and long-term draws
         ci, qi, mobile, warmup_choice, available, u, z = draw_sessions(world, seed, day, len(s))
         day_features = table[mobile.astype(np.intp), qi, world.customers.membership[ci]]
-        for arm in config.arms:
+        if warmup:
+            # every arm serves the same uniform choice: one serving, per-arm targets
             ti = warmup_choice
+            sessions, long_term, _ = serve_pages(world, ci, qi, ti, available, u, z, None)
+        for arm in config.arms:
             if not warmup:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
                 ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
-            sessions, long_term, targets = serve_pages(
-                world, ci, qi, ti, available, u, z, arm_region_weights[arm.name]
-            )
+                sessions, long_term, _ = serve_pages(world, ci, qi, ti, available, u, z, None)
+            targets = _same_day_targets(sessions, arm_region_weights[arm.name])
             day_metrics = {
                 "revenue": sessions.short_term_revenue,
                 "long_term_revenue": long_term,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 from fractions import Fraction
@@ -374,6 +375,23 @@ def deaverage_row_major(
         if max([0.0, *key_maxima()]) < EARLY_STOP_TOL:
             break
     return out, tuple(key_maxima()), iterations_run
+
+
+def traced_peak(fn: Callable[..., object], *args: object) -> tuple[object, int]:
+    """``fn(*args)`` and the most bytes ``tracemalloc`` saw it hold at once
+    beyond what was held when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def write_panel_csv_per_row(dataset: PanelDataset, path: str | Path) -> None:

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import read_panel_csv_per_cell, write_panel_csv_per_row
+from oracles import read_panel_csv_per_cell, traced_peak, write_panel_csv_per_row
 from wpxlab.dml import panel as dml_panel
 from wpxlab.dml.panel import (
     KEY_COLUMNS,
@@ -391,6 +391,16 @@ class TestPanelCsvMatchesPerRowReference:
         with pytest.raises(DomainError, match="panel.csv: "):
             read_panel_csv(path)
 
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        panel = _odd_panel(str)
+        panel.drev[:] = [0.0, -0.0, 0.0, -0.0, 1.0, -0.0, 0.0]
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        with path.open(encoding="utf-8", newline="") as fh:
+            cells = [row[4] for row in csv.reader(fh)][1:]
+        assert cells == ["0.0", "-0.0", "0.0", "-0.0", "1.0", "-0.0", "0.0"]
+        assert np.array_equal(_bits(read_panel_csv(path).drev), _bits(panel.drev))
+
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         path = tmp_path / "panel.csv"
         write_panel_csv(_odd_panel(str), path)
@@ -401,3 +411,25 @@ class TestPanelCsvMatchesPerRowReference:
         line = data[:at].count(b"\n") + 1
         with pytest.raises(DomainError, match=f"panel.csv: line {line} is not valid UTF-8"):
             read_panel_csv(path)
+
+
+class TestPanelCsvMemory:
+    """Each CSV function's traced peak, as a multiple of the file's bytes, on a
+    20k-row simulated panel: the reader holds about one decoded copy of the
+    text, the writer one chunk of formatted rows."""
+
+    @pytest.fixture(scope="class")
+    def panel(self, default_world):
+        return simulate_panel(default_world, 20_000, CONFOUNDED, seed=3)
+
+    def test_reader_holds_at_most_seven_file_sizes(self, panel, tmp_path):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        loaded, peak = traced_peak(read_panel_csv, path)
+        _assert_same_arrays(loaded, panel)
+        assert peak <= 7 * path.stat().st_size
+
+    def test_writer_holds_at_most_three_file_sizes(self, panel, tmp_path):
+        path = tmp_path / "panel.csv"
+        _, peak = traced_peak(write_panel_csv, panel, path)
+        assert peak <= 3 * path.stat().st_size

@@ -281,7 +281,7 @@ class ImpressionRecord:
 
     `targets` holds the objectives available the same day. Nothing in the
     package reads the long-term fields; dropping them waits for a change to
-    the benchmark, whose inputs build them (ROADMAP items 1 and 5).
+    the benchmark, whose inputs build them (ROADMAP item 1).
     """
 
     ts: int

@@ -6,8 +6,10 @@ weighting derived from the causal estimator. Sessions share random streams
 across arms so measured lifts come from template choices, not luck. Every
 session is served through `serve_pages`; each arm retrains nightly on the
 `request_rows` rows it scored and one array of same-day targets per objective.
-Long-horizon revenue is realized up front but embargoed for
-`LONG_TERM_DELAY_DAYS` past each impression: it feeds reports, never training.
+Long-horizon revenue is realized up front and feeds reports, never training:
+the retrain raises InvariantViolation on any target that is not same-day.
+Lifts over the first arm get percentile CIs from one paired bootstrap, which
+resamples the sessions every arm shares.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ METRIC_NAMES = ("revenue", "long_term_revenue", "ctr", "pr_wp_bmr")
 
 NOISE_VARIANCE_FLOOR = 1e-6
 BOOTSTRAP_BLOCK = 64  # resamples gathered at once
-#: Days after an impression at which its long-term revenue becomes known. The
-#: long-term outcome is never a training target; the date only stamps the
-#: embargo audit.
-LONG_TERM_DELAY_DAYS = 84
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,6 @@ class ExperimentReport:
     arm_means: dict[str, dict[str, float]]
     lifts: tuple[LiftRow, ...]
     per_day: tuple[dict[str, Any], ...]
-    audit: tuple[dict[str, Any], ...]
     region_weights: dict[str, tuple[float, float, float] | None]
 
 
@@ -154,60 +151,61 @@ MetricLog = dict[str, np.ndarray]
 
 
 def ab_compare(
-    control_log: MetricLog,
-    treatment_log: MetricLog,
-    bootstrap_n: int = 1000,
-    seed: int = 0,
-    baseline: str = "control",
-    treatment: str = "treatment",
+    arm_logs: Mapping[str, MetricLog], baseline: str, bootstrap_n: int = 1000, seed: int = 0
 ) -> list[LiftRow]:
-    """Relative lifts with percentile bootstrap CIs over session resampling."""
-    if not control_log or not treatment_log:
-        raise DomainError("both logs must be non-empty")
-    metrics = [m for m in METRIC_NAMES if m in control_log and m in treatment_log]
-    if not metrics:
-        raise DomainError("logs share no known metrics")
-    n_c = len(next(iter(control_log.values())))
-    n_t = len(next(iter(treatment_log.values())))
-    if n_c < 1 or n_t < 1:
-        raise DomainError("both logs must be non-empty")
+    """Relative lift of every other arm over ``baseline``, each with a
+    percentile bootstrap CI.
 
-    rows = []
-    point = {}
-    for m in metrics:
-        mc = float(np.mean(control_log[m]))
-        if mc == 0.0:
-            raise EstimationError(f"control mean for {m} is zero; lift undefined")
-        point[m] = (float(np.mean(treatment_log[m])) - mc) / mc
+    Every arm serves the same sessions, so the bootstrap is paired: each
+    resample draws one vector of session indices from
+    ``stream(seed, "bootstrap")`` and gathers every arm's metrics through it.
+    Rows run treatment by treatment in ``arm_logs`` order, metrics in
+    `METRIC_NAMES` order, over the metrics every arm logs.
+    """
+    metrics = [m for m in METRIC_NAMES if all(m in log for log in arm_logs.values())]
+    n = len(arm_logs[baseline][metrics[0]]) if metrics else 0
+    if n < 1:
+        raise DomainError("logs share no known metric with at least one session")
+    for name, log in arm_logs.items():
+        for m in metrics:
+            if len(log[m]) != n:
+                raise DomainError(
+                    f"arm {name!r} logs {len(log[m])} sessions of {m}, baseline "
+                    f"{baseline!r} logs {n}; paired arms must share their sessions"
+                )
+    treatments = [name for name in arm_logs if name != baseline]
+    if not treatments:
+        return []
+
+    def lifts(means: np.ndarray) -> np.ndarray:  # rows after 0 over row 0, NaN where it is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(means[0] != 0.0, (means[1:] - means[0]) / means[0], np.nan)
+
+    # each metric's logs, the baseline's first
+    columns = {m: [arm_logs[a][m] for a in (baseline, *treatments)] for m in metrics}
+    point = {m: lifts(np.array([arm.mean() for arm in column])) for m, column in columns.items()}
+    undefined = [m for m, p in point.items() if np.isnan(p).any()]
+    if undefined:
+        raise EstimationError(f"lift undefined for {undefined}: a zero control mean or a NaN")
 
     rng = stream(seed, "bootstrap")
-    boot = {m: np.empty(bootstrap_n) for m in metrics}
+    boot = np.empty((len(metrics), len(treatments), bootstrap_n))
     for start in range(0, bootstrap_n, BOOTSTRAP_BLOCK):
-        # a row's mean over a C-contiguous gather sums like the 1-D mean of that row
-        block = range(start, min(start + BOOTSTRAP_BLOCK, bootstrap_n))
-        resamples = [(rng.integers(0, n_c, n_c), rng.integers(0, n_t, n_t)) for _ in block]
-        idx_c, idx_t = (np.array(side) for side in zip(*resamples))
-        for m in metrics:
-            mc = control_log[m][idx_c].mean(axis=1)
-            mt = treatment_log[m][idx_t].mean(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                boot[m][block.start : block.stop] = np.where(mc != 0.0, (mt - mc) / mc, np.nan)
-    for m in metrics:
-        draws = boot[m][np.isfinite(boot[m])]
-        if len(draws) == 0:
-            raise EstimationError(f"all bootstrap resamples degenerate for {m}")
-        lo, hi = np.percentile(draws, [2.5, 97.5])
-        rows.append(
-            LiftRow(
-                baseline=baseline,
-                treatment=treatment,
-                metric=m,
-                lift=point[m],
-                ci_low=float(lo),
-                ci_high=float(hi),
-            )
-        )
-    return rows
+        stop = min(start + BOOTSTRAP_BLOCK, bootstrap_n)
+        idx = rng.integers(0, n, (stop - start, n))
+        for j, column in enumerate(columns.values()):
+            # one (block, n) gather at a time; each row sums like a 1-D mean
+            boot[j, :, start:stop] = lifts(np.array([arm[idx].mean(axis=1) for arm in column]))
+
+    degenerate = [m for m, draws in zip(metrics, boot) if np.isnan(draws).all(axis=1).any()]
+    if degenerate:
+        raise EstimationError(f"all bootstrap resamples degenerate for {degenerate}")
+    lo, hi = np.nanpercentile(boot, [2.5, 97.5], axis=2)
+    return [
+        LiftRow(baseline, t, m, float(point[m][i]), float(lo[j, i]), float(hi[j, i]))
+        for i, t in enumerate(treatments)
+        for j, m in enumerate(metrics)
+    ]
 
 
 def _region_weights_for(
@@ -430,19 +428,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         name: {m: float(v.mean()) for m, v in log.items()}
         for name, log in arm_logs.items()
     }
-    baseline = config.arms[0].name
-    lifts: list[LiftRow] = []
-    for arm in config.arms[1:]:
-        lifts.extend(
-            ab_compare(
-                arm_logs[baseline],
-                arm_logs[arm.name],
-                bootstrap_n=config.bootstrap_n,
-                seed=stream_seed_for(config.seed, arm.name),
-                baseline=baseline,
-                treatment=arm.name,
-            )
-        )
+    lifts = ab_compare(arm_logs, config.arms[0].name, config.bootstrap_n, config.seed)
 
     return ExperimentReport(
         config=config_to_json(config),
@@ -458,29 +444,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             }
             for day, name, _, v in records
         ),
-        # training reads same-day targets only, as `incremental_retrain`
-        # enforces by name; the long-term revenue waits out its delay
-        audit=tuple(
-            {
-                "day": day,
-                "arm": name,
-                "rows": config.sessions_per_day,
-                "consumed_max_availability": day,
-                "long_term_min_availability": day + LONG_TERM_DELAY_DAYS,
-                "long_term_embargoed": LONG_TERM_DELAY_DAYS > 0,
-            }
-            for day, name, _, _ in records
-        ),
         region_weights={
             name: None if rw is None else rw.as_tuple()
             for name, rw in arm_region_weights.items()
         },
     )
-
-
-def stream_seed_for(seed: int, label: str) -> int:
-    """Stable derived seed for a named sub-computation."""
-    return int(stream(seed, "derived_seed", label).integers(0, 2**63 - 1))
 
 
 def field_from_json(kind: Any, value: Any, name: str) -> Any:
@@ -568,7 +536,7 @@ def config_to_json(config: Any) -> dict[str, Any]:
     return plain(asdict(config))
 
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def report_to_dict(report: ExperimentReport) -> dict[str, Any]:

@@ -528,6 +528,7 @@ class TestExperimentAndReport:
             ("arm_means", {"a": {"revenue": "x"}}, "report.arm_means.a.revenue"),
             ("lifts", [{"lift": 0.1}], "report.lifts[0]"),
             ("schema_version", 99, "report.schema_version"),
+            ("schema_version", 1, "report.schema_version"),
             ("schema_version", None, "report.schema_version"),
         ],
     )

@@ -22,7 +22,6 @@ from wpxlab.domain import ContextFeatures, Device, ObjectiveVector
 from wpxlab.dml.pipeline import DmlConfig
 from wpxlab.errors import DomainError, EstimationError
 from wpxlab.harness.experiment import (
-    LONG_TERM_DELAY_DAYS,
     METRIC_NAMES,
     ArmConfig,
     ExperimentConfig,
@@ -85,10 +84,14 @@ def two_arm_report():
     return run_experiment(_two_arm_config())
 
 
+def _ab(control, treatment, bootstrap_n=1000, seed=0):
+    return ab_compare({"control": control, "treatment": treatment}, "control", bootstrap_n, seed)
+
+
 class TestAbCompare:
     def test_self_comparison_has_zero_lift_and_covering_ci(self):
         log = _metric_log(np.random.default_rng(1))
-        rows = ab_compare(log, log, bootstrap_n=300, seed=2)
+        rows = _ab(log, log, bootstrap_n=300, seed=2)
         assert [r.metric for r in rows] == list(METRIC_NAMES)
         for row in rows:
             assert row.lift == 0.0
@@ -97,9 +100,12 @@ class TestAbCompare:
     def test_uniform_scaling_recovers_the_scale(self):
         control = _metric_log(np.random.default_rng(3))
         treatment = {m: 1.1 * v for m, v in control.items()}
-        rows = ab_compare(control, treatment, bootstrap_n=100, seed=4)
+        rows = _ab(control, treatment, bootstrap_n=200, seed=4)
         for row in rows:
             assert row.lift == pytest.approx(0.1, rel=1e-12)
+            # each resample gathers the same sessions from both arms, so every
+            # resampled lift is the scale too
+            assert abs(row.ci_low - 0.1) < 1e-12 and abs(row.ci_high - 0.1) < 1e-12
 
     def test_null_intervals_cover_zero_most_of_the_time(self):
         rng = np.random.default_rng(5)
@@ -107,7 +113,7 @@ class TestAbCompare:
         for _ in range(100):
             a = {"revenue": rng.lognormal(0.0, 0.5, 200)}
             b = {"revenue": rng.lognormal(0.0, 0.5, 200)}
-            row = ab_compare(a, b, bootstrap_n=1000, seed=6)[0]
+            row = _ab(a, b, bootstrap_n=1000, seed=6)[0]
             covered += int(row.ci_low <= 0.0 <= row.ci_high)
         assert covered >= 90
 
@@ -115,8 +121,8 @@ class TestAbCompare:
         rng = np.random.default_rng(7)
         a = _metric_log(rng)
         b = _metric_log(rng, scale=1.3)
-        forward = ab_compare(a, b, bootstrap_n=50, seed=8)
-        backward = ab_compare(b, a, bootstrap_n=50, seed=8)
+        forward = _ab(a, b, bootstrap_n=50, seed=8)
+        backward = _ab(b, a, bootstrap_n=50, seed=8)
         for f, g in zip(forward, backward):
             assert g.lift == pytest.approx(-f.lift / (1.0 + f.lift), rel=1e-12)
 
@@ -124,14 +130,27 @@ class TestAbCompare:
         control = {"revenue": np.zeros(50)}
         treatment = {"revenue": np.ones(50)}
         with pytest.raises(EstimationError):
-            ab_compare(control, treatment, bootstrap_n=10, seed=0)
+            _ab(control, treatment, bootstrap_n=10, seed=0)
 
     def test_log_guards(self):
         log = _metric_log(np.random.default_rng(9))
         with pytest.raises(DomainError):
-            ab_compare({}, log)
+            _ab({}, log)
         with pytest.raises(DomainError):
-            ab_compare({"revenue": log["revenue"]}, {"ctr": log["ctr"]})
+            _ab({"revenue": log["revenue"]}, {"ctr": log["ctr"]})
+
+    def test_arms_of_unequal_session_counts_rejected(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(DomainError, match=r"120 sessions.*200"):
+            _ab(_metric_log(rng), _metric_log(rng, n=120))
+
+    def test_single_arm_draws_no_resamples(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a single arm drew resamples")
+
+        monkeypatch.setattr("wpxlab.harness.experiment.stream", no_stream)
+        log = _metric_log(np.random.default_rng(11))
+        assert ab_compare({"control": log}, "control", bootstrap_n=100, seed=0) == []
 
 
 class TestRunExperiment:
@@ -157,21 +176,11 @@ class TestRunExperiment:
         # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "152cb0584a40348bcf62409eb534ec6b524c04d2a4e7bd0bb4038ec4754fd3d3"
+        assert digest == "6d5cbb95f3d358142625dbf27c8187ab93e16972f74b1c1a3a0ec1b837e5c369"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())
         assert report_json(again) == report_json(two_arm_report)
-
-    def test_audit_shows_embargoed_long_term_and_capped_consumption(
-        self, two_arm_report
-    ):
-        assert len(two_arm_report.audit) == 3 * 2
-        for row in two_arm_report.audit:
-            assert row["consumed_max_availability"] <= row["day"]
-            assert row["long_term_min_availability"] > row["day"]
-            assert row["long_term_embargoed"] is True
-            assert row["rows"] == 50
 
     def test_warmup_serving_is_shared_across_arms(self, two_arm_report):
         day_one = [r for r in two_arm_report.per_day if r["day"] == 1]
@@ -207,7 +216,7 @@ class TestRunExperiment:
             del payload["schema_version"]
         else:
             payload["schema_version"] = version
-        with pytest.raises(DomainError, match="report.schema_version must be 1"):
+        with pytest.raises(DomainError, match="report.schema_version must be 2"):
             report_from_dict(payload)
 
     def test_loading_non_report_payload_rejected(self, tmp_path):
@@ -326,7 +335,7 @@ class TestTrainingBlock:
                     satisfaction=None if sat[i] is None else float(sat[i]),
                 ),
                 long_term_revenue=float(long_term[i]),
-                long_term_available_on=day + LONG_TERM_DELAY_DAYS,
+                long_term_available_on=day + 84,
             )
             for i in range(n)
         ]

@@ -1,11 +1,12 @@
 """Three-stage causal estimation of quality-metric effects on long-horizon revenue.
 
 Stage 0 removes crossed query-group and zip fixed effects by iterative
-de-averaging. Stage 1 residualizes the de-averaged target, quality surrogates,
-and short-term metrics on customer history with cross-fitted linear models, so
-no row's residual comes from a model that saw it. Stage 2 regresses the target
-residual on the surrogate and short-term residuals; the surrogate coefficients
-are the causal effects the downstream-value score aggregates.
+de-averaging, its passes run on the query-group × zip cell sums. Stage 1
+residualizes the de-averaged target, quality surrogates, and short-term
+metrics on customer history with cross-fitted linear models, so no row's
+residual comes from a model that saw it. Stage 2 regresses the target residual
+on the surrogate and short-term residuals; the surrogate coefficients are the
+causal effects the downstream-value score aggregates.
 
 Every least-squares fit (the stage-1 predictors, the stage-2 OLS and the
 history coefficients) solves the normal equations through a Cholesky factor
@@ -220,7 +221,7 @@ def _deaveraged_block(
     """Demean target, surrogates, short-term metrics, and history jointly, in
     one (n, 1 + s + j + k) block with the columns in that order."""
     blocks = [dataset.drev[:, None], dataset.x, dataset.m, dataset.h]
-    # column-major, the order deaverage works in, so its copy needs no transpose
+    # column-major, so each column deaverage reads is contiguous
     stacked = np.empty((dataset.n_rows, sum(b.shape[1] for b in blocks)), order="F")
     np.concatenate(blocks, axis=1, out=stacked)
     return deaverage(stacked, [dataset.query_group, dataset.zip_code], iterations)

@@ -377,6 +377,73 @@ def deaverage_row_major(
     return out, tuple(key_maxima()), iterations_run
 
 
+def deaverage_cell_table(
+    values: np.ndarray, group_keys: list[np.ndarray], iterations: int
+) -> tuple[np.ndarray, tuple[float, ...], int]:
+    """Alternating group demeaning on the cell table in plain loops: a cell is
+    one combination of every key's group, numbered in the lexicographic order
+    of the keys' sorted group numbers. Cells sum their rows in row order and
+    groups their cells in cell order, each pass demeans the cells' residual
+    sums key by key and accumulates the means in a per-cell shift, and the
+    maxima are read from the returned rows. Returns (out, max_group_means,
+    iterations_run).
+    """
+    if values.ndim != 2:
+        values = np.asarray(values, dtype=float).reshape(len(values), -1)
+    codes = [np.unique(np.asarray(keys), return_inverse=True)[1].reshape(-1) for keys in group_keys]
+    n_groups = [int(c.max()) + 1 for c in codes]
+    row_groups = list(zip(*(c.tolist() for c in codes)))
+    cells = sorted(set(row_groups))
+    number = {groups: i for i, groups in enumerate(cells)}
+    cell = [number[groups] for groups in row_groups]
+    rows = np.asarray(values, dtype=float).tolist()
+    width = len(rows[0])
+    size = [0.0] * len(cells)
+    for c in cell:
+        size[c] += 1.0
+    counts = []
+    for k, g in enumerate(n_groups):
+        cnt = [0.0] * g
+        for groups, s in zip(cells, size):
+            cnt[groups[k]] += s
+        counts.append(cnt)
+
+    def cell_sums(rows: list[list[float]]) -> list[list[float]]:
+        sums = [[0.0] * width for _ in cells]
+        for c, row in zip(cell, rows):
+            for j in range(width):
+                sums[c][j] += row[j]
+        return sums
+
+    def group_means(sums: list[list[float]], k: int) -> list[list[float]]:
+        totals = [[0.0] * width for _ in range(n_groups[k])]
+        for groups, row in zip(cells, sums):
+            for j in range(width):
+                totals[groups[k]][j] += row[j]
+        return [[t / cnt for t in total] for total, cnt in zip(totals, counts[k])]
+
+    def worst(sums: list[list[float]], k: int) -> float:
+        return max(abs(m) for means in group_means(sums, k) for m in means)
+
+    resid = cell_sums(rows)
+    shift = [[0.0] * width for _ in cells]
+    iterations_run = 0
+    for _ in range(iterations):
+        iterations_run += 1
+        for k in range(len(codes)):
+            means = group_means(resid, k)
+            for c, groups in enumerate(cells):
+                for j in range(width):
+                    m = means[groups[k]][j]
+                    resid[c][j] -= size[c] * m
+                    shift[c][j] += m
+        if max(worst(resid, k) for k in range(len(codes))) < EARLY_STOP_TOL:
+            break
+    out = [[v - s for v, s in zip(row, shift[c])] for c, row in zip(cell, rows)]
+    sums = cell_sums(out)
+    return np.array(out), tuple(worst(sums, k) for k in range(len(codes))), iterations_run
+
+
 def traced_peak(fn: Callable[..., object], *args: object) -> tuple[object, int]:
     """``fn(*args)`` and the most bytes ``tracemalloc`` saw it hold at once
     beyond what was held when it started."""

@@ -235,4 +235,4 @@ def test_criterion_9_reports_are_byte_identical_across_reruns(experiment_sweep):
     rerun = run_experiment(default_experiment_config(seed=0))
     assert report_json(rerun) == report_json(reports[0])
     digest = hashlib.sha256(report_json(reports[0]).encode()).hexdigest()
-    assert digest == "28f8e53ad68d13ab29b3fc8d553486c5777ecef2d0430b754baa6fc19713a6a4"
+    assert digest == "cccbcbc6eefc93ca08ef979eae83ab94f4ff5b9fb2ecd3f41e393f825b1594b0"

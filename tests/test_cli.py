@@ -20,8 +20,8 @@ SIM_CONFIG = {
 
 # sha256 of estimate.json on `simulate --seed 0`'s panel, per stage-2 fit
 ESTIMATE_DIGESTS = {
-    "ols": "4fa5860969602b545655c0b9866567a2e3ddee4d26441649077edc4f6d050170",
-    "lasso": "ad178bbcd8d6a9fe58f5cbe241f716b3060cde23c345a1fa5242cb67bb7898c7",
+    "ols": "190b946288e8b1fc4919869e94c83bb7d6687dd27d108edd9735d1fd777a6bd4",
+    "lasso": "edf8cc87195021f085e9d623006e7e7b4aca42479bb48469066621b0c00a720a",
 }
 
 SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}

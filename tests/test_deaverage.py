@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import deaverage_row_major
+from oracles import deaverage_cell_table, deaverage_row_major
 
-from wpxlab.dml.deaverage import deaverage
+from wpxlab.dml.deaverage import EARLY_STOP_TOL, deaverage
 from wpxlab.errors import DomainError
 
 
@@ -57,14 +57,21 @@ class TestDeaverage:
         out, _ = deaverage(v, [keys], iterations=1)
         assert np.allclose(out, 0.0, atol=1e-12)
 
-    def test_crossed_design_converges_and_matches_dummy_ols(self):
+    @pytest.mark.parametrize("blocks", ["connected", "disconnected"])
+    def test_crossed_design_converges_and_matches_dummy_ols(self, blocks):
         y, X, q, z, _ = _crossed_instance(seed=5)
+        if blocks == "disconnected":
+            # two blocks of queries, each seen only in its own zips: the dummy
+            # design has one more collinearity, and the projection is the same
+            block = np.array([int(k[1:]) < 5 for k in q])
+            z = np.where(block, z, np.char.add("w", z.astype(str)).astype(object))
+            assert not set(z[block]) & set(z[~block])
         stacked = np.column_stack([y[:, None], X])
         out, diag = deaverage(stacked, [q, z], iterations=20)
         yd, Xd = out[:, 0], out[:, 1:]
         assert _max_group_mean(out, q) < 1e-6
         assert _max_group_mean(out, z) < 1e-6
-        assert max(diag.max_group_means) < 1e-6
+        assert diag.converged and max(diag.max_group_means) < 1e-6
 
         coef, *_ = np.linalg.lstsq(
             np.column_stack([np.ones(len(yd)), Xd]), yd, rcond=None
@@ -124,18 +131,20 @@ def _wide_code_point_keys(rng, n: int) -> np.ndarray:
     return np.array(pool)[rng.integers(0, len(pool), n)]
 
 
+#: `<U` keys of mixed width with non-ASCII code points, some sharing a prefix
+_MIXED_KEYS = np.array(["q1", "q10", "é", "中文", "\U0001f600x", "q", "ü1", "中"])
+
+
 def _cases():
     y, X, q, z, _ = _crossed_instance(seed=31)
     rng = np.random.default_rng(37)
     ints = rng.integers(0, 6, 90)
     block, block_keys = _estimate_shaped_block(41)
-    # `<U` keys of mixed width with non-ASCII code points, some sharing a prefix
-    mixed = np.array(["q1", "q10", "é", "中文", "\U0001f600x", "q", "ü1", "中"])
     return {
         "object_keys": (np.column_stack([y[:, None], X]), [q, z], 20),
         "unicode_keys": (
             np.column_stack([y[:, None], X]),
-            [mixed[rng.integers(0, len(mixed), len(y))], q.astype(str)],
+            [_MIXED_KEYS[rng.integers(0, len(_MIXED_KEYS), len(y))], q.astype(str)],
             20,
         ),
         "wide_code_points": (rng.normal(size=(90, 2)), [_wide_code_point_keys(rng, 90)], 20),
@@ -148,13 +157,14 @@ def _cases():
 
 
 class TestAgainstRowMajorOracle:
-    """Bit for bit against the row-major loop that recomputes every sum."""
+    """Bit for bit against the cell-table loop, and within rounding of the
+    row-major loop that demeans and checks every row."""
 
     @pytest.mark.parametrize("case", sorted(_cases()))
     def test_bitwise_equal_to_the_oracle(self, case):
         values, keys, iterations = _cases()[case]
         out, diag = deaverage(values, keys, iterations)
-        ref, ref_maxima, ref_iterations = deaverage_row_major(values, keys, iterations)
+        ref, ref_maxima, ref_iterations = deaverage_cell_table(values, keys, iterations)
         assert out.shape == ref.shape and out.flags.c_contiguous
         assert out.tobytes() == ref.tobytes()
         assert diag.max_group_means == ref_maxima
@@ -163,25 +173,60 @@ class TestAgainstRowMajorOracle:
         if case == "stopped_at_cap":
             assert diag.iterations_run == 2 and max(diag.max_group_means) > 1e-9
 
-    def test_convergence_sums_are_reused(self, monkeypatch):
-        # demeaning 4 passes x 2 keys x 10 columns takes 80 weighted bincounts
-        # and the end-of-pass checks 80; the first key's check feeds the next
-        # pass (30 saved), the last check is the diagnostics (20 saved), and the
-        # last key's means, just subtracted, are checked only on the last pass
-        # (30 saved)
+    @pytest.mark.parametrize("case", sorted(_cases()))
+    def test_within_rounding_of_the_row_major_loop(self, case):
+        # the cell table sums in another order than the rows do, so the bits
+        # may differ; the passes run and the convergence verdict may not
+        values, keys, iterations = _cases()[case]
+        out, diag = deaverage(values, keys, iterations)
+        ref, ref_maxima, ref_iterations = deaverage_row_major(values, keys, iterations)
+        assert diag.iterations_run == ref_iterations
+        assert diag.converged == (max(ref_maxima) < EARLY_STOP_TOL)
+        scale = np.abs(values.reshape(len(values), -1)).max(axis=0)
+        assert np.all(np.abs(out - ref) <= 1e-14 * scale)
+
+    def test_rows_are_read_the_same_number_of_times_at_any_pass_count(self, monkeypatch):
+        # the cell sums of the input and of the output are the only weighted
+        # bincounts over the rows; the passes read the cell table
         values, keys = _estimate_shaped_block(43)
-        weighted = []
+        n, width = values.shape
         bincount = np.bincount
+        row_reads = []
 
         def counted(x, weights=None, minlength=0):
-            if weights is not None:
-                weighted.append(len(x))
+            if weights is not None and len(x) == n:
+                row_reads[-1] += 1
             return bincount(x, weights=weights, minlength=minlength)
 
         monkeypatch.setattr(np, "bincount", counted)
-        _, diag = deaverage(values, keys, iterations=4)
-        assert diag.iterations_run == 4 and not diag.converged
-        assert 0 < len(weighted) <= 100
+        passes = []
+        for iterations in (2, 20):
+            row_reads.append(0)
+            passes.append(deaverage(values, keys, iterations)[1].iterations_run)
+        assert passes[0] == 2 < passes[1]
+        assert row_reads[0] == row_reads[1] <= 3 * width
+
+    def test_stop_on_the_cell_sums_can_leave_the_rows_unconverged(self):
+        # 1e16 absorbs the 1.0 in the cell sum and the shift's 0.75 in the
+        # output, so the cell sums' mean is 0 after one pass while the returned
+        # rows' is 0.5625: the passes stop early and the check still fails
+        values = np.array([[1e16], [1.0], [-1e16], [3.0]])
+        keys = [np.array(["a"] * 4)]
+        out, diag = deaverage(values, keys, 5)
+        ref, ref_maxima, ref_iterations = deaverage_cell_table(values, keys, 5)
+        assert out.tobytes() == ref.tobytes() and diag.max_group_means == ref_maxima
+        assert diag.iterations_run == ref_iterations == 1
+        assert diag.max_group_means == (0.5625,) and not diag.converged
+
+    def test_object_and_unicode_keys_give_identical_bytes(self):
+        # the cell order sets the bits, and both dtypes number groups in
+        # sorted key order
+        values, (q, z) = _estimate_shaped_block(47, n=600)
+        mixed = _MIXED_KEYS[np.random.default_rng(47).integers(0, len(_MIXED_KEYS), len(q))]
+        as_str, as_obj = [q, mixed, z], [k.astype(object) for k in (q, mixed, z)]
+        out, diag = deaverage(values, as_str, 20)
+        obj_out, obj_diag = deaverage(values, as_obj, 20)
+        assert out.tobytes() == obj_out.tobytes() and diag == obj_diag
 
 
 class TestDeaverageErrors:

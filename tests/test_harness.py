@@ -176,7 +176,7 @@ class TestRunExperiment:
         # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "6d5cbb95f3d358142625dbf27c8187ab93e16972f74b1c1a3a0ec1b837e5c369"
+        assert digest == "f1f8cb003c4882cad25d35dd3849ac7140925361ff05f480723025f7498be550"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from conftest import make_item, make_layout
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import layout_item_indices_per_slot, template_plan, validate_layout
 
@@ -155,6 +155,9 @@ class TestBatchedFill:
         n_pages=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
+    # most pages come up short in the first scanned prefix and rescan whole orders
+    @example(world_name="default", rate=0.3, n_pages=40, seed=29)
+    @example(world_name="default", rate=0.2, n_pages=40, seed=29)
     def test_equals_the_scalar_fill_for_random_availability(
         self, world_name, rate, n_pages, seed
     ):

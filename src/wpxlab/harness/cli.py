@@ -33,12 +33,11 @@ from ..dml.panel import read_panel_csv, write_panel_csv
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
 from ..domain import ContextFeatures, Device
 from ..errors import DomainError, EstimationError, InvariantViolation
-from ..metrics import CTR_REGION_WEIGHTS
 from ..rng import stream
 from ..sim.panel import CONFOUNDED, RANDOMIZED, X_COLUMNS, simulate_panel
+from ..sim.session import serve_pages
 from ..sim.world import WorldConfig, generate_world
 from .experiment import (
-    SATISFACTION_CTR,
     SATISFACTION_DVWPX,
     SATISFACTION_NONE,
     ArmConfig,
@@ -49,12 +48,13 @@ from .experiment import (
     draw_sessions,
     field_from_json,
     load_report,
+    region_weights_for,
     render_report,
     request_context,
     request_rows,
     run_experiment,
+    same_day_targets,
     save_report,
-    serve_pages,
     write_per_day_csv,
 )
 
@@ -206,12 +206,12 @@ def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
     one warm-up day of `draw_sessions` under a label no experiment day uses."""
     if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
-    region_weights = CTR_REGION_WEIGHTS if arm.satisfaction_mode == SATISFACTION_CTR else None
+    region_weights = region_weights_for(arm, None)
     if n_sessions < 1:
         raise DomainError("warmup_sessions must be >= 1")
 
     ci, qi, mobile, ti, available, u, z = draw_sessions(world, seed, "rank", n_sessions)
-    _, _, targets = serve_pages(world, ci, qi, ti, available, u, z, region_weights)
+    targets = same_day_targets(serve_pages(world, ci, qi, ti, available, u, z), region_weights)
 
     bundle = new_bundle(
         categories=world.categories,

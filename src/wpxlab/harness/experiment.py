@@ -4,8 +4,8 @@ Arms differ only in their satisfaction objective: none (control), the
 fixed click-based region weighting `CTR_REGION_WEIGHTS`, or the region
 weighting derived from the causal estimator. Sessions share random streams
 across arms so measured lifts come from template choices, not luck. Every
-session is served through `serve_pages`; each arm retrains nightly on the
-`request_rows` rows it scored and one array of same-day targets per objective.
+session is served through `sim.session.serve_pages`; each arm retrains nightly
+on the `request_rows` rows it scored and the `same_day_targets` of its pages.
 Long-horizon revenue is realized up front and feeds reports, never training:
 the retrain raises InvariantViolation on any target that is not same-day.
 Lifts over the first arm get percentile CIs from one paired bootstrap, which
@@ -46,8 +46,8 @@ from ..errors import DomainError, EstimationError
 from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
 from ..rng import keyed_normals, keyed_streams, keyed_uniforms, stream, stream_keys
 from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
-from ..sim.session import PageSessions, draw_availability, page_long_term, page_sessions
-from ..sim.world import World, WorldConfig, generate_world, page_item_indices
+from ..sim.session import PageSessions, draw_availability, serve_pages
+from ..sim.world import World, WorldConfig, generate_world
 
 SATISFACTION_NONE = "none"
 SATISFACTION_CTR = "ctr"
@@ -208,9 +208,10 @@ def ab_compare(
     ]
 
 
-def _region_weights_for(
+def region_weights_for(
     arm: ArmConfig, dvwpx_weights: RegionWeights | None
 ) -> RegionWeights | None:
+    """The region weights an arm's satisfaction objective scores pages by."""
     if arm.satisfaction_mode == SATISFACTION_NONE:
         return None
     if arm.satisfaction_mode == SATISFACTION_CTR:
@@ -281,38 +282,15 @@ def draw_sessions(world: World, seed: int, day: int | str, n: int) -> tuple[np.n
     return (*map(np.array, zip(*draws)), u.reshape(n, 3, world.n_slots), z)
 
 
-def serve_pages(
-    world: World,
-    customer_idx: np.ndarray,
-    query_idx: np.ndarray,
-    template_idx: np.ndarray,
-    available: np.ndarray,
-    u: np.ndarray,
-    z: np.ndarray,
-    region_weights: RegionWeights | None,
-) -> tuple[PageSessions, np.ndarray, dict[str, np.ndarray]]:
-    """Serve a block of requests, one template each.
-
-    Row ``i`` fills its page under ``available[i]``, realizes its session from
-    the ``(3, n_slots)`` uniforms ``u[i]`` and its long-term revenue from the
-    normal ``z[i]``. Returns the sessions, the long-term revenue of each row
-    and each same-day objective's ``(n,)`` targets: revenue, non-abandonment
-    and, when `region_weights` is set, satisfaction as the region-weighted
-    brand match rate.
-    """
-    items = page_item_indices(world, query_idx, template_idx, available)
-    sessions = page_sessions(world, customer_idx, query_idx, template_idx, items, u)
-    long_term = page_long_term(world, customer_idx, query_idx, sessions, z)
-    return sessions, long_term, _same_day_targets(sessions, region_weights)
-
-
-def _same_day_targets(
+def same_day_targets(
     sessions: PageSessions, region_weights: RegionWeights | None
 ) -> dict[str, np.ndarray]:
-    """The `serve_pages` targets of served sessions."""
+    """Each same-day objective's ``(n,)`` targets of served pages: revenue,
+    non-abandonment and, when `region_weights` is set, satisfaction as the
+    region-weighted brand match rate."""
     targets = {
         REVENUE: sessions.short_term_revenue,
-        NON_ABANDONMENT: sessions.clicked.any(axis=1).astype(float),
+        NON_ABANDONMENT: (sessions.engagement > 0).astype(float),
     }
     if region_weights is not None:
         targets[SATISFACTION] = weighted_bmr(sessions.region_bmrs, region_weights)
@@ -345,7 +323,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         dvwpx_weights = estimate_dvwpx_region_weights(world, config)
 
     arm_region_weights = {
-        arm.name: _region_weights_for(arm, dvwpx_weights) for arm in config.arms
+        arm.name: region_weights_for(arm, dvwpx_weights) for arm in config.arms
     }
     bundles: dict[str, RankerBundle] = {
         arm.name: new_bundle(
@@ -379,16 +357,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         if warmup:
             # every arm serves the same uniform choice: one serving, per-arm targets
             ti = warmup_choice
-            sessions, long_term, _ = serve_pages(world, ci, qi, ti, available, u, z, None)
+            sessions = serve_pages(world, ci, qi, ti, available, u, z)
         for arm in config.arms:
             if not warmup:
                 thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
                 ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
-                sessions, long_term, _ = serve_pages(world, ci, qi, ti, available, u, z, None)
-            targets = _same_day_targets(sessions, arm_region_weights[arm.name])
+                sessions = serve_pages(world, ci, qi, ti, available, u, z)
+            targets = same_day_targets(sessions, arm_region_weights[arm.name])
             day_metrics = {
                 "revenue": sessions.short_term_revenue,
-                "long_term_revenue": long_term,
+                "long_term_revenue": sessions.long_term_revenue,
                 "ctr": sessions.engagement / world.n_slots,
                 "pr_wp_bmr": weighted_bmr(sessions.region_bmrs, CTR_REGION_WEIGHTS),
             }

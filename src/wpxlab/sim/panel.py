@@ -8,14 +8,14 @@ traffic looks like), and a randomized one that assigns templates uniformly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from ..errors import DomainError
 from ..rng import keyed_normals, keyed_uniforms, stream, stream_keys
-from .world import HISTORY_COLUMNS, World, page_item_indices
-from .session import page_long_term, page_sessions
+from .world import HISTORY_COLUMNS, World
+from .session import PageSessions, serve_pages
 from ..dml.panel import PanelDataset
 
 X_COLUMNS = ("x_bmr_top", "x_bmr_mid", "x_bmr_bot")
@@ -26,19 +26,6 @@ RANDOMIZED = "randomized"
 
 #: Events realized per block; bounds the simulator's working memory.
 CHUNK_EVENTS = 4096
-
-
-@dataclass(frozen=True)
-class EventBatch:
-    """Logged search events as columns: row ``i`` is event ``i``, with its
-    page's region brand match rates and both horizons' outcomes."""
-
-    customer_index: np.ndarray
-    query_index: np.ndarray
-    region_bmrs: np.ndarray  # (n, 3) top, middle, bottom
-    short_term_revenue: np.ndarray
-    engagement: np.ndarray
-    long_term_revenue: np.ndarray
 
 
 def assign_templates(
@@ -72,8 +59,9 @@ def generate_events(
     n_events: int,
     policy: str,
     seed: int,
-) -> EventBatch:
-    """Draw customers and queries, assign templates, realize both horizons.
+) -> PageSessions:
+    """Draw customers and queries, assign templates, and serve the events
+    block by block through `serve_pages`, which realizes both horizons.
 
     Event ``i`` draws its availability, session and long-term noise from
     ``stream(seed, i, purpose)``, so an event's outcome does not depend
@@ -96,31 +84,18 @@ def generate_events(
         keys = {p: stream_keys(seed, (), ids, (p,)) for p in purposes}
         # draw_availability's coin, replayed for every event of the block
         available = keyed_uniforms(keys["availability"], cfg.n_items) < cfg.availability_rate
-        items = page_item_indices(world, qi, ti, available)
-        u = keyed_uniforms(keys["session"], 3 * world.n_slots)
-        sessions = page_sessions(world, ci, qi, ti, items, u.reshape(len(ids), 3, -1))
-        blocks.append(
-            EventBatch(
-                customer_index=ci,
-                query_index=qi,
-                region_bmrs=sessions.region_bmrs,
-                short_term_revenue=sessions.short_term_revenue,
-                engagement=sessions.engagement,
-                long_term_revenue=page_long_term(
-                    world, ci, qi, sessions, keyed_normals(keys["long_term"])
-                ),
-            )
-        )
-    return EventBatch(
+        u = keyed_uniforms(keys["session"], 3 * world.n_slots).reshape(len(ids), 3, -1)
+        blocks.append(serve_pages(world, ci, qi, ti, available, u, keyed_normals(keys["long_term"])))
+    return PageSessions(
         **{
             f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-            for f in fields(EventBatch)
+            for f in fields(PageSessions)
         }
     )
 
 
-def emit_panel(world: World, events: EventBatch) -> PanelDataset:
-    """Flatten events into the estimator's panel: keys, target, X, M, H.
+def emit_panel(world: World, events: PageSessions) -> PanelDataset:
+    """Flatten served pages into the estimator's panel: keys, target, X, M, H.
 
     Panel row ``i`` is event ``i``, with event id ``e{i:08d}``.
     """

@@ -7,10 +7,10 @@ welfare function turns page quality plus short-term outcomes into long-term
 revenue.
 
 The model is written once, as array kernels over slot columns of shape
-``(..., n_slots)`` (:func:`click_model`, :func:`welfare`). Batch code feeds
-them pages of catalog item indices (:func:`page_sessions`,
-:func:`page_long_term`); :func:`simulate_session` and
-:func:`realize_long_term` feed them one hand-built or materialized
+``(..., n_slots)`` (:func:`click_model`, :func:`welfare`). Every shipped
+caller serves blocks of pages through :func:`serve_pages`, which fills them
+as catalog item indices; :func:`simulate_session` and
+:func:`realize_long_term` feed the kernels one hand-built or materialized
 :class:`PageLayout`.
 """
 
@@ -23,7 +23,9 @@ import numpy as np
 from ..domain import ContentKind, Item, PageLayout, Slot
 from ..errors import DomainError
 from ..metrics import layout_region_bmrs, region_bmr_columns
-from .world import World, WorldConfig, examination_probability, layout_item_indices
+from .world import (
+    World, WorldConfig, examination_probability, layout_item_indices, page_item_indices
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,15 @@ class LongTermOutcome:
 
 @dataclass(frozen=True)
 class PageSessions:
-    """Short-horizon outcomes of a block of pages, one row per page."""
+    """A block of served pages, one row per page: its request, its page's
+    region brand match rates and both horizons' outcomes."""
 
-    clicked: np.ndarray  # (n, n_slots) bool
+    customer_index: np.ndarray  # (n,)
+    query_index: np.ndarray  # (n,)
+    region_bmrs: np.ndarray  # (n, 3) in metrics.REGION_ORDER
     short_term_revenue: np.ndarray  # (n,)
     engagement: np.ndarray  # (n,) click count, as float
-    region_bmrs: np.ndarray  # (n, 3) in metrics.REGION_ORDER
+    long_term_revenue: np.ndarray  # (n,)
 
 
 def build_layout(
@@ -159,59 +164,56 @@ def welfare(
     return np.maximum(total, 0.0)
 
 
-def page_sessions(
+def serve_pages(
     world: World,
     customer_idx: np.ndarray,
     query_idx: np.ndarray,
     template_idx: np.ndarray,
-    items: np.ndarray,
+    available: np.ndarray,
     u: np.ndarray,
+    z: np.ndarray,
 ) -> PageSessions:
-    """Realize the sessions of pages given as ``(n, n_slots)`` catalog item
-    indices, with the ``(n, 3, n_slots)`` uniforms of :func:`click_model`."""
+    """Serve a block of requests, one template each.
+
+    Row ``i`` fills its page under ``available[i]``, realizes its session from
+    the ``(3, n_slots)`` uniforms ``u[i]`` of :func:`click_model` and its
+    long-term revenue from the normal ``z[i]`` through :func:`welfare`.
+    """
+    items = page_item_indices(world, query_idx, template_idx, available)
     match = world.item_brand[items] == world.query_brand[query_idx][:, None]
-    slots = world.slots
+    slots, customers = world.slots, world.customers
     clicked, amounts = click_model(
         world.config,
         slots.examination[template_idx],
         world.item_appeal[items],
         match,
         world.item_price[items],
-        world.customers.spend_multiplier[customer_idx],
+        customers.spend_multiplier[customer_idx],
         u,
     )
-    return PageSessions(
-        clicked=clicked,
-        short_term_revenue=amounts.sum(axis=-1),
-        engagement=clicked.sum(axis=-1).astype(float),
-        region_bmrs=region_bmr_columns(
-            slots.region[template_idx], slots.area[template_idx], match
-        ),
-    )
-
-
-def page_long_term(
-    world: World,
-    customer_idx: np.ndarray,
-    query_idx: np.ndarray,
-    sessions: PageSessions,
-    z: np.ndarray,
-) -> np.ndarray:
-    """Long-term revenue of the pages behind ``sessions``, one normal draw each."""
-    customers = world.customers
-    revenue = welfare(
+    short_term = amounts.sum(axis=-1)
+    engagement = clicked.sum(axis=-1).astype(float)
+    region_bmrs = region_bmr_columns(slots.region[template_idx], slots.area[template_idx], match)
+    long_term = welfare(
         world.config,
-        sessions.short_term_revenue,
-        sessions.engagement,
-        sessions.region_bmrs,
+        short_term,
+        engagement,
+        region_bmrs,
         customers.history_effect[customer_idx],
         world.query_alpha[query_idx],
         world.zip_zeta[customers.zip_index[customer_idx]],
         z,
     )
-    if not np.all(np.isfinite(revenue)):
+    if not np.all(np.isfinite(long_term)):
         raise DomainError("long_term_revenue must be finite")
-    return revenue
+    return PageSessions(
+        customer_index=customer_idx,
+        query_index=query_idx,
+        region_bmrs=region_bmrs,
+        short_term_revenue=short_term,
+        engagement=engagement,
+        long_term_revenue=long_term,
+    )
 
 
 def simulate_session(

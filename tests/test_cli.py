@@ -172,6 +172,7 @@ class TestSimulateAndEstimate:
             ({"true_region_effects": [1.0, 0.6]}, "true_region_effects"),
             ({"fixed_effect_scales": [0.5]}, "fixed_effect_scales"),
             ({"history_effects": [0.1, "0.2", 0.3, 0.4]}, "world.history_effects[1]"),
+            ({"noise_scale": 1e308}, "long_term_revenue"),
         ],
     )
     def test_malformed_world_exits_one_naming_the_field(self, tmp_path, capsys, world, field):

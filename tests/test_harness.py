@@ -38,8 +38,8 @@ from wpxlab.harness.experiment import (
     request_context,
     request_rows,
     run_experiment,
+    same_day_targets,
     save_report,
-    serve_pages,
     write_per_day_csv,
 )
 from wpxlab.metrics import CTR_REGION_WEIGHTS, layout_region_bmrs, weighted_bmr
@@ -47,6 +47,7 @@ from wpxlab.sim.session import (
     build_layout,
     draw_availability,
     realize_long_term,
+    serve_pages,
     simulate_session,
 )
 from wpxlab.sim.world import WorldConfig, generate_world
@@ -264,9 +265,8 @@ class TestServing:
             session_rng, long_term_rng = rngs(i)
             u[i] = session_rng.random((3, world.n_slots))
             z[i] = long_term_rng.standard_normal()
-        sessions, long_terms, targets = serve_pages(
-            world, ci, qi, ti, available, u, z, region_weights
-        )
+        sessions = serve_pages(world, ci, qi, ti, available, u, z)
+        targets = same_day_targets(sessions, region_weights)
         expected_names = [REVENUE, NON_ABANDONMENT] + ([] if region_weights is None else [SATISFACTION])
         assert list(targets) == expected_names
         assert all(v.shape == (len(ci),) for v in targets.values())
@@ -291,7 +291,7 @@ class TestServing:
                 ),
             )
             assert targets[NON_ABANDONMENT][i] == session.non_abandonment
-            assert long_terms[i] == long_term.long_term_revenue
+            assert sessions.long_term_revenue[i] == long_term.long_term_revenue
             assert sessions.engagement[i] == session.engagement_a
             assert tuple(sessions.region_bmrs[i].tolist()) == expected_bmrs
 
@@ -309,7 +309,8 @@ class TestTrainingBlock:
         mobile = rng.random(n) < world.config.mobile_fraction
         available = np.array([draw_availability(world, rng) for _ in range(n)])
         u, z = rng.random((n, 3, world.n_slots)), rng.standard_normal(n)
-        _, long_term, targets = serve_pages(world, ci, qi, ti, available, u, z, region_weights)
+        sessions = serve_pages(world, ci, qi, ti, available, u, z)
+        targets = same_day_targets(sessions, region_weights)
         members = world.customers.membership[ci]
         weights = BASE_WEIGHTS if region_weights is None else SAT_WEIGHTS
         reward = RewardWeights(weights, {name: ObjectiveStats(0.0, 1.0) for name in weights})
@@ -334,7 +335,7 @@ class TestTrainingBlock:
                     non_abandonment=int(targets[NON_ABANDONMENT][i]),
                     satisfaction=None if sat[i] is None else float(sat[i]),
                 ),
-                long_term_revenue=float(long_term[i]),
+                long_term_revenue=float(sessions.long_term_revenue[i]),
                 long_term_available_on=day + 84,
             )
             for i in range(n)

@@ -25,13 +25,13 @@ from wpxlab.sim.panel import (
     M_COLUMNS,
     RANDOMIZED,
     X_COLUMNS,
-    EventBatch,
     assign_templates,
     emit_panel,
     generate_events,
     simulate_panel,
 )
 from wpxlab.sim.session import (
+    PageSessions,
     build_layout,
     draw_availability,
     realize_long_term,
@@ -135,7 +135,7 @@ class TestEventGeneration:
                 np.random.default_rng(0),
             )
         events = generate_events(default_world, 1, RANDOMIZED, seed=0)
-        empty = EventBatch(**{f.name: getattr(events, f.name)[:0] for f in fields(events)})
+        empty = PageSessions(**{f.name: getattr(events, f.name)[:0] for f in fields(events)})
         with pytest.raises(DomainError):
             emit_panel(default_world, empty)
 

@@ -1,6 +1,7 @@
 """Every public function and class in the package has a caller that ships,
 every config field is read by the code it configures, the packages export
-only the README's library entry points, and one function builds page objects.
+only the README's library entry points, one function builds page objects and
+one kernel serves blocks of pages.
 
 A public top-level ``def`` or ``class`` of ``src/wpxlab`` counts as used when
 one of these refers to it:
@@ -18,7 +19,10 @@ Tests do not count: a name that only tests call is dead weight in the package.
 
 Pages travel as arrays of item indices over per-template slot tables; only
 ``sim/session.build_layout``, the one-page boundary, calls the `Item`, `Slot`
-or `PageLayout` constructor.
+or `PageLayout` constructor. Blocks of pages are served by
+``sim/session.serve_pages`` alone: besides it only the one-page
+``simulate_session`` and ``realize_long_term`` call the click model or the
+welfare function.
 
 A field of a dataclass that a command-line config file is read into counts as
 read when ``src/wpxlab`` reads an attribute of that name outside the class's
@@ -94,10 +98,10 @@ def _unused(reader, found) -> list[str]:
     return unused
 
 
-def page_object_builders() -> set[str]:
-    """Each top-level statement of ``src/wpxlab`` that calls the `Item`,
-    `Slot` or `PageLayout` constructor, as ``path:name``."""
-    builders = set()
+def callers_of(names: set[str]) -> set[str]:
+    """Each top-level statement of ``src/wpxlab`` that calls one of ``names``,
+    as ``path:name``."""
+    callers = set()
     for path, tree in _modules().items():
         for top in tree.body:
             called = {
@@ -105,10 +109,10 @@ def page_object_builders() -> set[str]:
                 for node in ast.walk(top)
                 if isinstance(node, ast.Call)
             }
-            if called & {"Item", "Slot", "PageLayout"}:
+            if called & names:
                 name = getattr(top, "name", type(top).__name__)
-                builders.add(f"{path.relative_to(PACKAGE).as_posix()}:{name}")
-    return builders
+                callers.add(f"{path.relative_to(PACKAGE).as_posix()}:{name}")
+    return callers
 
 
 def unreferenced_public_names() -> list[str]:
@@ -210,7 +214,16 @@ def test_every_public_method_and_property_has_a_reader_outside_tests():
 
 
 def test_only_build_layout_builds_page_objects():
-    assert page_object_builders() == {"sim/session.py:build_layout"}
+    assert callers_of({"Item", "Slot", "PageLayout"}) == {"sim/session.py:build_layout"}
+
+
+def test_one_kernel_serves_pages():
+    # the one-page functions stay for the benchmark's tracer
+    assert callers_of({"click_model", "welfare"}) == {
+        "sim/session.py:serve_pages",
+        "sim/session.py:simulate_session",
+        "sim/session.py:realize_long_term",
+    }
 
 
 def test_every_config_field_is_read_outside_its_class():

@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from ..domain import require_finite
 from ..errors import DomainError, EstimationError, WpxError
 from ..metrics import RegionWeights
 from ..rng import stream
@@ -55,6 +56,7 @@ class DmlConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.deaverage_iterations < 1:
             raise DomainError("deaverage_iterations must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:

@@ -8,7 +8,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from .errors import DomainError
 
@@ -47,6 +48,25 @@ def region_of_position(position: int) -> PageRegion:
     if position <= MIDDLE_LAST_POSITION:
         return PageRegion.MIDDLE
     return PageRegion.BOTTOM
+
+
+def require_finite(config: Any) -> None:
+    """Raise a DomainError naming the first float of the dataclass ``config``,
+    inside tuples and mappings too, that is NaN or infinite. Config classes
+    call it in ``__post_init__`` ahead of their range checks, which NaN passes."""
+
+    def check(value: Any, name: str) -> None:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, (tuple, list)):
+            for i, v in enumerate(value):
+                check(v, f"{name}[{i}]")
+        elif isinstance(value, Mapping):
+            for k, v in value.items():
+                check(v, f"{name}.{k}")
+
+    for f in fields(config):
+        check(getattr(config, f.name), f.name)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -41,10 +43,10 @@ from ..bandit.ranker import (
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device
-from ..errors import DomainError, EstimationError
+from ..domain import ContextFeatures, Device, require_finite
+from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
-from ..rng import keyed_normals, keyed_streams, keyed_uniforms, stream, stream_keys
+from ..rng import block_rows, keyed_streams, stream, stream_keys
 from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
 from ..sim.session import PageSessions, draw_availability, serve_pages
 from ..sim.world import World, WorldConfig, generate_world
@@ -68,6 +70,7 @@ class ArmConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reward_weights", dict(self.reward_weights))
+        require_finite(self)
         unknown = sorted(set(self.reward_weights) - set(OBJECTIVE_ORDER))
         if unknown:
             raise DomainError(f"reward_weights has unknown objectives {unknown}")
@@ -99,6 +102,7 @@ class ExperimentConfig:
     prior_variance: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.arms:
             raise DomainError("arms must be non-empty")
         if len({arm.name for arm in self.arms}) != len(self.arms):
@@ -259,27 +263,31 @@ def request_rows(
 def draw_sessions(world: World, seed: int, day: int | str, n: int) -> tuple[np.ndarray, ...]:
     """The requests of ``n`` sessions of ``day`` and their random draws.
 
-    Session ``i`` draws its customer, query, mobile flag, uniform template and
-    item availability from ``stream(seed, "exp_session", day, i)``, its
-    ``(3, n_slots)`` session uniforms from ``"exp_outcome"`` and its long-term
-    normal from ``"exp_longterm"``. Returns ``(ci, qi, mobile, template,
-    available, u, z)``, one row per session, ``u`` shaped ``(n, 3, n_slots)``.
+    Each draw is a column of one block-keyed purpose per day
+    (`rng.block_rows` under labels ``(purpose, day)``): session ``i`` reads
+    row ``i`` of its customer (``"exp_customer"``), query (``"exp_query"``),
+    mobile flag (``"exp_device"``), uniform warm-up template
+    (``"exp_template"``), item availability (``"exp_availability"``,
+    `draw_availability`), ``(3, n_slots)`` session uniforms
+    (``"exp_outcome"``) and long-term normal (``"exp_longterm"``). So the
+    first m sessions of a day do not depend on n. Returns ``(ci, qi, mobile,
+    template, available, u, z)``, one row per session, ``u`` shaped
+    ``(n, 3, n_slots)``.
     """
     cfg = world.config
-    s = np.arange(n)
-    draws = [
-        (
-            r.integers(0, cfg.n_customers),
-            r.integers(0, cfg.n_queries),
-            r.random() < cfg.mobile_fraction,
-            r.integers(0, len(world.templates)),
-            draw_availability(world, r),
-        )
-        for r in keyed_streams(stream_keys(seed, ("exp_session", day), s))
-    ]
-    u = keyed_uniforms(stream_keys(seed, ("exp_outcome", day), s), 3 * world.n_slots)
-    z = keyed_normals(stream_keys(seed, ("exp_longterm", day), s))
-    return (*map(np.array, zip(*draws)), u.reshape(n, 3, world.n_slots), z)
+
+    def column(purpose: str, draw) -> np.ndarray:
+        return block_rows(seed, (purpose, day), 0, n, draw)
+
+    return (
+        column("exp_customer", lambda g, m: g.integers(0, cfg.n_customers, m)),
+        column("exp_query", lambda g, m: g.integers(0, cfg.n_queries, m)),
+        column("exp_device", lambda g, m: g.random(m)) < cfg.mobile_fraction,
+        column("exp_template", lambda g, m: g.integers(0, len(world.templates), m)),
+        column("exp_availability", partial(draw_availability, world)),
+        column("exp_outcome", lambda g, m: g.random((m, 3, world.n_slots))),
+        column("exp_longterm", lambda g, m: g.standard_normal(m)),
+    )
 
 
 def same_day_targets(
@@ -437,7 +445,8 @@ def field_from_json(kind: Any, value: Any, name: str) -> Any:
     entry i read as ``Ti``. ``X | None`` takes null or an ``X``, and ``Any``
     takes any value as is. An ``int``, ``str`` or ``bool`` must be exactly that
     type; a ``float`` takes any number and keeps an int an int. Anything else
-    is a DomainError naming the field by its dotted path."""
+    is a DomainError naming the field by its dotted path, and so is a
+    ``float`` that is NaN or infinite."""
     origin, args = get_origin(kind), get_args(kind)
     if kind is Any:
         return value
@@ -467,6 +476,9 @@ def field_from_json(kind: Any, value: Any, name: str) -> Any:
         return {k: field_from_json(args[1], v, f"{name}.{k}") for k, v in value.items()}
     if kind is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # NaN and the infinities fail the comparison, as does an int past float range
+        if ok and not abs(value) <= sys.float_info.max:
+            raise DomainError(f"{name} must be finite, got {value!r}")
     else:
         ok = type(value) is kind
     if not ok:
@@ -541,7 +553,11 @@ def report_from_dict(payload: Any) -> ExperimentReport:
 
 
 def report_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    """The report as JSON text; a NaN or infinite number is an InvariantViolation."""
+    try:
+        return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvariantViolation(f"report holds a non-finite number: {exc}") from None
 
 
 def save_report(report: ExperimentReport, path: str | Path) -> None:

@@ -9,13 +9,14 @@ traffic looks like), and a randomized one that assigns templates uniformly
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from ..errors import DomainError
-from ..rng import keyed_normals, keyed_uniforms, stream, stream_keys
+from ..rng import RNG_BLOCK, block_rows, stream
 from .world import HISTORY_COLUMNS, World
-from .session import PageSessions, serve_pages
+from .session import PageSessions, draw_availability, serve_pages
 from ..dml.panel import PanelDataset
 
 X_COLUMNS = ("x_bmr_top", "x_bmr_mid", "x_bmr_bot")
@@ -24,8 +25,9 @@ M_COLUMNS = ("m_short_rev", "m_engagement")
 CONFOUNDED = "confounded"
 RANDOMIZED = "randomized"
 
-#: Events realized per block; bounds the simulator's working memory.
-CHUNK_EVENTS = 4096
+#: Events realized per chunk; bounds the simulator's working memory. One
+#: random block per chunk, so no block's draws are made twice.
+CHUNK_EVENTS = RNG_BLOCK
 
 
 def assign_templates(
@@ -63,9 +65,11 @@ def generate_events(
     """Draw customers and queries, assign templates, and serve the events
     block by block through `serve_pages`, which realizes both horizons.
 
-    Event ``i`` draws its availability, session and long-term noise from
-    ``stream(seed, i, purpose)``, so an event's outcome does not depend
-    on how the events are blocked.
+    Event ``i`` reads its availability (`draw_availability`), its
+    ``(3, n_slots)`` session uniforms and its long-term normal as row ``i`` of
+    the block-keyed purposes ``"availability"``, ``"session"`` and
+    ``"long_term"`` (`rng.block_rows`), so these draws do not depend on how
+    the events are chunked or on how many there are.
     """
     if n_events < 1:
         raise DomainError("n_events must be >= 1")
@@ -78,14 +82,20 @@ def generate_events(
     )
     blocks = []
     for start in range(0, n_events, CHUNK_EVENTS):
-        ids = np.arange(start, min(start + CHUNK_EVENTS, n_events))
-        ci, qi, ti = customer_idx[ids], query_idx[ids], template_idx[ids]
-        purposes = ("availability", "session", "long_term")
-        keys = {p: stream_keys(seed, (), ids, (p,)) for p in purposes}
-        # draw_availability's coin, replayed for every event of the block
-        available = keyed_uniforms(keys["availability"], cfg.n_items) < cfg.availability_rate
-        u = keyed_uniforms(keys["session"], 3 * world.n_slots).reshape(len(ids), 3, -1)
-        blocks.append(serve_pages(world, ci, qi, ti, available, u, keyed_normals(keys["long_term"])))
+        stop = min(start + CHUNK_EVENTS, n_events)
+        rows = slice(start, stop)
+        available = block_rows(
+            seed, ("availability",), start, stop, partial(draw_availability, world)
+        )
+        u = block_rows(
+            seed, ("session",), start, stop, lambda g, m: g.random((m, 3, world.n_slots))
+        )
+        z = block_rows(seed, ("long_term",), start, stop, lambda g, m: g.standard_normal(m))
+        blocks.append(
+            serve_pages(
+                world, customer_idx[rows], query_idx[rows], template_idx[rows], available, u, z
+            )
+        )
     return PageSessions(
         **{
             f.name: np.concatenate([getattr(b, f.name) for b in blocks])
@@ -94,19 +104,26 @@ def generate_events(
     )
 
 
+def _numbered(prefix: str, numbers: np.ndarray, width: int) -> np.ndarray:
+    """``f"{prefix}{k:0{width}d}"`` for every non-negative ``k`` in ``numbers``."""
+    return np.char.add(prefix, np.char.zfill(numbers.astype(str), width))
+
+
 def emit_panel(world: World, events: PageSessions) -> PanelDataset:
     """Flatten served pages into the estimator's panel: keys, target, X, M, H.
 
-    Panel row ``i`` is event ``i``, with event id ``e{i:08d}``.
+    Panel row ``i`` is event ``i``, with event id ``e{i:08d}``; customer ``c``
+    has id ``c{c:06d}``.
     """
     n = len(events.customer_index)
     if n == 0:
         raise DomainError("no events to emit")
     customers = world.customers
     query_ids = np.array([q.query_id for q in world.queries])
+    customer_ids = _numbered("c", np.arange(world.config.n_customers), 6)
     return PanelDataset(
-        event_id=np.array([f"e{i:08d}" for i in range(n)]),
-        customer_id=np.array([f"c{c:06d}" for c in events.customer_index.tolist()]),
+        event_id=_numbered("e", np.arange(n), 8),
+        customer_id=customer_ids[events.customer_index],
         query_group=query_ids[events.query_index],
         zip_code=np.array(world.zip_ids)[customers.zip_index[events.customer_index]],
         drev=events.long_term_revenue,

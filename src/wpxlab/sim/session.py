@@ -98,9 +98,10 @@ def build_layout(
     return PageLayout(template_id=world.templates[template_index].template_id, slots=slots)
 
 
-def draw_availability(world: World, rng: np.random.Generator) -> np.ndarray:
-    """Per-event item availability: independent stockout coin per item."""
-    return rng.random(world.config.n_items) < world.config.availability_rate
+def draw_availability(world: World, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Item availability of ``n`` events, ``(n, n_items)``: an independent
+    stockout coin per event and item, drawn in row order."""
+    return rng.random((n, world.config.n_items)) < world.config.availability_rate
 
 
 def click_model(
@@ -177,7 +178,8 @@ def serve_pages(
 
     Row ``i`` fills its page under ``available[i]``, realizes its session from
     the ``(3, n_slots)`` uniforms ``u[i]`` of :func:`click_model` and its
-    long-term revenue from the normal ``z[i]`` through :func:`welfare`.
+    long-term revenue from the normal ``z[i]`` through :func:`welfare`. A
+    long-term revenue that overflows or is not finite is a DomainError.
     """
     items = page_item_indices(world, query_idx, template_idx, available)
     match = world.item_brand[items] == world.query_brand[query_idx][:, None]
@@ -194,16 +196,23 @@ def serve_pages(
     short_term = amounts.sum(axis=-1)
     engagement = clicked.sum(axis=-1).astype(float)
     region_bmrs = region_bmr_columns(slots.region[template_idx], slots.area[template_idx], match)
-    long_term = welfare(
-        world.config,
-        short_term,
-        engagement,
-        region_bmrs,
-        customers.history_effect[customer_idx],
-        world.query_alpha[query_idx],
-        world.zip_zeta[customers.zip_index[customer_idx]],
-        z,
-    )
+    try:
+        with np.errstate(over="raise"):
+            long_term = welfare(
+                world.config,
+                short_term,
+                engagement,
+                region_bmrs,
+                customers.history_effect[customer_idx],
+                world.query_alpha[query_idx],
+                world.zip_zeta[customers.zip_index[customer_idx]],
+                z,
+            )
+    except FloatingPointError:
+        raise DomainError(
+            "long_term_revenue overflows float64: the world's welfare scales "
+            "(noise_scale, the carries, the region, history and fixed effects) are too large"
+        ) from None
     if not np.all(np.isfinite(long_term)):
         raise DomainError("long_term_revenue must be finite")
     return PageSessions(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..domain import PageTemplate, region_of_position
+from ..domain import PageTemplate, region_of_position, require_finite
 from ..errors import DomainError
 from ..metrics import REGION_ORDER, region_bmr_columns
 from ..rng import stream
@@ -79,6 +79,7 @@ class WorldConfig:
     membership_rate: float = 0.4
 
     def __post_init__(self) -> None:
+        require_finite(self)
         counts = {
             "n_customers": self.n_customers,
             "n_queries": self.n_queries,

@@ -235,4 +235,4 @@ def test_criterion_9_reports_are_byte_identical_across_reruns(experiment_sweep):
     rerun = run_experiment(default_experiment_config(seed=0))
     assert report_json(rerun) == report_json(reports[0])
     digest = hashlib.sha256(report_json(reports[0]).encode()).hexdigest()
-    assert digest == "cccbcbc6eefc93ca08ef979eae83ab94f4ff5b9fb2ecd3f41e393f825b1594b0"
+    assert digest == "9f9f7a860c0649e187aacb5a53006aed07dda45b867a3fcccded4acb85e39153"

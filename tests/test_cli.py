@@ -2,14 +2,27 @@
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
 import wpxlab.harness.cli as cli
-from wpxlab.errors import InvariantViolation
+from wpxlab.dml.pipeline import DmlConfig
+from wpxlab.errors import DomainError, InvariantViolation
+from wpxlab.harness.experiment import (
+    ArmConfig,
+    ExperimentConfig,
+    default_experiment_config,
+    load_report,
+    report_json,
+)
+from wpxlab.sim.world import WorldConfig
 
 SIM_CONFIG = {
     "world": {"seed": 3},
@@ -20,8 +33,8 @@ SIM_CONFIG = {
 
 # sha256 of estimate.json on `simulate --seed 0`'s panel, per stage-2 fit
 ESTIMATE_DIGESTS = {
-    "ols": "190b946288e8b1fc4919869e94c83bb7d6687dd27d108edd9735d1fd777a6bd4",
-    "lasso": "edf8cc87195021f085e9d623006e7e7b4aca42479bb48469066621b0c00a720a",
+    "ols": "b0b606935244b9c46dba247257df46e4d8add4f1236bf18c466dd81acd96225e",
+    "lasso": "6d4ea0d93067510c026d8d933715c76ecfec779dab903df15acc9877424a3929",
 }
 
 SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}
@@ -101,7 +114,7 @@ class TestSimulateAndEstimate:
         # sha256 of `simulate --seed 0`'s panel.csv and of estimate.json on it
         assert cli.main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
         panel = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
-        assert panel == "fdda813a4b79ebcbfc410d5f6cc8f0a14891e9b5db95d4702aabf53b6ece85af"
+        assert panel == "9fe371721e28f2a5b638517868068b8271412b60bed1ac4c919075a2e7319e2e"
         for stage2, digest in ESTIMATE_DIGESTS.items():
             assert cli.main(["estimate", "--stage2", stage2, "--out", str(tmp_path)]) == 0
             estimate = (tmp_path / "estimate.json").read_bytes()
@@ -261,11 +274,11 @@ class TestRank:
         [
             (
                 {"query_index": 1, "device": "mobile"},
-                "734ca70aaef5262076ffb5917db539655bbfaf5fd4b1c650f6911797ab20609d",
+                "1386b9c50a1f13c7ba49f758624d723563786536dcfa76a49c34f97560c8e935",
             ),
             (
                 {"query_index": 2, "device": "desktop"},
-                "2f40c9ff1a4601ac077debce472266ca6caa6d015da0a915d4206abaf59dcbe2",
+                "7f4de706b4463c9a6b4cc879e4c724396efc084761ee43c9a57779d0aa9f97d7",
             ),
         ],
     )
@@ -542,6 +555,119 @@ class TestExperimentAndReport:
         capsys.readouterr()
         assert cli.main(["report", "--config", bad]) == 1
         _assert_error_names(capsys, field)
+
+
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _float_fields(cls):
+    """``(name, entry)`` of every float field of the dataclass ``cls``: entry
+    None for a float, the last index of the default for a tuple of floats."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if hints[f.name] is float:
+            yield f.name, None
+        elif get_origin(hints[f.name]) is tuple and float in get_args(hints[f.name]):
+            yield f.name, len(f.default) - 1
+
+
+def _poisoned(cls, name, entry, value):
+    """``value`` for field ``name`` of a default ``cls``, at ``entry`` of a tuple."""
+    if entry is None:
+        return value
+    default = list(getattr(cls(), name))
+    default[entry] = value
+    return default
+
+
+def _non_finite_cases():
+    """(command, config payload, dotted field path) for NaN and each infinity
+    in every float of `WorldConfig`, `DmlConfig`, `ExperimentConfig` and the
+    arm weights, so a float field added later is covered too."""
+    arm = EXP_CONFIG["arms"][1]
+    for label, value in NON_FINITE.items():
+        for name, entry in _float_fields(WorldConfig):
+            world = {"seed": 3, name: _poisoned(WorldConfig, name, entry, value)}
+            path = f"config.world.{name}" + ("" if entry is None else f"[{entry}]")
+            yield pytest.param("simulate", {**SIM_CONFIG, "world": world}, path, id=f"world.{name}-{label}")
+        for name, entry in _float_fields(DmlConfig):
+            yield pytest.param("estimate", {name: value}, f"config.{name}", id=f"dml.{name}-{label}")
+        for name, _ in _float_fields(ExperimentConfig):
+            payload = {**EXP_CONFIG, name: value}
+            yield pytest.param("experiment", payload, f"config.{name}", id=f"experiment.{name}-{label}")
+        for objective in arm["reward_weights"]:
+            weights = {**arm["reward_weights"], objective: value}
+            payload = {**EXP_CONFIG, "arms": [EXP_CONFIG["arms"][0], {**arm, "reward_weights": weights}]}
+            path = f"config.arms[1].reward_weights.{objective}"
+            yield pytest.param("experiment", payload, path, id=f"arm.{objective}-{label}")
+
+
+def _library_cases():
+    """(build, field name) for every float a config class checks itself:
+    ``build(value)`` constructs the class with that field set to ``value``."""
+    for cls in (WorldConfig, DmlConfig):
+        for name, entry in _float_fields(cls):
+            field = name + ("" if entry is None else f"[{entry}]")
+            build = lambda v, c=cls, n=name, e=entry: c(**{n: _poisoned(c, n, e, v)})
+            yield pytest.param(build, field, id=f"{cls.__name__}.{field}")
+    for name, _ in _float_fields(ExperimentConfig):
+        build = lambda v, n=name: replace(default_experiment_config(), **{n: v})
+        yield pytest.param(build, name, id=f"ExperimentConfig.{name}")
+    yield pytest.param(
+        lambda v: ArmConfig("t1", "ctr", {**SAT_WEIGHTS, "satisfaction": v}),
+        "reward_weights.satisfaction",
+        id="ArmConfig.reward_weights",
+    )
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteNumbers:
+    """NaN and the infinities stop at the config boundary: a config file, a
+    saved report and a library caller's dataclass all name the field."""
+
+    @pytest.mark.parametrize("command, payload, field", _non_finite_cases())
+    def test_config_value_exits_one_naming_the_field(self, tmp_path, capsys, command, payload, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))  # NaN and Infinity, as Python's json writes them
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be finite, got ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", NON_FINITE)
+    @pytest.mark.parametrize("build, field", _library_cases())
+    def test_library_config_names_the_field(self, build, field, label):
+        with pytest.raises(DomainError, match=f"^{re.escape(field)} must be finite"):
+            build(NON_FINITE[label])
+
+    @pytest.mark.parametrize("label", NON_FINITE)
+    def test_saved_report_value_exits_one_naming_the_field(
+        self, saved_report, tmp_path, capsys, label
+    ):
+        means = saved_report["arm_means"]
+        payload = {**saved_report, "arm_means": {**means, "t1": {**means["t1"], "ctr": NON_FINITE[label]}}}
+        bad = _write(tmp_path, "report.json", payload)
+        assert cli.main(["report", "--config", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: report.arm_means.t1.ctr must be finite")
+
+    def test_report_with_a_non_finite_number_is_not_written(self, saved_report, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(saved_report))
+        report = load_report(path)
+        report.arm_means["t1"]["ctr"] = math.nan
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            report_json(report)
+
+    def test_int_beyond_float_range_is_not_finite(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**SIM_CONFIG, "world": {"noise_scale": 10**400}}))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        _assert_error_names(capsys, "config.world.noise_scale must be finite")
 
 
 class TestExitCodes:

@@ -29,6 +29,7 @@ from wpxlab.harness.experiment import (
     config_from_json,
     config_to_json,
     default_experiment_config,
+    draw_sessions,
     estimate_dvwpx_region_weights,
     load_report,
     render_report,
@@ -177,7 +178,7 @@ class TestRunExperiment:
         # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "f1f8cb003c4882cad25d35dd3849ac7140925361ff05f480723025f7498be550"
+        assert digest == "b45ca3335a0ea55e53aed9b4b9b7c79398922c7c25a0e1a05faed0b014b9396a"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())
@@ -239,6 +240,20 @@ class TestServing:
         for ti, t in enumerate(world.templates):
             assert context.content_signals[t.template_id] == tuple(world.content_signals[qi, ti])
 
+    @pytest.mark.parametrize("day", [1, 3, "rank"])
+    def test_first_sessions_of_a_day_do_not_depend_on_its_length(self, default_world, day):
+        # 4,100 sessions cross a random block boundary
+        short = draw_sessions(default_world, 5, day, 300)
+        long = draw_sessions(default_world, 5, day, 4100)
+        shapes = [(300,), (300,), (300,), (300,), (300, 240), (300, 3, 24), (300,)]
+        assert [c.shape for c in short] == shapes
+        for a, b in zip(short, long):
+            assert a.dtype == b.dtype and np.array_equal(a, b[:300])
+        _, _, mobile, _, available, _, _ = long
+        assert 0.3 < mobile.mean() < 0.4 and 0.88 < available.mean() < 0.92
+        # another day is another stream
+        assert not np.array_equal(draw_sessions(default_world, 5, 2, 300)[0], short[0])
+
     @pytest.mark.parametrize(
         "shared_rng, region_weights", [(False, CTR_REGION_WEIGHTS), (True, None)]
     )
@@ -252,9 +267,7 @@ class TestServing:
         ci = np.array([7, 0, 33, 7, 120, 5, 61])
         qi = np.array([3, 3, 0, 11, 49, 20, 3])
         ti = np.array([2, 0, 5, 1, 3, 4, 2])
-        available = np.array(
-            [draw_availability(world, np.random.default_rng(i)) for i in range(len(ci))]
-        )
+        available = draw_availability(world, np.random.default_rng(0), len(ci))
 
         def rngs(i):
             session_rng = np.random.default_rng(100 + i)
@@ -307,7 +320,7 @@ class TestTrainingBlock:
         qi = rng.integers(0, world.config.n_queries, n)
         ti = rng.integers(0, len(world.templates), n)
         mobile = rng.random(n) < world.config.mobile_fraction
-        available = np.array([draw_availability(world, rng) for _ in range(n)])
+        available = draw_availability(world, rng, n)
         u, z = rng.random((n, 3, world.n_slots)), rng.standard_normal(n)
         sessions = serve_pages(world, ci, qi, ti, available, u, z)
         targets = same_day_targets(sessions, region_weights)

@@ -18,7 +18,7 @@ from wpxlab.dml.panel import (
 from wpxlab.domain import ContentKind
 from wpxlab.errors import DomainError
 from wpxlab.metrics import layout_region_bmrs
-from wpxlab.rng import stream
+from wpxlab.rng import RNG_BLOCK, stream
 from wpxlab.sim import panel as sim_panel
 from wpxlab.sim.panel import (
     CONFOUNDED,
@@ -43,9 +43,17 @@ ODD_KEYS = ("a,b", 'say "hi"', '"lead', "two\r\nlines", "one\nline", " padded ",
 ODD_FLOATS = (5e-324, -0.0, 0.1, 1e-05, 1e16, 1.7976931348623157e308, -2.5)
 
 
+def _event_stream(seed, purpose, i, skip):
+    """Event ``i``'s block stream of ``purpose``, advanced past the block's
+    rows ahead of it by ``skip(g, rows)``: the next draw is event i's row."""
+    g = stream(seed, purpose, i // RNG_BLOCK)
+    skip(g, i % RNG_BLOCK)
+    return g
+
+
 def _scalar_pages(world, n_events, policy, seed):
-    """Each event's customer, query and page, one page at a time:
-    stream(seed, i, "availability") -> draw_availability -> build_layout."""
+    """Each event's customer, query and page, one page at a time: event i's
+    row of the "availability" block -> draw_availability -> build_layout."""
     cfg = world.config
     r = stream(seed, "panel_events")
     customer_idx = r.integers(0, cfg.n_customers, n_events)
@@ -55,20 +63,21 @@ def _scalar_pages(world, n_events, policy, seed):
     )
     for i in range(n_events):
         ci, qi, ti = int(customer_idx[i]), int(query_idx[i]), int(template_idx[i])
-        available = draw_availability(world, stream(seed, i, "availability"))
+        g = _event_stream(seed, "availability", i, lambda g, k: g.random((k, cfg.n_items)))
+        (available,) = draw_availability(world, g, 1)
         yield ci, qi, build_layout(world, qi, ti, available)
 
 
 def _scalar_panel(world, n_events, policy, seed):
     """The per-event composition the batch simulator replaces, one page at a
-    time: `_scalar_pages` -> simulate_session -> realize_long_term, each on
-    stream(seed, i, purpose)."""
+    time: `_scalar_pages` -> simulate_session -> realize_long_term, each
+    reading event i's row of its purpose's block stream."""
     keys, x, m, drev = [], [], [], []
     for i, (ci, qi, layout) in enumerate(_scalar_pages(world, n_events, policy, seed)):
-        session = simulate_session(world, ci, qi, layout, stream(seed, i, "session"))
-        long_term = realize_long_term(
-            world, ci, qi, layout, session, stream(seed, i, "long_term")
-        )
+        g = _event_stream(seed, "session", i, lambda g, k: g.random((k, 3, world.n_slots)))
+        session = simulate_session(world, ci, qi, layout, g)
+        g = _event_stream(seed, "long_term", i, lambda g, k: g.standard_normal(k))
+        long_term = realize_long_term(world, ci, qi, layout, session, g)
         keys.append((ci, qi))
         x.append(layout_region_bmrs(layout, world.brands[world.query_brand[qi]]))
         m.append((session.short_term_revenue, session.engagement_a))
@@ -159,12 +168,20 @@ class TestBatchMatchesScalarChain:
         assert list(panel.query_group) == [world.queries[q].query_id for q in query_idx]
         assert list(panel.event_id) == [f"e{i:08d}" for i in range(150)]
 
-    def test_block_size_does_not_change_the_panel(self, default_world, monkeypatch):
-        whole = simulate_panel(default_world, 100, CONFOUNDED, seed=9)
-        monkeypatch.setattr(sim_panel, "CHUNK_EVENTS", 7)
-        blocked = simulate_panel(default_world, 100, CONFOUNDED, seed=9)
-        for name in ("event_id", "customer_id", "drev", "x", "m", "h"):
-            assert np.array_equal(getattr(whole, name), getattr(blocked, name))
+    @pytest.fixture(scope="class")
+    def two_block_panel(self, default_world):
+        """A panel past the first random block, in the shipped chunks."""
+        return simulate_panel(default_world, RNG_BLOCK + 40, CONFOUNDED, seed=9)
+
+    @pytest.mark.parametrize("chunk", [7, RNG_BLOCK + 3])
+    def test_chunk_size_does_not_change_the_panel(
+        self, default_world, two_block_panel, monkeypatch, chunk
+    ):
+        # chunks of 7 and of RNG_BLOCK + 3 events straddle the block boundary
+        monkeypatch.setattr(sim_panel, "CHUNK_EVENTS", chunk)
+        blocked = simulate_panel(default_world, RNG_BLOCK + 40, CONFOUNDED, seed=9)
+        for name in ("event_id", "customer_id", "query_group", "zip_code", "drev", "x", "m", "h"):
+            assert np.array_equal(getattr(two_block_panel, name), getattr(blocked, name))
 
     def test_many_brands_world_exercises_widget_fallback(self, many_brands_world):
         world = many_brands_world

@@ -1,22 +1,64 @@
-"""Bulk stream keys and the re-keyed generator replay stream exactly."""
+"""Block-keyed purpose rows, bulk stream keys and the re-keyed generator."""
 
 import numpy as np
 import pytest
 
-from wpxlab.rng import (
-    KeyedGenerator,
-    keyed_normals,
-    keyed_uniforms,
-    stream,
-    stream_keys,
-)
+from wpxlab.rng import RNG_BLOCK, KeyedGenerator, block_rows, stream, stream_keys
 
 SEEDS = [0, 7, 2**63 + 11, -3]
 IDS = np.array([0, 1, 2, 99, 4096, 123_456_789, 2**40 + 3])
 
+# the draws the simulator and the experiment make per id
+DRAWS = {
+    "availability": lambda g, m: g.random((m, 240)),
+    "session": lambda g, m: g.random((m, 3, 24)),
+    "long_term": lambda g, m: g.standard_normal(m),
+    "customer": lambda g, m: g.integers(0, 2000, m),
+}
+
 
 def _key(generator):
     return generator.bit_generator.state["state"]["key"].tolist()
+
+
+@pytest.mark.parametrize("name", DRAWS)
+@pytest.mark.parametrize("m", [0, 1, 7, 400, RNG_BLOCK - 1])
+def test_first_rows_of_a_block_draw_are_the_shorter_draw(name, m):
+    # the premise of block keying: numpy fills every draw in row order
+    draw = DRAWS[name]
+    assert np.array_equal(draw(stream(3, name, 0), RNG_BLOCK)[:m], draw(stream(3, name, 0), m))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("name", DRAWS)
+def test_row_i_is_row_i_mod_block_of_its_blocks_full_draw(seed, name):
+    draw, labels = DRAWS[name], (name, 5)
+    start, stop = RNG_BLOCK - 3, 2 * RNG_BLOCK + 2  # three blocks, two boundaries
+    rows = block_rows(seed, labels, start, stop, draw)
+    assert len(rows) == stop - start
+    full = {b: draw(stream(seed, *labels, b), RNG_BLOCK) for b in range(3)}
+    for i in range(start, stop):
+        assert np.array_equal(rows[i - start], full[i // RNG_BLOCK][i % RNG_BLOCK]), i
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 1), (5, 9), (RNG_BLOCK - 1, RNG_BLOCK + 1), (RNG_BLOCK, 2 * RNG_BLOCK), (7, 7)],
+)
+def test_rows_do_not_depend_on_the_range_asked_for(start, stop):
+    whole = block_rows(2, ("session",), 0, 2 * RNG_BLOCK, DRAWS["session"])
+    part = block_rows(2, ("session",), start, stop, DRAWS["session"])
+    assert part.shape == (stop - start, 3, 24)
+    assert np.array_equal(part, whole[start:stop])
+
+
+def test_labels_and_blocks_name_distinct_streams():
+    rows = [
+        block_rows(0, labels, start, start + 4, DRAWS["long_term"])
+        for labels in (("a", 1), ("a", 2), ("b", 1))
+        for start in (0, RNG_BLOCK)
+    ]
+    assert len({r.tobytes() for r in rows}) == len(rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -26,17 +68,6 @@ def test_bulk_keys_equal_event_stream_keys(seed, purpose):
     assert keys.dtype == np.uint64 and keys.shape == (len(IDS), 2)
     for event_id, key in zip(IDS, keys):
         assert key.tolist() == _key(stream(seed, int(event_id), purpose))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_uniforms_and_normals_replay_event_stream(seed):
-    uniforms = keyed_uniforms(stream_keys(seed, (), IDS, ("session",)), 72)
-    normals = keyed_normals(stream_keys(seed, (), IDS, ("long_term",)))
-    for i, event_id in enumerate(IDS):
-        assert np.array_equal(
-            uniforms[i], stream(seed, int(event_id), "session").random(72)
-        )
-        assert normals[i] == stream(seed, int(event_id), "long_term").standard_normal()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

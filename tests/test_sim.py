@@ -125,13 +125,15 @@ class TestWorldGeneration:
                 assert slot.item.price == world.item_price[j]
 
     def test_availability_draw_is_per_item_bernoulli(self, default_world):
-        avail = draw_availability(default_world, np.random.default_rng(1))
-        again = draw_availability(default_world, np.random.default_rng(1))
-        assert avail.shape == (default_world.config.n_items,)
+        avail = draw_availability(default_world, np.random.default_rng(1), 50)
+        again = draw_availability(default_world, np.random.default_rng(1), 50)
+        assert avail.shape == (50, default_world.config.n_items)
         assert avail.dtype == bool
         assert np.array_equal(avail, again)
         rate = avail.mean()
-        assert 0.8 < rate <= 1.0
+        assert 0.88 < rate < 0.92
+        # rows fill in order: the first rows of a block are the shorter draw
+        assert np.array_equal(avail[:7], draw_availability(default_world, np.random.default_rng(1), 7))
 
 
 FILL_WORLDS = {
@@ -265,7 +267,7 @@ class TestSimulateSession:
             ti = int(rng.integers(default_world.config.n_templates))
             ci = int(rng.integers(default_world.config.n_customers))
             layout = build_layout(
-                default_world, qi, ti, draw_availability(default_world, rng)
+                default_world, qi, ti, draw_availability(default_world, rng, 1)[0]
             )
             out = simulate_session(default_world, ci, qi, layout, rng)
             assert out.short_term_revenue == pytest.approx(

@@ -4,17 +4,17 @@ A bundle holds one Bayesian model per objective plus frozen scalarization
 stats. At serving time each candidate template is scored by sampling every
 objective's posterior, standardizing against the frozen stats, and combining
 with the configured weights; the argmax template wins. A block of requests is
-scored at once, each from its own random stream. Nightly the bundle retrains
-incrementally on a half-sample of the day's impressions, given as a block of
-served feature rows with each same-day objective's targets; one kernel,
-`_train_rows`, checks the block and updates every model from it.
+scored at once from the caller's block of standard normals. Nightly the bundle
+retrains incrementally on a half-sample of the day's impressions, given as a
+block of served feature rows with each same-day objective's targets; one
+kernel, `_train_rows`, checks the block and updates every model from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -127,14 +127,17 @@ class RankerBundle:
         ):
             raise DomainError("satisfaction model must be Linear")
 
+    @property
+    def objectives(self) -> tuple[str, ...]:
+        """The objectives with a model, in OBJECTIVE_ORDER: the model slots of
+        a request's Thompson normals."""
+        return OBJECTIVE_ORDER[: 2 if self.satisfaction_model is None else 3]
+
     def active_objectives(self, device: Device) -> tuple[str, ...]:
         """Objectives scored for a request; non-abandonment is Desktop-only."""
-        names = [REVENUE]
         if device is Device.DESKTOP:
-            names.append(NON_ABANDONMENT)
-        if self.satisfaction_model is not None:
-            names.append(SATISFACTION)
-        return tuple(names)
+            return self.objectives
+        return tuple(name for name in self.objectives if name != NON_ABANDONMENT)
 
     def model_for(self, objective: str) -> ObjectiveModel:
         if objective == REVENUE:
@@ -190,14 +193,16 @@ def select_template(
 
     Only a candidate's ``template_id`` is read; the chosen candidate itself
     is returned with every candidate's samples and score, as
-    :func:`thompson_scores` computes them for a block of one request.
+    :func:`thompson_scores` computes them for a block of one request whose
+    normals are one ``(1, c, n_models, p)`` draw from `rng`.
     """
     if not candidates:
         raise DomainError("candidate list is empty")
     template_ids = [c.template_id for c in candidates]
     features = candidate_features(context, template_ids, bundle)
     mobile = np.array([context.device is Device.MOBILE])
-    best, scores, samples = thompson_scores(features[None], mobile, template_ids, bundle, [rng])
+    z = rng.standard_normal((1, len(template_ids), len(bundle.objectives), features.shape[1]))
+    best, scores, samples = thompson_scores(features[None], mobile, template_ids, bundle, z)
     best = int(best[0])
     sampled = {name: samples[name][0].tolist() for name in bundle.active_objectives(context.device)}
     trace = [
@@ -231,43 +236,37 @@ def thompson_scores(
     mobile: np.ndarray,
     template_ids: Sequence[str],
     bundle: RankerBundle,
-    rngs: Iterable[np.random.Generator],
+    z: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Thompson-score a block of requests over the same candidate templates.
 
     `features` holds each request's checked candidate rows, ``(n, c, p)``;
-    `mobile` flags each request's device; `rngs` yields each request's stream
-    in turn. A request draws one ``(c, n_objectives, p)`` standard normal
-    block, one weight vector per (candidate, active objective). Returns each
-    request's winning column (exact score ties go to the lowest template_id),
-    the ``(n, c)`` scalarized scores, and each objective's ``(n, c)`` samples,
-    NaN on requests where the objective is inactive.
+    `mobile` flags each request's device; `z` holds the standard normals,
+    ``(n, c, n_models, p)``, slot j for the j-th of the bundle's `objectives`;
+    a mobile request leaves its non-abandonment slot unread. Returns each request's
+    winning column (exact score ties go to the lowest template_id), the
+    ``(n, c)`` scalarized scores, and each objective's ``(n, c)`` samples, NaN
+    on requests where the objective is inactive.
     """
     n, c, p = features.shape
+    slots = bundle.objectives
+    if z.shape != (n, c, len(slots), p):
+        raise DomainError(f"normal block has shape {z.shape}, not {(n, c, len(slots), p)}")
     mobile = np.asarray(mobile, dtype=bool)
     n_mobile = int(np.count_nonzero(mobile))
-    # each device's requests, a slice when they fill the block; bool keys hash in C, enums do not
-    groups = {}
-    for m, count in ((False, n - n_mobile), (True, n_mobile)):
-        if count:
-            rows = slice(None) if count == n else np.flatnonzero(mobile == m)
-            objectives = bundle.active_objectives(Device.MOBILE if m else Device.DESKTOP)
-            groups[m] = rows, objectives, np.empty((count, c, len(objectives), p))
-    # a request's draw fills the next row of its device's block
-    filled = dict.fromkeys(groups, 0)
-    for m, rng in zip(mobile.tolist(), rngs, strict=True):
-        z = groups[m][2]
-        z[filled[m]] = rng.standard_normal(z.shape[1:])
-        filled[m] += 1
     scores = np.empty((n, c))
     samples = dict(zip(OBJECTIVE_ORDER, np.full((len(OBJECTIVE_ORDER), n, c), np.nan)))
-    for rows, objectives, z in groups.values():
-        x = features[rows]
+    for device, count in ((Device.DESKTOP, n - n_mobile), (Device.MOBILE, n_mobile)):
+        if not count:
+            continue
+        # the device's requests, a slice when they fill the block
+        rows = slice(None) if count == n else np.flatnonzero(mobile == (device is Device.MOBILE))
+        x, zr = features[rows], z[rows]
         drawn = {}
-        for j, name in enumerate(objectives):
+        for name in bundle.active_objectives(device):
             model = bundle.model_for(name)
             drawn[name] = samples[name][rows] = predict_with(
-                model, model.posterior.weights(z[:, :, j]), x
+                model, model.posterior.weights(zr[:, :, slots.index(name)]), x
             )
         scores[rows] = scalarize(drawn, bundle.reward)
     order = np.array(sorted(range(c), key=template_ids.__getitem__))
@@ -332,8 +331,7 @@ def _train_rows(
     late = sorted(set(targets) - set(OBJECTIVE_ORDER))
     if late:
         raise InvariantViolation(f"training would consume targets that are not same-day: {late}")
-    needed = OBJECTIVE_ORDER[: 2 if bundle.satisfaction_model is None else 3]
-    missing = [name for name in needed if name not in targets]
+    missing = [name for name in bundle.objectives if name not in targets]
     if missing:
         raise DomainError(f"training rows lack targets {missing}")
     if (targets[REVENUE] < 0.0).any():

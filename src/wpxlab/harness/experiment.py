@@ -46,7 +46,7 @@ from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
 from ..domain import ContextFeatures, Device, require_finite
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
-from ..rng import block_rows, keyed_streams, stream, stream_keys
+from ..rng import block_rows, stream
 from ..sim.panel import RANDOMIZED, X_COLUMNS, simulate_panel
 from ..sim.session import PageSessions, draw_availability, serve_pages
 from ..sim.world import World, WorldConfig, generate_world
@@ -368,8 +368,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             sessions = serve_pages(world, ci, qi, ti, available, u, z)
         for arm in config.arms:
             if not warmup:
-                thompson = keyed_streams(stream_keys(seed, ("exp_thompson", arm.name, day), s))
-                ti = thompson_scores(day_features, mobile, template_ids, bundles[arm.name], thompson)[0]
+                # session i's Thompson normals: row i of the arm-day's block-keyed purpose
+                bundle = bundles[arm.name]
+                shape = (len(template_ids), len(bundle.objectives), day_features.shape[2])
+                labels = ("exp_thompson", arm.name, day)
+                normals = block_rows(seed, labels, 0, len(s), lambda g, m: g.standard_normal((m, *shape)))
+                ti = thompson_scores(day_features, mobile, template_ids, bundle, normals)[0]
                 sessions = serve_pages(world, ci, qi, ti, available, u, z)
             targets = same_day_targets(sessions, arm_region_weights[arm.name])
             day_metrics = {

@@ -2,28 +2,21 @@
 
 Every stochastic component draws from a Philox generator keyed by a
 (seed, label...) tuple, so results are reproducible regardless of how work
-is ordered or parallelized. Whole-run components (the world, the logging
-assignment, retrains, splits and the bootstrap) draw from one stream per
-purpose and index rows by order.
-
-Per-event and per-session draws are block-keyed (:func:`block_rows`): the ids
-of a purpose fall into blocks of `RNG_BLOCK`, block ``b`` is one bulk draw from
-``stream(seed, *labels, b)``, and id ``i`` reads row ``i % RNG_BLOCK`` of it.
-numpy fills ``random((m, ...))``, ``standard_normal(m)`` and
-``integers(0, n, m)`` in order, so the first m rows of a block's draw are the
-m-row draw: an id's draws do not depend on how a caller blocks the ids or on
-how many it asks for.
-
-The bandit's Thompson draws still use one stream per (request, purpose): keys
-for a block of ids at once (:func:`stream_keys`, the same splitmix64 chain in
-wrapping ``uint64`` arithmetic), replayed by re-keying one Philox generator in
-place (:class:`KeyedGenerator`, :func:`keyed_streams`). They serve nothing
-else, and go when those draws move to block streams too.
+is ordered or parallelized. One rule places every draw: a whole-run purpose
+(the world, the logging assignment, retrains, splits, the bootstrap, one
+`rank` selection) reads its rows in order from one :func:`stream`, and a
+per-id purpose (an event, a session, a request's Thompson normals) reads
+block-keyed rows from :func:`block_rows`. There, the ids fall into blocks of
+`RNG_BLOCK`, block ``b`` is one bulk draw from ``stream(seed, *labels, b)``,
+and id ``i`` reads row ``i % RNG_BLOCK`` of it. numpy fills ``random((m,
+...))``, ``standard_normal((m, ...))`` and ``integers(0, n, m)`` in order, so
+the first m rows of a block's draw are the m-row draw: an id's draws do not
+depend on how a caller blocks the ids or on how many it asks for.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -39,15 +32,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return (x ^ (x >> 31)) & _MASK
-
-
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """:func:`_splitmix64` elementwise; ``uint64`` arithmetic wraps like the mask.
-    Only :func:`stream_keys` (the Thompson draws) uses it."""
-    x = x + np.uint64(_MIX)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def _label_code(label: int | str) -> int:
@@ -93,55 +77,3 @@ def block_rows(
         rows = draw(stream(seed, *labels, block), min(stop, first + RNG_BLOCK) - first)
         parts.append(rows[max(start - first, 0) :])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def stream_keys(
-    seed: int,
-    prefix_labels: Sequence[int | str],
-    ids: np.ndarray,
-    suffix_labels: Sequence[int | str] = (),
-) -> np.ndarray:
-    """Philox keys of ``stream(seed, *prefix_labels, i, *suffix_labels)`` for
-    every non-negative id ``i`` in ``ids``, one ``(2,)`` uint64 row per id.
-    The Thompson draws' keys; every other per-id draw uses :func:`block_rows`."""
-    k = _splitmix64(seed & _MASK)
-    for label in prefix_labels:
-        k = _splitmix64(k ^ _label_code(label))
-    k = _splitmix64_array(np.uint64(k) ^ np.asarray(ids, dtype=np.uint64))
-    for label in suffix_labels:
-        k = _splitmix64_array(k ^ np.uint64(_label_code(label)))
-    return np.column_stack([k, _splitmix64_array(k)])
-
-
-class KeyedGenerator:
-    """One Philox generator whose key is replaced in place.
-
-    After ``rekey(key)`` the generator is at counter 0 with an empty buffer,
-    exactly as ``Generator(Philox(key=key))`` starts, for about a tenth of the
-    cost of constructing one. It replays the Thompson draws' per-request
-    streams.
-    """
-
-    def __init__(self) -> None:
-        self._bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._generator = np.random.Generator(self._bit_generator)
-        # the fresh state, with plain lists so the setter reads Python ints
-        state = self._bit_generator.state
-        state["state"] = {"counter": state["state"]["counter"].tolist(), "key": [0, 0]}
-        state["buffer"] = state["buffer"].tolist()
-        self._state = state
-
-    def rekey(self, key: Sequence[int]) -> np.random.Generator:
-        self._state["state"]["key"] = key
-        self._bit_generator.state = self._state
-        return self._generator
-
-
-def keyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """The stream keyed by each row of ``keys`` (a block of :func:`stream_keys`)
-    in turn, each starting fresh as :func:`stream` does. One generator is
-    re-keyed for every row, so finish with a stream before taking the next.
-    The Thompson draws read their per-request streams through it."""
-    replay = KeyedGenerator()
-    for key in keys.tolist():
-        yield replay.rekey(key)

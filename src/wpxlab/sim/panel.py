@@ -65,18 +65,23 @@ def generate_events(
     """Draw customers and queries, assign templates, and serve the events
     block by block through `serve_pages`, which realizes both horizons.
 
-    Event ``i`` reads its availability (`draw_availability`), its
-    ``(3, n_slots)`` session uniforms and its long-term normal as row ``i`` of
-    the block-keyed purposes ``"availability"``, ``"session"`` and
-    ``"long_term"`` (`rng.block_rows`), so these draws do not depend on how
-    the events are chunked or on how many there are.
+    Event ``i`` reads its customer, query, availability (`draw_availability`),
+    ``(3, n_slots)`` session uniforms and long-term normal as row ``i`` of the
+    block-keyed purposes ``"customer"``, ``"query"``, ``"availability"``,
+    ``"session"`` and ``"long_term"`` (`rng.block_rows`), and its template as
+    row ``i`` of the policy's draw from the stream ``"panel_assignment"``. So
+    no draw depends on the chunking, and a panel's first m events are the
+    m-event panel.
     """
     if n_events < 1:
         raise DomainError("n_events must be >= 1")
     cfg = world.config
-    r = stream(seed, "panel_events")
-    customer_idx = r.integers(0, cfg.n_customers, n_events)
-    query_idx = r.integers(0, cfg.n_queries, n_events)
+    customer_idx = block_rows(
+        seed, ("customer",), 0, n_events, lambda g, m: g.integers(0, cfg.n_customers, m)
+    )
+    query_idx = block_rows(
+        seed, ("query",), 0, n_events, lambda g, m: g.integers(0, cfg.n_queries, m)
+    )
     template_idx = assign_templates(
         world, customer_idx, query_idx, policy, stream(seed, "panel_assignment")
     )

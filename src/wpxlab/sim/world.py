@@ -272,6 +272,15 @@ def generate_world(config: WorldConfig) -> World:
     # product sums in another order, and on world seeds 0-19 it moves the last
     # bits of 15,695 of 40,000 history effects (a vectorized `exp` matched all)
     history_weights = np.asarray(config.history_effects)
+    with np.errstate(over="raise"):
+        try:
+            spend_multiplier = [float(np.exp(config.spend_sensitivity * p)) for p in propensity]
+        except FloatingPointError:
+            raise DomainError("spend_sensitivity overflows a customer's spend multiplier") from None
+        try:
+            history_effect = [float(history_weights @ row) for row in history]
+        except FloatingPointError:
+            raise DomainError("history_effects overflow a customer's history effect") from None
     customers = CustomerTable(
         history=history,
         u_lin=u_lin,
@@ -279,10 +288,8 @@ def generate_world(config: WorldConfig) -> World:
         membership=(r_cust.random(config.n_customers) < config.membership_rate).astype(
             np.int64
         ),
-        spend_multiplier=np.array(
-            [float(np.exp(config.spend_sensitivity * p)) for p in propensity]
-        ),
-        history_effect=np.array([float(history_weights @ row) for row in history]),
+        spend_multiplier=np.array(spend_multiplier),
+        history_effect=np.array(history_effect),
     )
 
     r_fe = stream(seed, "world", "fixed_effects")

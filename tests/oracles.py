@@ -16,7 +16,7 @@ from scipy.special import log_ndtr, ndtr
 
 from wpxlab.bandit.features import CONTEXT_FEATURE_NAMES, build_features
 from wpxlab.bandit.posteriors import PROBIT_SLAB, GaussianPosterior, ModelKind, ObjectiveModel
-from wpxlab.bandit.ranker import ImpressionRecord, RankerBundle, scalarize
+from wpxlab.bandit.ranker import OBJECTIVE_ORDER, ImpressionRecord, RankerBundle, scalarize
 from wpxlab.dml.deaverage import EARLY_STOP_TOL
 from wpxlab.dml.panel import KEY_COLUMNS, TARGET_COLUMN, PanelDataset
 from wpxlab.domain import ContentKind, ContextFeatures, Device, Item, PageLayout
@@ -150,24 +150,25 @@ def per_candidate_scores(
     template_ids: Sequence[str],
     bundle: RankerBundle,
     device: Device,
-    rng: np.random.Generator,
+    z: np.ndarray,
 ) -> tuple[int, list[tuple[dict[str, float], float]]]:
     """One request scored a candidate and an objective at a time: the winner's
     row, and every candidate's objective samples and scalarized score.
 
-    One candidate-major ``(c, n_objectives, p)`` normal draw; each weight vector
-    is ``mean + L @ z`` (``mean + sd * z`` when diagonal) and each sample
-    ``w @ x``, through Phi for probit; exact score ties break toward the lowest
-    template_id.
+    `z` is the request's ``(c, n_models, p)`` normals, slot j for the j-th
+    objective of OBJECTIVE_ORDER; a mobile request skips the non-abandonment
+    slot. Each weight vector is ``mean + L @ z`` (``mean + sd * z`` when
+    diagonal) and each sample ``w @ x``, through Phi for probit; exact score
+    ties break toward the lowest template_id.
     """
     objectives = bundle.active_objectives(device)
     models = [bundle.model_for(name) for name in objectives]
-    z = rng.standard_normal((len(template_ids), len(objectives), features.shape[1]))
+    slots = [OBJECTIVE_ORDER.index(name) for name in objectives]
     traces: list[tuple[dict[str, float], float]] = []
     best = -1
     for i, (tid, x) in enumerate(zip(template_ids, features)):
         samples = {}
-        for j, (name, model) in enumerate(zip(objectives, models)):
+        for j, name, model in zip(slots, objectives, models):
             post = model.posterior
             w = post.mean + (post.factor * z[i, j] if post.diagonal else post.factor @ z[i, j])
             score = float(w @ x)

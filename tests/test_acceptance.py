@@ -235,4 +235,4 @@ def test_criterion_9_reports_are_byte_identical_across_reruns(experiment_sweep):
     rerun = run_experiment(default_experiment_config(seed=0))
     assert report_json(rerun) == report_json(reports[0])
     digest = hashlib.sha256(report_json(reports[0]).encode()).hexdigest()
-    assert digest == "9f9f7a860c0649e187aacb5a53006aed07dda45b867a3fcccded4acb85e39153"
+    assert digest == "36e8083d09e4d3cc3e4aba956f771e9bee688a12a2c2b320d5cfacee2e844efe"

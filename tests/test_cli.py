@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,8 +34,8 @@ SIM_CONFIG = {
 
 # sha256 of estimate.json on `simulate --seed 0`'s panel, per stage-2 fit
 ESTIMATE_DIGESTS = {
-    "ols": "b0b606935244b9c46dba247257df46e4d8add4f1236bf18c466dd81acd96225e",
-    "lasso": "6d4ea0d93067510c026d8d933715c76ecfec779dab903df15acc9877424a3929",
+    "ols": "3d4d86d0d07cbc34d7babcb0c98109913a7d296dbf6bc3e56e255d0014f21e31",
+    "lasso": "e374144dad6e902971566da77532e03dfb855a2173a55dc4ebb94eb65c2abce5",
 }
 
 SAT_WEIGHTS = {"revenue": 0.5, "non_abandonment": 0.2, "satisfaction": 0.3}
@@ -114,7 +115,7 @@ class TestSimulateAndEstimate:
         # sha256 of `simulate --seed 0`'s panel.csv and of estimate.json on it
         assert cli.main(["simulate", "--seed", "0", "--out", str(tmp_path)]) == 0
         panel = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
-        assert panel == "9fe371721e28f2a5b638517868068b8271412b60bed1ac4c919075a2e7319e2e"
+        assert panel == "5211c8a25266fb97941d364ab595603e8b566060ff28f347e14fadd5d651f492"
         for stage2, digest in ESTIMATE_DIGESTS.items():
             assert cli.main(["estimate", "--stage2", stage2, "--out", str(tmp_path)]) == 0
             estimate = (tmp_path / "estimate.json").read_bytes()
@@ -186,11 +187,15 @@ class TestSimulateAndEstimate:
             ({"fixed_effect_scales": [0.5]}, "fixed_effect_scales"),
             ({"history_effects": [0.1, "0.2", 0.3, 0.4]}, "world.history_effects[1]"),
             ({"noise_scale": 1e308}, "long_term_revenue"),
+            ({"spend_sensitivity": 1e308}, "spend_sensitivity"),
+            ({"history_effects": [1e308, 1e308, 1, 1]}, "history_effects"),
         ],
     )
     def test_malformed_world_exits_one_naming_the_field(self, tmp_path, capsys, world, field):
         cfg = _write(tmp_path, "sim.json", {**SIM_CONFIG, "world": world})
-        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is named, not warned about
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         _assert_error_names(capsys, field)
 
     @pytest.mark.parametrize(
@@ -274,7 +279,7 @@ class TestRank:
         [
             (
                 {"query_index": 1, "device": "mobile"},
-                "1386b9c50a1f13c7ba49f758624d723563786536dcfa76a49c34f97560c8e935",
+                "fd0ec09527a6e2aed5f26075a9a0fdc5bbc58d69b5ce3e053de203cd60cf83bb",
             ),
             (
                 {"query_index": 2, "device": "desktop"},

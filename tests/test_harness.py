@@ -7,6 +7,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 import pytest
 
+from wpxlab.bandit.features import feature_schema
 from wpxlab.bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
@@ -44,6 +45,7 @@ from wpxlab.harness.experiment import (
     write_per_day_csv,
 )
 from wpxlab.metrics import CTR_REGION_WEIGHTS, layout_region_bmrs, weighted_bmr
+from wpxlab.rng import block_rows
 from wpxlab.sim.session import (
     build_layout,
     draw_availability,
@@ -178,7 +180,7 @@ class TestRunExperiment:
         # loop moves this digest
         config = replace(default_experiment_config(3), days=3, sessions_per_day=60)
         digest = hashlib.sha256(report_json(run_experiment(config)).encode()).hexdigest()
-        assert digest == "b45ca3335a0ea55e53aed9b4b9b7c79398922c7c25a0e1a05faed0b014b9396a"
+        assert digest == "f2941676b1fd72b09e3e17912b6eab4537c8af29a04b7d4532e48420a1c2d8dc"
 
     def test_rerun_is_byte_identical(self, two_arm_report):
         again = run_experiment(_two_arm_config())
@@ -253,6 +255,14 @@ class TestServing:
         assert 0.3 < mobile.mean() < 0.4 and 0.88 < available.mean() < 0.92
         # another day is another stream
         assert not np.array_equal(draw_sessions(default_world, 5, 2, 300)[0], short[0])
+        # an arm-day's Thompson normals, in the shape run_experiment draws them
+        p = len(feature_schema(default_world.categories, default_world.signal_names))
+        shape = (len(default_world.templates), 3, p)
+        labels = ("exp_thompson", "t1", day)
+        first, whole = (
+            block_rows(5, labels, 0, n, lambda g, m: g.standard_normal((m, *shape))) for n in (300, 4100)
+        )
+        assert first.shape == (300, *shape) and np.array_equal(first, whole[:300])
 
     @pytest.mark.parametrize(
         "shared_rng, region_weights", [(False, CTR_REGION_WEIGHTS), (True, None)]

@@ -53,11 +53,15 @@ def _event_stream(seed, purpose, i, skip):
 
 def _scalar_pages(world, n_events, policy, seed):
     """Each event's customer, query and page, one page at a time: event i's
-    row of the "availability" block -> draw_availability -> build_layout."""
+    rows of the "customer" and "query" blocks, then its row of the
+    "availability" block -> draw_availability -> build_layout."""
     cfg = world.config
-    r = stream(seed, "panel_events")
-    customer_idx = r.integers(0, cfg.n_customers, n_events)
-    query_idx = r.integers(0, cfg.n_queries, n_events)
+
+    def index(purpose, n, i):
+        return _event_stream(seed, purpose, i, lambda g, k: g.integers(0, n, k)).integers(0, n)
+
+    customer_idx = np.array([index("customer", cfg.n_customers, i) for i in range(n_events)])
+    query_idx = np.array([index("query", cfg.n_queries, i) for i in range(n_events)])
     template_idx = assign_templates(
         world, customer_idx, query_idx, policy, stream(seed, "panel_assignment")
     )
@@ -106,6 +110,15 @@ class TestEventGeneration:
         assert panel.drev[0] == events.long_term_revenue[0]
         assert panel.event_id[0] == "e00000000"
         assert panel.customer_id[0] == f"c{ci:06d}"
+
+    @pytest.mark.parametrize("policy", [CONFOUNDED, RANDOMIZED])
+    def test_first_events_do_not_depend_on_the_panel_length(self, default_world, policy):
+        # 4,100 events cross a random block boundary
+        short = generate_events(default_world, 300, policy, seed=4)
+        long = generate_events(default_world, RNG_BLOCK + 4, policy, seed=4)
+        for f in fields(PageSessions):
+            a, b = getattr(short, f.name), getattr(long, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b[:300]), f.name
 
     def test_randomized_assignment_uniform_and_seeded(self, default_world):
         rng = np.random.default_rng(2)

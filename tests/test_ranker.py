@@ -309,14 +309,18 @@ class TestSelectTemplate:
 
 def _per_candidate_selection(context, template_ids, bundle, rng):
     """The selection written one candidate and one objective at a time: each
-    weight vector is its own draw, in candidate order, then objective order."""
+    weight vector is its own draw, in candidate order, then model order; a
+    mobile request draws its non-abandonment slot and leaves it unread."""
     traces, best = [], -1
+    active = bundle.active_objectives(context.device)
     for i, tid in enumerate(template_ids):
         x = build_features(context, tid, bundle.categories, bundle.signal_names)
-        samples = {
-            name: thompson_sample_predict(bundle.model_for(name), x, rng)
-            for name in bundle.active_objectives(context.device)
-        }
+        samples = {}
+        for name in bundle.objectives:
+            if name in active:
+                samples[name] = thompson_sample_predict(bundle.model_for(name), x, rng)
+            else:
+                rng.standard_normal(len(x))
         traces.append((samples, scalarize(samples, bundle.reward)))
         if best < 0 or traces[i][1] > traces[best][1] or (
             traces[i][1] == traces[best][1] and tid < template_ids[best]
@@ -367,11 +371,20 @@ def _block(bundle, ids, devices, seed):
     return contexts, features
 
 
+def _normals(bundle, features, seed):
+    """Each request's ``(c, n_models, p)`` normals, a generator of its own per
+    request, seeded ``seed + i``: ``features`` is ``(n, c, p)``."""
+    n, c, p = features.shape
+    shape = (c, len(bundle.objectives), p)
+    return np.stack([np.random.default_rng(seed + i).standard_normal(shape) for i in range(n)])
+
+
 def _one_request(context, ids, bundle, rng):
     """thompson_scores on a block of one request, in the shape of the oracle."""
     features = candidate_features(context, ids, bundle)
     mobile = np.array([context.device is Device.MOBILE])
-    best, scores, samples = thompson_scores(features[None], mobile, ids, bundle, [rng])
+    z = rng.standard_normal((1, len(ids), len(bundle.objectives), features.shape[1]))
+    best, scores, samples = thompson_scores(features[None], mobile, ids, bundle, z)
     names = bundle.active_objectives(context.device)
     return int(best[0]), [
         ({name: float(samples[name][0, i]) for name in names}, float(scores[0, i]))
@@ -407,13 +420,11 @@ class TestScoreCandidates:
         devices = [Device.MOBILE, Device.DESKTOP, Device.DESKTOP, Device.MOBILE, Device.DESKTOP] * 3
         contexts, features = _block(bundle, ids, devices, seed=5)
         mobile = np.array([d is Device.MOBILE for d in devices])
-        rngs = [np.random.default_rng(100 + i) for i in range(len(devices))]
-        best, scores, samples = thompson_scores(features, mobile, ids, bundle, rngs)
+        z = _normals(bundle, features, seed=100)
+        best, scores, samples = thompson_scores(features, mobile, ids, bundle, z)
         assert best.shape == (len(devices),) and scores.shape == (len(devices), len(ids))
         for i, device in enumerate(devices):
-            want_best, want = per_candidate_scores(
-                features[i], ids, bundle, device, np.random.default_rng(100 + i)
-            )
+            want_best, want = per_candidate_scores(features[i], ids, bundle, device, z[i])
             assert best[i] == want_best
             assert scores[i].tolist() == [score for _, score in want]
             for name in bundle.active_objectives(device):
@@ -434,36 +445,37 @@ class TestScoreCandidates:
         contexts = [_context(d, {"a": (0.5,), "b": (0.5,), "c": (0.5,)}) for d in devices]
         features = np.stack([candidate_features(c, ids, bundle) for c in contexts])
         mobile = np.array([d is Device.MOBILE for d in devices])
-        block_best, scores, _ = thompson_scores(
-            features, mobile, ids, bundle, [_ZeroNoiseRng()] * len(devices)
-        )
+        z = np.zeros((len(devices), len(ids), len(bundle.objectives), features.shape[2]))
+        block_best, scores, _ = thompson_scores(features, mobile, ids, bundle, z)
         assert [ids[b] for b in block_best] == ["a"] * len(devices)
         for i, device in enumerate(devices):
             assert len(set(scores[i].tolist())) == 1
-            assert block_best[i] == per_candidate_scores(
-                features[i], ids, bundle, device, _ZeroNoiseRng()
-            )[0]
+            assert block_best[i] == per_candidate_scores(features[i], ids, bundle, device, z[i])[0]
 
     def test_active_objective_without_weight_raises_like_scalarize(self):
         bundle = _bundle(weights={REVENUE: 1.0})
         ids = ["a", "b"]
         _, features = _block(bundle, ids, [Device.MOBILE, Device.DESKTOP], seed=2)
+        z = _normals(bundle, features, seed=0)
         with pytest.raises(DomainError, match="non_abandonment"):
-            per_candidate_scores(
-                features[1], ids, bundle, Device.DESKTOP, np.random.default_rng(0)
-            )
+            per_candidate_scores(features[1], ids, bundle, Device.DESKTOP, z[1])
         with pytest.raises(DomainError, match="non_abandonment"):
-            thompson_scores(
-                features, np.array([True, False]), ids, bundle,
-                [np.random.default_rng(i) for i in range(2)],
-            )
+            thompson_scores(features, np.array([True, False]), ids, bundle, z)
         # a mobile-only block never activates the unweighted objective
-        best, _, _ = thompson_scores(
-            features[:1], np.array([True]), ids, bundle, [np.random.default_rng(0)]
-        )
-        assert best[0] == per_candidate_scores(
-            features[0], ids, bundle, Device.MOBILE, np.random.default_rng(0)
-        )[0]
+        best, _, _ = thompson_scores(features[:1], np.array([True]), ids, bundle, z[:1])
+        assert best[0] == per_candidate_scores(features[0], ids, bundle, Device.MOBILE, z[0])[0]
+
+    @pytest.mark.parametrize("with_satisfaction", [False, True])
+    def test_normals_of_the_wrong_shape_raise(self, with_satisfaction):
+        bundle = _bundle(with_satisfaction=with_satisfaction)
+        ids = ["a", "b"]
+        _, features = _block(bundle, ids, [Device.MOBILE, Device.DESKTOP], seed=2)
+        mobile = np.array([True, False])
+        z = _normals(bundle, features, seed=0)
+        # a model slot short, a request short and a feature short
+        for bad in (z[:, :, :-1], z[:1], z[..., :-1]):
+            with pytest.raises(DomainError, match="normal block has shape"):
+                thompson_scores(features, mobile, ids, bundle, bad)
 
     def test_features_are_checked_and_read_only(self):
         bundle = _bundle()

@@ -1,12 +1,11 @@
-"""Block-keyed purpose rows, bulk stream keys and the re-keyed generator."""
+"""Block-keyed purpose rows."""
 
 import numpy as np
 import pytest
 
-from wpxlab.rng import RNG_BLOCK, KeyedGenerator, block_rows, stream, stream_keys
+from wpxlab.rng import RNG_BLOCK, block_rows, stream
 
-SEEDS = [0, 7, 2**63 + 11, -3]
-IDS = np.array([0, 1, 2, 99, 4096, 123_456_789, 2**40 + 3])
+SEEDS = [0, 7]
 
 # the draws the simulator and the experiment make per id
 DRAWS = {
@@ -14,11 +13,8 @@ DRAWS = {
     "session": lambda g, m: g.random((m, 3, 24)),
     "long_term": lambda g, m: g.standard_normal(m),
     "customer": lambda g, m: g.integers(0, 2000, m),
+    "thompson": lambda g, m: g.standard_normal((m, 6, 3, 10)),
 }
-
-
-def _key(generator):
-    return generator.bit_generator.state["state"]["key"].tolist()
 
 
 @pytest.mark.parametrize("name", DRAWS)
@@ -29,7 +25,7 @@ def test_first_rows_of_a_block_draw_are_the_shorter_draw(name, m):
     assert np.array_equal(draw(stream(3, name, 0), RNG_BLOCK)[:m], draw(stream(3, name, 0), m))
 
 
-@pytest.mark.parametrize("seed", SEEDS[:2])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", DRAWS)
 def test_row_i_is_row_i_mod_block_of_its_blocks_full_draw(seed, name):
     draw, labels = DRAWS[name], (name, 5)
@@ -59,45 +55,3 @@ def test_labels_and_blocks_name_distinct_streams():
         for start in (0, RNG_BLOCK)
     ]
     assert len({r.tobytes() for r in rows}) == len(rows)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("purpose", ["availability", "session", "long_term"])
-def test_bulk_keys_equal_event_stream_keys(seed, purpose):
-    keys = stream_keys(seed, (), IDS, (purpose,))
-    assert keys.dtype == np.uint64 and keys.shape == (len(IDS), 2)
-    for event_id, key in zip(IDS, keys):
-        assert key.tolist() == _key(stream(seed, int(event_id), purpose))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "prefix, suffix",
-    [
-        (("exp_session", 3), ()),
-        (("exp_thompson", "t2", 5), ()),
-        (("rank_warmup",), ()),
-        ((), ()),
-        ((7, "x", 2**40), ("y", 4)),
-    ],
-)
-def test_stream_keys_equal_stream_keys_for_any_labels(seed, prefix, suffix):
-    keys = stream_keys(seed, prefix, IDS, suffix)
-    assert keys.dtype == np.uint64 and keys.shape == (len(IDS), 2)
-    for i, key in zip(IDS, keys):
-        assert key.tolist() == _key(stream(seed, *prefix, int(i), *suffix))
-
-
-def test_rekey_restarts_a_used_generator():
-    replay = KeyedGenerator()
-    key = stream_keys(5, (), np.array([3]), ("x",))[0].tolist()
-    used = replay.rekey([1, 2])
-    # leave a half-consumed buffer and a cached 32-bit word behind
-    used.integers(0, 10, 3, dtype=np.uint32)
-    used.standard_normal(5)
-    again = replay.rekey(key)
-    fresh = stream(5, 3, "x")
-    words = [g.integers(0, 2**32, 5, dtype=np.uint32) for g in (again, fresh)]
-    assert np.array_equal(*words)
-    assert np.array_equal(again.random(9), fresh.random(9))
-    assert again.standard_normal() == fresh.standard_normal()

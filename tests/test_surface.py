@@ -22,7 +22,9 @@ Pages travel as arrays of item indices over per-template slot tables; only
 or `PageLayout` constructor. Blocks of pages are served by
 ``sim/session.serve_pages`` alone: besides it only the one-page
 ``simulate_session`` and ``realize_long_term`` call the click model or the
-welfare function.
+welfare function. Every random generator is keyed through ``rng.stream``:
+only it calls ``np.random.Philox``, ``np.random.Generator`` or
+``np.random.default_rng``.
 
 A field of a dataclass that a command-line config file is read into counts as
 read when ``src/wpxlab`` reads an attribute of that name outside the class's
@@ -224,6 +226,11 @@ def test_one_kernel_serves_pages():
         "sim/session.py:simulate_session",
         "sim/session.py:realize_long_term",
     }
+
+
+def test_only_stream_builds_generators():
+    # whole-run purposes draw from a stream, per-id ones through block_rows
+    assert callers_of({"Philox", "Generator", "default_rng"}) == {"rng.py:stream"}
 
 
 def test_every_config_field_is_read_outside_its_class():

@@ -477,6 +477,85 @@ class TestScoreCandidates:
             with pytest.raises(DomainError, match="normal block has shape"):
                 thompson_scores(features, mobile, ids, bundle, bad)
 
+    @pytest.mark.parametrize(
+        "layout", ["no_model_axis", "models_before_candidates", "one_candidate_more", "one_slot_more"]
+    )
+    def test_normals_in_another_layout_raise(self, layout):
+        bundle = _bundle()
+        ids = ["a", "b", "c"]  # three candidates against two model slots
+        _, features = _block(bundle, ids, [Device.MOBILE, Device.DESKTOP], seed=2)
+        n, c, p = features.shape
+        k = len(bundle.objectives)
+        shape = {
+            "no_model_axis": (n, c, p),
+            "models_before_candidates": (n, k, c, p),
+            "one_candidate_more": (n, c + 1, k, p),
+            "one_slot_more": (n, c, k + 1, p),
+        }[layout]
+        with pytest.raises(DomainError, match="normal block has shape"):
+            thompson_scores(features, np.array([True, False]), ids, bundle, np.zeros(shape))
+
+    @pytest.mark.parametrize("with_satisfaction", [False, True])
+    def test_mobile_requests_leave_their_non_abandonment_slot_unread(self, with_satisfaction):
+        bundle = _trained_bundle(with_satisfaction)
+        ids = ["b", "c", "a"]
+        devices = [Device.MOBILE, Device.DESKTOP, Device.MOBILE, Device.DESKTOP]
+        _, features = _block(bundle, ids, devices, seed=7)
+        mobile = np.array([d is Device.MOBILE for d in devices])
+        z = _normals(bundle, features, seed=3)
+        poisoned = z.copy()
+        poisoned[mobile, :, bundle.objectives.index(NON_ABANDONMENT)] = np.nan
+        want = thompson_scores(features, mobile, ids, bundle, z)
+        got = thompson_scores(features, mobile, ids, bundle, poisoned)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for name in bundle.objectives:
+            assert np.array_equal(got[2][name], want[2][name], equal_nan=True)
+
+    @pytest.mark.parametrize("devices", ["desktop", "mobile", "mixed"])
+    def test_a_request_scores_as_a_block_of_one(self, devices):
+        # an all-desktop or all-mobile block reads its rows through a slice,
+        # a mixed one through indices; each request reads only its own normals
+        devices = {
+            "desktop": [Device.DESKTOP] * 4,
+            "mobile": [Device.MOBILE] * 4,
+            "mixed": [Device.DESKTOP, Device.MOBILE, Device.MOBILE, Device.DESKTOP],
+        }[devices]
+        bundle = _trained_bundle(with_satisfaction=True)
+        ids = ["b", "c", "a"]
+        _, features = _block(bundle, ids, devices, seed=11)
+        mobile = np.array([d is Device.MOBILE for d in devices])
+        z = _normals(bundle, features, seed=40)
+        best, scores, samples = thompson_scores(features, mobile, ids, bundle, z)
+        for i in range(len(devices)):
+            one = slice(i, i + 1)
+            alone = thompson_scores(features[one], mobile[one], ids, bundle, z[one])
+            assert alone[0][0] == best[i]
+            assert alone[1][0].tolist() == scores[i].tolist()
+            for name in bundle.objectives:
+                assert np.array_equal(alone[2][name][0], samples[name][i], equal_nan=True)
+
+    @pytest.mark.parametrize("objective", [REVENUE, NON_ABANDONMENT, SATISFACTION])
+    def test_slot_j_feeds_only_the_bundles_jth_objective(self, objective):
+        bundle = _trained_bundle(with_satisfaction=True)
+        assert bundle.objectives == (REVENUE, NON_ABANDONMENT, SATISFACTION)
+        ids = ["b", "c", "a"]
+        devices = [Device.DESKTOP, Device.MOBILE]
+        _, features = _block(bundle, ids, devices, seed=13)
+        mobile = np.array([d is Device.MOBILE for d in devices])
+        z = _normals(bundle, features, seed=50)
+        moved = z.copy()
+        moved[:, :, bundle.objectives.index(objective)] += 1.0
+        _, _, before = thompson_scores(features, mobile, ids, bundle, z)
+        _, _, after = thompson_scores(features, mobile, ids, bundle, moved)
+        for i, device in enumerate(devices):
+            for name in bundle.objectives:
+                if name not in bundle.active_objectives(device):
+                    assert np.isnan(before[name][i]).all() and np.isnan(after[name][i]).all()
+                elif name == objective:
+                    assert (before[name][i] != after[name][i]).all(), (device, name)
+                else:
+                    assert np.array_equal(before[name][i], after[name][i]), (device, name)
+
     def test_features_are_checked_and_read_only(self):
         bundle = _bundle()
         features = candidate_features(_context(), ["a", "b"], bundle)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wpxlab import rng
 from wpxlab.rng import RNG_BLOCK, block_rows, stream
 
 SEEDS = [0, 7]
@@ -46,6 +47,28 @@ def test_rows_do_not_depend_on_the_range_asked_for(start, stop):
     part = block_rows(2, ("session",), start, stop, DRAWS["session"])
     assert part.shape == (stop - start, 3, 24)
     assert np.array_equal(part, whole[start:stop])
+
+
+@pytest.mark.parametrize("name", DRAWS)
+def test_chunked_reads_join_into_one_read(name):
+    # a caller may walk a purpose in chunks of any size, across block edges
+    draw, labels = DRAWS[name], (name, 9)
+    stop = 2 * RNG_BLOCK + 5
+    whole = block_rows(1, labels, 0, stop, draw)
+    cuts = [0, 1, 700, RNG_BLOCK - 1, RNG_BLOCK + 2, 2 * RNG_BLOCK, stop]
+    joined = np.concatenate([block_rows(1, labels, a, b, draw) for a, b in zip(cuts, cuts[1:])])
+    assert joined.dtype == whole.dtype
+    assert np.array_equal(joined, whole)
+
+
+def test_the_module_offers_one_mechanism_per_rule():
+    # whole-run purposes read a stream, per-id purposes block_rows
+    defined = {
+        name
+        for name, value in vars(rng).items()
+        if callable(value) and getattr(value, "__module__", None) == rng.__name__
+    }
+    assert {name for name in defined if not name.startswith("_")} == {"stream", "block_rows"}
 
 
 def test_labels_and_blocks_name_distinct_streams():

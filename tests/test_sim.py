@@ -71,6 +71,32 @@ class TestWorldGeneration:
         assert np.array_equal(a.content_signals, b.content_signals)
         assert a.queries == b.queries
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"spend_sensitivity": 1e308}, "spend_sensitivity"),
+            ({"spend_sensitivity": -1e308}, "spend_sensitivity"),
+            ({"spend_sensitivity": 1000.0}, "spend_sensitivity"),  # only exp overflows
+            ({"history_effects": (1e308, 1e308, 1.0, 1.0)}, "history_effects"),
+            ({"history_effects": (0.0, -1e308, 0.0, 0.0)}, "history_effects"),
+            # each product fits, their sum does not
+            ({"history_effects": (0.0, 0.0, 1.7e308, 1.7e307)}, "history_effects"),
+        ],
+    )
+    def test_overflowing_customer_scale_is_named(self, change, field):
+        with pytest.raises(DomainError, match=f"^{field} overflows? a customer's"):
+            generate_world(WorldConfig(seed=0, n_customers=500, **change))
+
+    def test_large_scales_that_fit_build_a_finite_world(self):
+        world = generate_world(
+            WorldConfig(
+                seed=0, n_customers=500, spend_sensitivity=100.0, history_effects=(1e300, 0.0, 0.0, 0.0)
+            )
+        )
+        assert np.isfinite(world.customers.spend_multiplier).all()
+        assert np.isfinite(world.customers.history_effect).all()
+        assert world.customers.history_effect.max() > 1e300
+
     def test_zero_scales_silence_fixed_effects(self):
         world = generate_world(WorldConfig(seed=3, fixed_effect_scales=(0.0, 0.0)))
         assert np.all(world.query_alpha == 0.0)

@@ -95,8 +95,10 @@ class RankerBundle:
     """Everything the ranker needs to serve and retrain.
 
     `satisfaction_model` is None when the configuration runs without a
-    satisfaction objective; `region_weights` defines how satisfaction targets
-    are computed from realized pages during training.
+    satisfaction objective. `region_weights` is checked (a satisfaction model
+    needs it) but read by nothing: training takes satisfaction targets from
+    the caller. It stays because the benchmark's `serve` workload passes it;
+    ROADMAP item 3 deletes it.
     """
 
     revenue_model: ObjectiveModel
@@ -199,7 +201,9 @@ def select_template(
     if not candidates:
         raise DomainError("candidate list is empty")
     template_ids = [c.template_id for c in candidates]
-    features = candidate_features(context, template_ids, bundle)
+    features = encode_rows(
+        [(context, t) for t in template_ids], bundle.categories, bundle.signal_names
+    )
     mobile = np.array([context.device is Device.MOBILE])
     z = rng.standard_normal((1, len(template_ids), len(bundle.objectives), features.shape[1]))
     best, scores, samples = thompson_scores(features[None], mobile, template_ids, bundle, z)
@@ -215,20 +219,6 @@ def select_template(
         for i, (tid, score) in enumerate(zip(template_ids, scores[0].tolist()))
     ]
     return candidates[best], trace
-
-
-def candidate_features(
-    context: ContextFeatures, template_ids: Sequence[str], bundle: RankerBundle
-) -> np.ndarray:
-    """The candidates' feature rows under one request, checked against the
-    bundle's schema width and for finiteness, as a read-only ``(n, p)`` array."""
-    x = encode_rows([(context, t) for t in template_ids], bundle.categories, bundle.signal_names)
-    if x.shape != (len(template_ids), bundle.revenue_model.posterior.dim):
-        raise DomainError(f"candidate feature block has shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("non-finite feature vector")
-    x.flags.writeable = False
-    return x
 
 
 def thompson_scores(

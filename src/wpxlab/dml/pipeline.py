@@ -140,11 +140,9 @@ class LinearPredictor:
 
 @dataclass(frozen=True)
 class CrossfitResult:
-    """Out-of-fold residuals with the bookkeeping to audit fold hygiene."""
+    """Out-of-fold residuals with each fold's fit quality."""
 
     residuals: np.ndarray  # (n, n_outcomes)
-    fold_of_row: np.ndarray  # fold whose model produced each row's residual
-    model_train_rows: tuple[np.ndarray, ...]  # rows each fold model was fit on
     fold_rmse: np.ndarray  # (n_outcomes, folds)
     rank_deficient_folds: int
 
@@ -172,9 +170,6 @@ def crossfit_residualize(
 
     perm = stream(seed, "crossfit_folds").permutation(n)
     chunks = np.array_split(perm, folds)
-    fold_of = np.empty(n, dtype=np.intp)
-    for f, chunk in enumerate(chunks):
-        fold_of[chunk] = f
     # rows in permutation order: fold f is rows a:b, the others the rest
     bounds = np.cumsum([0, *map(len, chunks)])
     features = np.take(features, perm, axis=0)
@@ -182,10 +177,8 @@ def crossfit_residualize(
 
     residuals = np.empty((n, q))
     fold_rmse = np.empty((q, folds))
-    train_rows: list[np.ndarray] = []
     rank_deficient = 0
     for f, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        train_rows.append(_other_rows(perm, a, b))
         model = LinearPredictor().fit(_other_rows(features, a, b), _other_rows(outcomes, a, b))
         if model.used_ridge_fallback:
             rank_deficient += 1
@@ -194,8 +187,6 @@ def crossfit_residualize(
         fold_rmse[:, f] = np.sqrt(np.mean(res**2, axis=0))
     return CrossfitResult(
         residuals=residuals,
-        fold_of_row=fold_of,
-        model_train_rows=tuple(train_rows),
         fold_rmse=fold_rmse,
         rank_deficient_folds=rank_deficient,
     )

@@ -4,9 +4,9 @@ Five subcommands cover the workflow end to end: ``simulate`` writes a logged
 event panel, ``estimate`` fits the causal model on it, ``rank`` does a
 one-shot template selection for a context, ``experiment`` runs the
 three-arm comparison, and ``report`` re-renders a saved report. Exit codes:
-0 success, 1 usage or domain error (or a closed stdout), 2 estimation
-failure (de-averaging that does not converge included), 3 invariant
-violation.
+0 success, 1 usage, domain or file-system error (or a closed stdout), 2
+estimation failure (de-averaging that does not converge included), 3
+invariant violation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -50,8 +50,7 @@ from .experiment import (
     load_report,
     region_weights_for,
     render_report,
-    request_context,
-    request_rows,
+    request_table,
     run_experiment,
     same_day_targets,
     save_report,
@@ -203,7 +202,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
     """Fit a quick bundle on uniformly served sessions so `rank` has posteriors:
-    one warm-up day of `draw_sessions` under a label no experiment day uses."""
+    one warm-up day of `draw_sessions` under a label no experiment day uses,
+    each session's served row gathered from `request_table`."""
     if arm.satisfaction_mode == SATISFACTION_DVWPX:
         raise DomainError("rank supports satisfaction modes 'none' and 'ctr'; run `experiment` for dvwpx arms")
     region_weights = region_weights_for(arm, None)
@@ -221,7 +221,7 @@ def _train_rank_bundle(world, arm: ArmConfig, n_sessions: int, seed: int):
         with_satisfaction=region_weights is not None,
     )
     members = world.customers.membership[ci]
-    rows = request_rows(world, bundle, mobile, qi, members)[np.arange(n_sessions), ti]
+    rows = request_table(world)[mobile.astype(np.intp), qi, members, ti]
     return incremental_retrain(
         bundle, (rows, mobile, targets), sample_fraction=1.0, rng=stream(seed, "rank_retrain")
     )
@@ -247,7 +247,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
         # the query's own context, which any context key given overrides
         if not 0 <= qi < world.config.n_queries:
             raise DomainError(f"query_index out of range: {qi}")
-        query = asdict(request_context(world, qi, Device.DESKTOP, 0))
+        query = {
+            "device": Device.DESKTOP,
+            "query_specificity": world.queries[qi].specificity,
+            "category_id": world.queries[qi].category_id,
+            "membership": 0,
+            "content_signals": {
+                t.template_id: tuple(world.content_signals[qi, ti])
+                for ti, t in enumerate(world.templates)
+            },
+        }
     context = config_from_json(ContextFeatures, given, "config", query)
     by_id = {t.template_id: t for t in world.templates}
     candidate_ids = list(by_id) if candidate_ids is None else candidate_ids
@@ -382,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         # at devnull so the interpreter's exit flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except EstimationError as exc:

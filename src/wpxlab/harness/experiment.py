@@ -5,7 +5,7 @@ fixed click-based region weighting `CTR_REGION_WEIGHTS`, or the region
 weighting derived from the causal estimator. Sessions share random streams
 across arms so measured lifts come from template choices, not luck. Every
 session is served through `sim.session.serve_pages`; each arm retrains nightly
-on the `request_rows` rows it scored and the `same_day_targets` of its pages.
+on the `request_table` rows it scored and the `same_day_targets` of its pages.
 Long-horizon revenue is realized up front and feeds reports, never training:
 the retrain raises InvariantViolation on any target that is not same-day.
 Lifts over the first arm get percentile CIs from one paired bootstrap, which
@@ -27,6 +27,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from ..bandit.features import CONTEXT_FEATURE_NAMES
 from ..bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
@@ -35,7 +36,6 @@ from ..bandit.ranker import (
     ObjectiveStats,
     RankerBundle,
     RewardWeights,
-    candidate_features,
     frozen_reward,
     incremental_retrain,
     new_bundle,
@@ -43,7 +43,7 @@ from ..bandit.ranker import (
     with_noise_variances,
 )
 from ..dml.pipeline import DmlConfig, derive_region_weights, estimate_dvwpx
-from ..domain import ContextFeatures, Device, require_finite
+from ..domain import require_finite
 from ..errors import DomainError, EstimationError, InvariantViolation
 from ..metrics import CTR_REGION_WEIGHTS, RegionWeights, weighted_bmr
 from ..rng import block_rows, stream
@@ -225,39 +225,26 @@ def region_weights_for(
     return dvwpx_weights
 
 
-def request_context(
-    world: World, query_index: int, device: Device, membership: int
-) -> ContextFeatures:
-    """Request features for a query: its specificity, category and the
-    per-template content signals, plus the caller's device and membership."""
-    query = world.queries[query_index]
-    return ContextFeatures(
-        device=device,
-        query_specificity=query.specificity,
-        category_id=query.category_id,
-        membership=membership,
-        content_signals={
-            t.template_id: tuple(world.content_signals[query_index, ti])
-            for ti, t in enumerate(world.templates)
-        },
-    )
-
-
-def request_rows(
-    world: World, bundle: RankerBundle, mobile: np.ndarray, qi: np.ndarray, members: np.ndarray
-) -> np.ndarray:
-    """Each request's checked candidate feature rows, read-only, as an
-    ``(n, c, p)`` block: row ``i`` serves (``mobile[i]``, ``qi[i]``,
-    ``members[i]``). Each distinct request is encoded once."""
-    template_ids = [t.template_id for t in world.templates]
-    keys, inverse = np.unique(np.column_stack([mobile, qi, members]), axis=0, return_inverse=True)
-    contexts = (
-        request_context(world, q, Device.MOBILE if m else Device.DESKTOP, member)
-        for m, q, member in keys.tolist()
-    )
-    rows = np.stack([candidate_features(c, template_ids, bundle) for c in contexts])[inverse]
-    rows.flags.writeable = False
-    return rows
+def request_table(world: World) -> np.ndarray:
+    """Every request's candidate feature rows, read-only, as one
+    ``(2, n_queries, 2, c, p)`` array: ``[m, q, k]`` holds query ``q`` served
+    to a mobile (``m`` = 1) or desktop device and a member (``k`` = 1) or not,
+    one `encode_rows` row per world template. Each column is a world array:
+    bias, device, the query's specificity and category, membership and
+    ``content_signals[q, t]``."""
+    n_queries, c, n_signals = world.content_signals.shape
+    head = len(CONTEXT_FEATURE_NAMES)
+    categories = len(world.categories)
+    table = np.empty((2, n_queries, 2, c, head + categories + n_signals))
+    table[..., 0] = 1.0
+    table[..., 1] = np.arange(2.0)[:, None, None, None]
+    table[..., 2] = np.array([q.specificity for q in world.queries])[:, None, None]
+    table[..., 3] = np.arange(2.0)[:, None]
+    one_hot = np.array([[q.category_id == d for d in world.categories] for q in world.queries])
+    table[..., head : head + categories] = one_hot[:, None, None]
+    table[..., head + categories :] = world.content_signals[:, None]
+    table.flags.writeable = False
+    return table
 
 
 def draw_sessions(world: World, seed: int, day: int | str, n: int) -> tuple[np.ndarray, ...]:
@@ -351,10 +338,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     template_ids = [t.template_id for t in world.templates]
     # one record per arm-day: (day, arm name, same-day targets, metric arrays)
     records: list[tuple[int, str, dict[str, np.ndarray], MetricLog]] = []
-    # every request's rows, indexed by (mobile, query, membership)
-    requests = np.indices((2, world.config.n_queries, 2)).reshape(3, -1)
-    table = request_rows(world, bundles[config.arms[0].name], *requests)
-    table = table.reshape(2, world.config.n_queries, 2, *table.shape[1:])
+    table = request_table(world)
 
     for day in range(1, config.days + 1):
         warmup = day <= config.warmup_days

@@ -202,6 +202,24 @@ def build_features_per_field(
     return out
 
 
+def request_context(
+    world: World, query_index: int, device: Device, membership: int
+) -> ContextFeatures:
+    """Request features for a query: its specificity, category and the
+    per-template content signals, plus the caller's device and membership."""
+    query = world.queries[query_index]
+    return ContextFeatures(
+        device=device,
+        query_specificity=query.specificity,
+        category_id=query.category_id,
+        membership=membership,
+        content_signals={
+            t.template_id: tuple(world.content_signals[query_index, ti])
+            for ti, t in enumerate(world.templates)
+        },
+    )
+
+
 def _checked_features(model: ObjectiveModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.posterior.dim,):

@@ -698,6 +698,27 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--config", "{dir}", "--out", "{dir}"],
+            ["estimate", "--config", "{panel_is_dir}", "--out", "{dir}"],
+            ["rank", "--config", "{rank}", "--out", "{file}"],
+            ["simulate", "--config", "{simulate}", "--out", "{file}/x"],
+        ],
+        ids=["config-is-a-directory", "panel-is-a-directory", "out-is-a-file", "out-under-a-file"],
+    )
+    def test_file_system_error_exits_one_without_a_traceback(self, tmp_path, capsys, argv):
+        paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        paths["panel_is_dir"] = _write(tmp_path, "est.json", {"panel": str(paths["dir"])})
+        paths["rank"] = _write(tmp_path, "ctx.json", {"query_index": 0, "warmup_sessions": 20})
+        paths["simulate"] = _write(tmp_path, "sim.json", {**SIM_CONFIG, "n_events": 50})
+        assert cli.main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invariant_violation_exits_three(self, monkeypatch, tmp_path):
         def boom(args):
             raise InvariantViolation("trap")

@@ -6,8 +6,9 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+from oracles import request_context
 
-from wpxlab.bandit.features import feature_schema
+from wpxlab.bandit.features import encode_rows, feature_schema
 from wpxlab.bandit.ranker import (
     NON_ABANDONMENT,
     REVENUE,
@@ -37,8 +38,7 @@ from wpxlab.harness.experiment import (
     report_from_dict,
     report_json,
     report_to_dict,
-    request_context,
-    request_rows,
+    request_table,
     run_experiment,
     same_day_targets,
     save_report,
@@ -242,6 +242,27 @@ class TestServing:
         for ti, t in enumerate(world.templates):
             assert context.content_signals[t.template_id] == tuple(world.content_signals[qi, ti])
 
+    @pytest.mark.parametrize(
+        "world_config", [WorldConfig(), WorldConfig(seed=3, n_templates=4, n_categories=5)]
+    )
+    def test_request_table_is_encode_rows_of_every_request(self, world_config):
+        world = generate_world(world_config)
+        table = request_table(world)
+        ids = [t.template_id for t in world.templates]
+        p = len(feature_schema(world.categories, world.signal_names))
+        assert table.shape == (2, world.config.n_queries, 2, len(ids), p)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0, 0] = 2.0
+        for m, device in enumerate((Device.DESKTOP, Device.MOBILE)):
+            for q in range(world.config.n_queries):
+                for k in (0, 1):
+                    context = request_context(world, q, device, k)
+                    rows = encode_rows(
+                        [(context, t) for t in ids], world.categories, world.signal_names
+                    )
+                    assert table[m, q, k].tobytes() == rows.tobytes(), (m, q, k)
+
     @pytest.mark.parametrize("day", [1, 3, "rank"])
     def test_first_sessions_of_a_day_do_not_depend_on_its_length(self, default_world, day):
         # 4,100 sessions cross a random block boundary
@@ -343,7 +364,7 @@ class TestTrainingBlock:
         start = with_noise_variances(
             start, 40.0, None if region_weights is None else 0.02
         )
-        rows = request_rows(world, start, mobile, qi, members)[np.arange(n), ti]
+        rows = request_table(world)[mobile.astype(np.intp), qi, members, ti]
         block = (rows, mobile, targets)
         sat = targets.get(SATISFACTION, np.full(n, None))
         records = [
@@ -388,10 +409,8 @@ class TestTrainingBlock:
             monkeypatch.setattr(cls, "__post_init__", counted)
         config = _two_arm_config()
         run_experiment(config)
-        assert counts["ImpressionRecord"] == 0
-        # one context per (device, query, membership), not one per session
-        assert 0 < counts["ContextFeatures"] <= 2 * config.world.n_queries * 2
-        assert 2 * config.world.n_queries * 2 < len(config.arms) * config.days * config.sessions_per_day
+        # the request table is written from world arrays, with no context object
+        assert counts == {"ImpressionRecord": 0, "ContextFeatures": 0}
 
 
 class TestRegionWeightEstimation:

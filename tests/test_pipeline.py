@@ -12,6 +12,7 @@ from wpxlab.dml.pipeline import (
     DmlConfig,
     DmlEstimate,
     DvwpxModel,
+    LinearPredictor,
     crossfit_residualize,
     derive_region_weights,
     estimate_dvwpx,
@@ -20,6 +21,7 @@ from wpxlab.dml.pipeline import (
 from wpxlab.dml.linear import ols_fit
 from wpxlab.errors import DomainError, EstimationError
 from wpxlab.metrics import RegionWeights
+from wpxlab.rng import stream
 from wpxlab.sim.panel import CONFOUNDED, simulate_panel
 
 X_NAMES = ("x_bmr_top", "x_bmr_mid", "x_bmr_bot")
@@ -133,17 +135,21 @@ class TestCrossfitResidualize:
         a = crossfit_residualize(Y, H, folds=3, seed=9)
         b = crossfit_residualize(Y, H, folds=3, seed=9)
         assert np.array_equal(a.residuals, b.residuals)
-        assert np.array_equal(a.fold_of_row, b.fold_of_row)
 
     def test_no_row_predicted_by_a_model_that_saw_it(self):
+        # every fold's residuals recomputed from the seeded permutation: a
+        # model fit on the other folds' rows, those after the fold first
         rng = np.random.default_rng(37)
         H = rng.normal(size=(150, 3))
-        y = rng.normal(size=150)
-        result = crossfit_residualize(y, H, folds=3, seed=2)
-        for f, train_rows in enumerate(result.model_train_rows):
-            held_out = np.flatnonzero(result.fold_of_row == f)
-            assert len(np.intersect1d(held_out, train_rows)) == 0
-            assert len(held_out) + len(train_rows) == 150
+        Y = rng.normal(size=(150, 2))
+        result = crossfit_residualize(Y, H, folds=3, seed=2)
+        chunks = np.array_split(stream(2, "crossfit_folds").permutation(150), 3)
+        expected = np.empty_like(Y)
+        for f, held_out in enumerate(chunks):
+            train = np.concatenate(chunks[f + 1 :] + chunks[:f])
+            model = LinearPredictor().fit(H[train], Y[train])
+            expected[held_out] = Y[held_out] - model.predict(H[held_out])
+        assert np.array_equal(result.residuals, expected)
 
     def test_guards(self):
         rng = np.random.default_rng(39)

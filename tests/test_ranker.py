@@ -26,7 +26,6 @@ from wpxlab.bandit.ranker import (
     ObjectiveStats,
     RewardWeights,
     apply_impression,
-    candidate_features,
     frozen_reward,
     incremental_retrain,
     new_bundle,
@@ -362,12 +361,17 @@ def _trained_bundle(with_satisfaction, diagonal=False):
     return replace(bundle, **linear)
 
 
+def _features(context, ids, bundle):
+    """The candidates' ``(c, p)`` feature rows under one request."""
+    return encode_rows([(context, t) for t in ids], bundle.categories, bundle.signal_names)
+
+
 def _block(bundle, ids, devices, seed):
     """Request contexts and their stacked candidate features, one request per
     device, each with its own content signals."""
     rng = np.random.default_rng(seed)
     contexts = [_context(d, {t: (float(rng.normal()),) for t in ids}) for d in devices]
-    features = np.stack([candidate_features(c, ids, bundle) for c in contexts])
+    features = np.stack([_features(c, ids, bundle) for c in contexts])
     return contexts, features
 
 
@@ -381,7 +385,7 @@ def _normals(bundle, features, seed):
 
 def _one_request(context, ids, bundle, rng):
     """thompson_scores on a block of one request, in the shape of the oracle."""
-    features = candidate_features(context, ids, bundle)
+    features = _features(context, ids, bundle)
     mobile = np.array([context.device is Device.MOBILE])
     z = rng.standard_normal((1, len(ids), len(bundle.objectives), features.shape[1]))
     best, scores, samples = thompson_scores(features[None], mobile, ids, bundle, z)
@@ -443,7 +447,7 @@ class TestScoreCandidates:
         # in a mixed block every row ties, and each takes "a", not the first column
         devices = [Device.MOBILE, Device.DESKTOP, Device.MOBILE]
         contexts = [_context(d, {"a": (0.5,), "b": (0.5,), "c": (0.5,)}) for d in devices]
-        features = np.stack([candidate_features(c, ids, bundle) for c in contexts])
+        features = np.stack([_features(c, ids, bundle) for c in contexts])
         mobile = np.array([d is Device.MOBILE for d in devices])
         z = np.zeros((len(devices), len(ids), len(bundle.objectives), features.shape[2]))
         block_best, scores, _ = thompson_scores(features, mobile, ids, bundle, z)
@@ -556,13 +560,16 @@ class TestScoreCandidates:
                 else:
                     assert np.array_equal(before[name][i], after[name][i]), (device, name)
 
-    def test_features_are_checked_and_read_only(self):
+    def test_features_fill_the_schema_and_unknown_templates_raise(self):
         bundle = _bundle()
-        features = candidate_features(_context(), ["a", "b"], bundle)
+        features = _features(_context(), ["a", "b"], bundle)
         assert features.shape == (2, len(bundle.revenue_model.feature_schema))
-        assert not features.flags.writeable
-        with pytest.raises(DomainError):
-            candidate_features(_context(), ["a", "zz"], bundle)
+        with pytest.raises(DomainError, match="no content signals for template 'zz'"):
+            _features(_context(), ["a", "zz"], bundle)
+        with pytest.raises(DomainError, match="no content signals for template 'zz'"):
+            select_template(
+                _context(), [PageTemplate("a"), PageTemplate("zz")], bundle, np.random.default_rng(0)
+            )
 
 
 class TestFrozenReward:

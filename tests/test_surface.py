@@ -22,9 +22,11 @@ Pages travel as arrays of item indices over per-template slot tables; only
 or `PageLayout` constructor. Blocks of pages are served by
 ``sim/session.serve_pages`` alone: besides it only the one-page
 ``simulate_session`` and ``realize_long_term`` call the click model or the
-welfare function. Every random generator is keyed through ``rng.stream``:
-only it calls ``np.random.Philox``, ``np.random.Generator`` or
-``np.random.default_rng``.
+welfare function. No statement calls the ``ContextFeatures`` constructor:
+requests are rows of the request table, and a context object is built only
+where ``config_from_json`` reads a ``rank`` context file. Every random
+generator is keyed through ``rng.stream``: only it calls
+``np.random.Philox``, ``np.random.Generator`` or ``np.random.default_rng``.
 
 A field of a dataclass that a command-line config file is read into counts as
 read when ``src/wpxlab`` reads an attribute of that name outside the class's
@@ -226,6 +228,12 @@ def test_one_kernel_serves_pages():
         "sim/session.py:simulate_session",
         "sim/session.py:realize_long_term",
     }
+
+
+def test_no_statement_builds_a_context_object():
+    # requests are rows of the world-array request table; a context object
+    # exists only where `rank` reads one from its context file
+    assert callers_of({"ContextFeatures"}) == set()
 
 
 def test_only_stream_builds_generators():

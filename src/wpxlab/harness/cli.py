@@ -119,11 +119,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _reject_rest(cfg)
     if policy not in (CONFOUNDED, RANDOMIZED):
         raise DomainError(f"policy must be '{CONFOUNDED}' or '{RANDOMIZED}', got {policy!r}")
+    out = _out_dir(args)
 
     world = generate_world(world_cfg)
     panel = simulate_panel(world, n_events, policy, event_seed)
-
-    out = _out_dir(args)
     write_panel_csv(panel, out / "panel.csv")
     (out / "world.json").write_text(
         json.dumps(
@@ -155,6 +154,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     )
     if not panel_path.exists():
         raise DomainError(f"no panel at {panel_path}; run `simulate` first or set 'panel'")
+    out = _out_dir(args)
     panel = read_panel_csv(panel_path)
 
     model = estimate_dvwpx(panel, dml_cfg)
@@ -178,7 +178,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     lines.append(f"region weights    ({w[0]:.4f}, {w[1]:.4f}, {w[2]:.4f})")
     print("\n".join(lines))
 
-    out = _out_dir(args)
     (out / "estimate.json").write_text(
         json.dumps(
             {
@@ -267,6 +266,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if repeated:
         raise DomainError(f"repeated template ids: {repeated}")
     candidates = [by_id[t] for t in candidate_ids]
+    out = None if args.out is None else _out_dir(args)
     bundle = _train_rank_bundle(world, arm, n_sessions, seed)
     chosen, scores = select_template(
         context, candidates, bundle, stream(seed, "rank_select")
@@ -278,8 +278,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         lines.append(f"  {sc.template_id:<16}{sc.score:>10.4f}{marker}")
     print("\n".join(lines))
 
-    if args.out is not None:
-        out = _out_dir(args)
+    if out is not None:
         (out / "rank.json").write_text(
             json.dumps(
                 {
@@ -327,8 +326,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
-    report = run_experiment(config)
     out = _out_dir(args)
+    report = run_experiment(config)
     save_report(report, out / "report.json")
     write_per_day_csv(report, out / "per_day.csv")
     print(render_report(report), end="")

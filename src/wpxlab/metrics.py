@@ -67,19 +67,20 @@ def region_bmr_columns(
     ``REGION_ORDER``, pixel areas and 0/1 (or bool) brand matches. Returns
     ``(..., 3)``.
 
-    A region's rate is its matched area over its total area, both summed in
-    slot order. An empty region rates 0: a page that leaves a region unfilled
-    provides no brand-aligned content there.
+    A region's rate is its matched over its total area, each summed in slot
+    order, one slot of every page at a time. An empty region rates 0: a page
+    that leaves a region unfilled provides no brand-aligned content there.
     """
     codes = np.arange(len(REGION_ORDER))
-    # (..., n_slots, 3): each slot's area in its own region's column, else 0
-    in_region = np.where(
-        np.asarray(region)[..., None] == codes, np.asarray(area)[..., None], 0.0
-    )
-    total = np.cumsum(in_region, axis=-2)[..., -1, :]
-    matched = np.cumsum(
-        np.where(np.asarray(match)[..., None], in_region, 0.0), axis=-2
-    )[..., -1, :]
+    for s in range(region.shape[-1]):
+        # each page's slot-s area in its own region's column, else 0
+        in_region = np.where(region[..., s, None] == codes, area[..., s, None], 0.0)
+        hit = np.where(match[..., s, None], in_region, 0.0)
+        if s == 0:
+            total, matched = in_region, hit
+        else:
+            total += in_region
+            matched += hit
     return np.divide(matched, total, out=np.zeros(matched.shape), where=total > 0.0)
 
 

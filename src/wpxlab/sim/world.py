@@ -360,8 +360,8 @@ def layout_item_indices(
     )[0]
 
 
-#: Leading positions of an order scanned first: pages almost always fill from
-#: there, and the whole order is scanned only when some page of a block does not.
+#: Leading positions of an order scanned first; only the pages of a block that
+#: come up short there are scanned again, over twice as many, up to whole orders.
 _SCAN_PREFIX = 2 * PAGE_SLOTS
 
 
@@ -380,67 +380,89 @@ def page_item_indices(
     An exhausted widget pool falls through to the organic order so the page
     always fills; an exhausted catalog is a DomainError.
 
-    Works one template at a time. A template's widget slots form one block, so
-    a page is a run of organic picks, up to the block's size of widget picks,
-    then organic picks again; every run takes the first available, unused
-    items of its order, located by a masked cumulative count.
+    A template's widget slots form one block, so a page is a run of organic
+    picks, up to the block's size of widget picks, then organic picks again.
+    All templates' pages are filled at once by running counts over a prefix
+    of each order: the organic order's ends the first run, the widget pool's
+    skips that run's items, and the organic order's less the widget picks
+    fills the rest.
     """
+    n_items = world.config.n_items
+    flat = np.asarray(available, dtype=bool).reshape(-1)
+    # each item's position in each query's organic order; the widget padding's is -1
+    position = np.full((world.config.n_queries, n_items + 1), -1)
+    np.put_along_axis(position, world.organic_order, np.arange(n_items), axis=1)
     page = np.empty((len(query_idx), PAGE_SLOTS), dtype=np.intp)
-    for ti in np.unique(template_idx):
-        rows = np.flatnonzero(template_idx == ti)
-        page[rows] = _fill_template(world, int(ti), query_idx[rows], available[rows])
+    rows, width = np.arange(len(query_idx)), _SCAN_PREFIX
+    while len(rows):
+        page[rows], short = _fill(world, position, query_idx, template_idx, flat, rows, width)
+        if short.any() and width >= n_items:
+            raise DomainError("catalog exhausted while filling a page")
+        rows, width = rows[short], 2 * width
     return page
 
 
-def _first_free(
-    free: np.ndarray, order: np.ndarray, need: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and 0-based rank of the first ``need[row]`` items of each
-    row of ``order`` that are ``free``; a row with fewer yields all it has."""
-    scan = order[:, :_SCAN_PREFIX]
-    in_order = np.take_along_axis(free, scan, axis=1)
-    rank = np.cumsum(in_order, axis=1)
-    if scan.shape[1] < order.shape[1] and np.any(rank[:, -1] < need):
-        in_order = np.take_along_axis(free, order, axis=1)
-        rank = np.cumsum(in_order, axis=1)
-    r, c = np.nonzero(in_order & (rank <= need[:, None]))
-    return r, c, rank[r, c] - 1
-
-
-def _fill_template(
-    world: World, template_index: int, query_idx: np.ndarray, available: np.ndarray
-) -> np.ndarray:
-    n, n_items = available.shape
-    widget_slots = np.flatnonzero(world.slots.widget[template_index])
-    page = np.empty((n, PAGE_SLOTS), dtype=np.intp)
-    organic = world.organic_order[query_idx]
-    # available and not on the page, by item; the last column is the padding
-    # of the widget orders and never free
-    free = np.zeros((n, n_items + 1), dtype=bool)
-    free[:, :n_items] = available
-    lead = widget_slots[0] if len(widget_slots) else PAGE_SLOTS
-    n_widget = np.zeros(n, dtype=np.intp)
-    if len(widget_slots):
-        # the organic slots above the block take the first `lead` available items
-        r, c, _ = _first_free(free, organic, np.full(n, lead))
-        free[r, organic[r, c]] = False
-        # the block takes the first free items of its widget pool
-        pool = world.widget_order[template_index][query_idx]
-        r, c, k = _first_free(free, pool, np.full(n, len(widget_slots)))
-        page[r, lead + k] = pool[r, c]
-        n_widget = np.bincount(r, minlength=n)
-        # the organic order resumes where the first run stopped, so only the
-        # widget picks leave it
-        free[:, :n_items] = available
-        free[r, pool[r, c]] = False
+def _fill(
+    world: World,
+    position: np.ndarray,
+    query_idx: np.ndarray,
+    template_idx: np.ndarray,
+    available: np.ndarray,
+    rows: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pages ``rows`` of the block (``available`` flattened row-major) filled
+    from the first ``width`` positions of their orders, and which came up short."""
+    n, n_items = len(rows), world.config.n_items
+    width = min(width, n_items)
+    query_idx, template_idx = query_idx[rows], template_idx[rows]
+    count_type = np.min_scalar_type(width)  # a running count never passes `width`
+    widget = world.slots.widget
+    lead = np.where(widget.any(axis=1), widget.argmax(axis=1), PAGE_SLOTS)
+    lead, n_block = (a[template_idx].astype(count_type) for a in (lead, widget.sum(axis=1)))
+    page = np.empty(n * PAGE_SLOTS, dtype=np.intp)
+    offset = (rows * n_items)[:, None]
+    organic = world.organic_order[query_idx, :width]
+    free = available.take(organic + offset)
+    count = _running_count(free, count_type)
+    # the organic run above the widget block ends at its lead-th item
+    cut = np.where(lead > 0, np.argmax(count >= lead[:, None], axis=1) + 1, 0)
+    pool_widths = np.array([order.shape[1] for order in world.widget_order])
+    templates = [t for t in np.unique(template_idx) if widget[t].any()]
+    pool_width = min(width, max(pool_widths[templates], default=0))
+    pool = np.full((n, pool_width), n_items)
+    for t in templates:
+        pages = np.flatnonzero(template_idx == t)
+        pool[pages, : pool_widths[t]] = world.widget_order[t][query_idx[pages], :pool_width]
+    # padding has position -1, so it is never eligible; `clip` keeps its index in range
+    pool_position = position.reshape(-1).take(pool + (query_idx * (n_items + 1))[:, None])
+    eligible = (pool_position >= cut[:, None]) & available.take(pool + offset, mode="clip")
+    rank = _running_count(eligible, count_type)
+    picked = np.flatnonzero(eligible & (rank <= n_block[:, None]))
+    r = picked // max(pool_width, 1)
+    page[r * PAGE_SLOTS + lead[r] + rank.reshape(-1)[picked] - 1] = pool.reshape(-1)[picked]
+    n_widget = np.bincount(r, minlength=n)
+    short = (n_widget < n_block) & (pool_widths[template_idx] > pool_width)
+    # the widget picks leave the organic order
+    at = pool_position.reshape(-1)[picked]
+    free.reshape(-1)[(r * width + at)[at < width]] = False
     # organic rank k < lead fills slot k; later ranks skip the widget picks, and
     # an exhausted widget pool leaves its remaining block slots to them
-    need = PAGE_SLOTS - n_widget
-    r, c, k = _first_free(free, organic, need)
-    if len(r) < need.sum():
-        raise DomainError("catalog exhausted while filling a page")
-    page[r, k + np.where(k >= lead, n_widget[r], 0)] = organic[r, c]
-    return page
+    count = _running_count(free, count_type)
+    need = (PAGE_SLOTS - n_widget).astype(count_type)
+    picked = np.flatnonzero(free & (count <= need[:, None]))
+    r, k = picked // width, count.reshape(-1)[picked] - 1
+    page[r * PAGE_SLOTS + k + (k >= lead[r]) * n_widget[r]] = organic.reshape(-1)[picked]
+    return page.reshape(n, PAGE_SLOTS), short | (count[:, -1] < need)
+
+
+def _running_count(mask: np.ndarray, count_type: np.dtype) -> np.ndarray:
+    """Inclusive running count of ``mask`` along its rows, one column add at a
+    time, which beats numpy's cumulative sum along rows this short."""
+    count = mask.astype(count_type)
+    for j in range(1, count.shape[1]):
+        count[:, j] += count[:, j - 1]
+    return count
 
 
 def _content_signal_table(world: World) -> np.ndarray:
@@ -452,9 +474,7 @@ def _content_signal_table(world: World) -> np.ndarray:
     cfg = world.config
     slots = world.slots
     # every (query, template) page in one block, query-major
-    query_idx, template_idx = np.divmod(
-        np.arange(cfg.n_queries * cfg.n_templates), cfg.n_templates
-    )
+    query_idx, template_idx = np.divmod(np.arange(cfg.n_queries * cfg.n_templates), cfg.n_templates)
     picks = page_item_indices(
         world, query_idx, template_idx, np.ones((len(query_idx), cfg.n_items), dtype=bool)
     ).reshape(cfg.n_queries, cfg.n_templates, PAGE_SLOTS)

@@ -716,8 +716,10 @@ class TestExitCodes:
         paths["rank"] = _write(tmp_path, "ctx.json", {"query_index": 0, "warmup_sessions": 20})
         paths["simulate"] = _write(tmp_path, "sim.json", {**SIM_CONFIG, "n_events": 50})
         assert cli.main([arg.format(**paths) for arg in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        # the output directory is made before any work, so nothing is printed
+        assert captured.out == ""
 
     def test_invariant_violation_exits_three(self, monkeypatch, tmp_path):
         def boom(args):

@@ -113,6 +113,25 @@ class TestRegionBmrColumns:
             expected = [_region_bmr(page, r) for r in REGIONS]
             assert _rates(page).tolist() == expected
 
+    @pytest.mark.parametrize("n_slots", [5, 24])
+    @pytest.mark.parametrize("match_dtype", [bool, np.int64], ids=["bool", "0/1"])
+    @pytest.mark.parametrize("one_region_row", [False, True], ids=["per-row", "broadcast"])
+    def test_rows_of_a_random_block_equal_region_bmr_bit_for_bit(
+        self, n_slots, match_dtype, one_region_row
+    ):
+        rng = np.random.default_rng(29)
+        n = 400
+        region = rng.integers(0, 3, n_slots if one_region_row else (n, n_slots))
+        # thirds are not dyadic, so a sum in another order moves the last bits
+        area = rng.uniform(1.0, 500.0, (n, n_slots)) / 3.0
+        match = (rng.random((n, n_slots)) < 0.4).astype(match_dtype)
+        got = region_bmr_columns(region, area, match)
+        assert got.shape == (n, 3)
+        for i in range(n):
+            codes = region if one_region_row else region[i]
+            page = [(REGIONS[c], a, m) for c, a, m in zip(codes, area[i], match[i])]
+            assert got[i].tolist() == [_region_bmr(page, r) for r in REGIONS]
+
     def test_rows_of_a_block_are_independent_pages(self):
         region = np.array([0, 0, 1, 2])
         area = np.array([[1.0, 3.0, 2.0, 1.0], [1.0, 3.0, 2.0, 1.0]])

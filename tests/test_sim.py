@@ -172,6 +172,8 @@ FILL_WORLDS = {
     "empty_pools": generate_world(
         WorldConfig(seed=6, n_brands=300, high_appeal_threshold=1.0)
     ),
+    # 800 items: a short page's scans double past 255 positions (384, 768)
+    "large_catalog": generate_world(WorldConfig(seed=8, n_items=800, n_queries=12)),
 }
 
 
@@ -183,9 +185,13 @@ class TestBatchedFill:
         n_pages=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    # most pages come up short in the first scanned prefix and rescan whole orders
+    # most pages come up short in the first scanned prefix and are scanned again
     @example(world_name="default", rate=0.3, n_pages=40, seed=29)
     @example(world_name="default", rate=0.2, n_pages=40, seed=29)
+    # a whole block of the panel simulator
+    @example(world_name="default", rate=0.9, n_pages=4096, seed=3)
+    @example(world_name="default", rate=0.3, n_pages=4096, seed=3)
+    @example(world_name="large_catalog", rate=0.05, n_pages=40, seed=31)
     def test_equals_the_scalar_fill_for_random_availability(
         self, world_name, rate, n_pages, seed
     ):
@@ -208,6 +214,24 @@ class TestBatchedFill:
         else:
             got = page_item_indices(world, query_idx, template_idx, available)
             assert np.array_equal(got, np.array(expected))
+
+    def test_running_counts_pass_255_on_a_large_catalog(self):
+        # a page's first 400 organic positions hold 5 available items and the
+        # rest all are: the page comes up short until a scan counts past 255
+        world = FILL_WORLDS["large_catalog"]
+        cfg = world.config
+        query_idx = np.repeat(np.arange(cfg.n_queries), cfg.n_templates)
+        template_idx = np.tile(np.arange(cfg.n_templates), cfg.n_queries)
+        available = np.ones((len(query_idx), cfg.n_items), dtype=bool)
+        for row, qi in zip(available, query_idx):
+            row[world.organic_order[qi, :400]] = False
+            row[world.organic_order[qi, 60:400:70]] = True
+        got = page_item_indices(world, query_idx, template_idx, available)
+        expected = [
+            layout_item_indices_per_slot(world, int(qi), int(ti), avail)
+            for qi, ti, avail in zip(query_idx, template_idx, available)
+        ]
+        assert np.array_equal(got, np.array(expected))
 
     @pytest.mark.parametrize("world_name", sorted(FILL_WORLDS))
     def test_content_signals_equal_the_scalar_fill(self, world_name):

@@ -108,7 +108,6 @@ class RankerBundle:
     region_weights: RegionWeights | None
     categories: tuple[str, ...]
     signal_names: tuple[str, ...]
-    rows_trained: int = 0
 
     def __post_init__(self) -> None:
         schema = feature_schema(self.categories, self.signal_names)
@@ -342,7 +341,6 @@ def _train_rows(
         revenue_model=blr_update_rows(bundle.revenue_model, X, targets[REVENUE]),
         non_abandonment_model=non_ab,
         satisfaction_model=satisfaction_model,
-        rows_trained=bundle.rows_trained + len(X),
     )
 
 
@@ -368,7 +366,8 @@ def incremental_retrain(
     bundle: RankerBundle,
     day_log: TrainingBlock | list[ImpressionRecord],
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> RankerBundle:
     """Sample half the day's impressions and stream them through the models.
 
@@ -387,8 +386,6 @@ def incremental_retrain(
             raise DomainError(f"device flags or targets do not match the {n} feature rows")
     if not n:
         return bundle
-    if rng is None:
-        raise DomainError("incremental_retrain requires an rng")
     rows = sample_rows(n, sample_fraction, rng)
     if isinstance(day_log, list):
         return _train_rows(bundle, *_record_block(bundle, [day_log[i] for i in rows]))

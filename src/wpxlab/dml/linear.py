@@ -157,24 +157,18 @@ def _coordinate_descent(
     return np.where(live, b / np.where(live, scale, 1.0), 0.0)
 
 
-def lasso_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    beta_init: np.ndarray | None = None,
-) -> np.ndarray:
+def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Coordinate descent for the L1-penalized least squares objective.
 
     Sweeps until the largest coefficient change falls below ``LASSO_TOL`` or
-    ``LASSO_MAX_SWEEPS`` is reached. ``beta_init`` (original scale) warm-starts
-    path computations.
+    ``LASSO_MAX_SWEEPS`` is reached.
     """
     X, y = _lasso_inputs(X, y)
     if not np.isfinite(lam):
         raise DomainError("non-finite values in lasso inputs")
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    return _coordinate_descent(_unit_rms(X), y, lam, beta_init)
+    return _coordinate_descent(_unit_rms(X), y, lam, None)
 
 
 def lasso_lambda_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -195,8 +189,7 @@ def lasso_cv_path(
     coefficients refit on all rows at the selected lambda). Ties in CV error
     resolve toward the larger penalty.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _lasso_inputs(X, y)
     n = len(y)
     if folds < 2:
         raise DomainError(f"folds must be >= 2, got {folds}")
@@ -215,7 +208,6 @@ def lasso_cv_path(
     for f, chunk in enumerate(np.array_split(perm, folds)):
         fold_of[chunk] = f
 
-    X, y = _lasso_inputs(X, y)
     fold_mse = np.zeros((grid_points, folds))
     for f in range(folds):
         tr = fold_of != f

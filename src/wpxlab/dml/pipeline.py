@@ -162,6 +162,8 @@ def crossfit_residualize(
     if outcomes.ndim == 1:
         outcomes = outcomes[:, None]
     features = np.asarray(features, dtype=float)
+    if not (np.all(np.isfinite(outcomes)) and np.all(np.isfinite(features))):
+        raise DomainError("non-finite values in outcomes or features")
     n, q = outcomes.shape
     if folds < 2:
         raise DomainError(f"folds must be >= 2, got {folds}")

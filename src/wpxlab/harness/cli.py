@@ -47,13 +47,14 @@ from .experiment import (
     default_experiment_config,
     draw_sessions,
     field_from_json,
-    load_report,
+    json_text,
     region_weights_for,
     render_report,
+    report_from_dict,
+    report_json,
     request_table,
     run_experiment,
     same_day_targets,
-    save_report,
     write_per_day_csv,
 )
 
@@ -125,17 +126,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     panel = simulate_panel(world, n_events, policy, event_seed)
     write_panel_csv(panel, out / "panel.csv")
     (out / "world.json").write_text(
-        json.dumps(
+        json_text(
             {
                 "world": config_to_json(world_cfg),
                 "policy": policy,
                 "n_events": n_events,
                 "event_seed": event_seed,
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
-        + "\n"
     )
     print(f"wrote {panel.n_rows} events under policy {policy} to {out / 'panel.csv'}")
     return OK
@@ -179,7 +177,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print("\n".join(lines))
 
     (out / "estimate.json").write_text(
-        json.dumps(
+        json_text(
             {
                 "beta": dict(zip(panel.x_names, map(float, est.beta))),
                 "stderr_beta": stderr,
@@ -189,12 +187,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 "region_weights": list(w),
                 "stage2": dml_cfg.stage2,
                 "diagnostics": est.diagnostics,
-            },
-            indent=2,
-            sort_keys=True,
-            default=float,
+            }
         )
-        + "\n"
     )
     return OK
 
@@ -280,7 +274,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     if out is not None:
         (out / "rank.json").write_text(
-            json.dumps(
+            json_text(
                 {
                     "chosen": chosen.template_id,
                     "scores": [
@@ -292,11 +286,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
                         }
                         for sc in scores
                     ],
-                },
-                indent=2,
-                sort_keys=True,
+                }
             )
-            + "\n"
         )
     return OK
 
@@ -328,7 +319,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     out = _out_dir(args)
     report = run_experiment(config)
-    save_report(report, out / "report.json")
+    (out / "report.json").write_text(report_json(report))
     write_per_day_csv(report, out / "per_day.csv")
     print(render_report(report), end="")
     print(f"report: {out / 'report.json'}")
@@ -336,14 +327,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.config) if args.config else Path(args.out) / "report.json"
-    if not path.exists():
-        raise DomainError(f"no report at {path}")
-    try:
-        report = load_report(path)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DomainError(f"malformed report {path}: {exc}") from exc
-    print(render_report(report), end="")
+    path = args.config or str(Path(args.out) / "report.json")
+    print(render_report(report_from_dict(_load_json(path, "report"))), end="")
     return OK
 
 

@@ -336,8 +336,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
 
     template_ids = [t.template_id for t in world.templates]
-    # one record per arm-day: (day, arm name, same-day targets, metric arrays)
-    records: list[tuple[int, str, dict[str, np.ndarray], MetricLog]] = []
+    # per arm, one (same-day targets, metric arrays) entry a day, in day order
+    logs: dict[str, list[tuple[MetricLog, MetricLog]]] = {arm.name: [] for arm in config.arms}
     table = request_table(world)
 
     for day in range(1, config.days + 1):
@@ -366,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "ctr": sessions.engagement / world.n_slots,
                 "pr_wp_bmr": weighted_bmr(sessions.region_bmrs, CTR_REGION_WEIGHTS),
             }
-            records.append((day, arm.name, targets, day_metrics))
+            logs[arm.name].append((targets, day_metrics))
             sat = targets.get(SATISFACTION)
             bundle = with_noise_variances(
                 bundles[arm.name],
@@ -380,22 +380,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
 
         if day == config.warmup_days:
-            # every record so far is a warm-up day
+            # every day logged so far is a warm-up day
             for arm in config.arms:
-                logged = [t for _, name, t, _ in records if name == arm.name]
+                logged = [t for t, _ in logs[arm.name]]
                 warmup_all = {k: np.concatenate([t[k] for t in logged]) for k in logged[0]}
                 bundles[arm.name] = replace(
                     bundles[arm.name], reward=frozen_reward(arm.reward_weights, warmup_all)
                 )
 
     # no post-warmup days: fall back to the warmup window for reporting
-    reported = [r for r in records if r[0] > config.warmup_days] or records
+    first = config.warmup_days if config.days > config.warmup_days else 0
     arm_logs: dict[str, MetricLog] = {
-        arm.name: {
-            m: np.concatenate([v[m] for _, name, _, v in reported if name == arm.name])
-            for m in METRIC_NAMES
-        }
-        for arm in config.arms
+        name: {m: np.concatenate([v[m] for _, v in log[first:]]) for m in METRIC_NAMES}
+        for name, log in logs.items()
     }
 
     arm_means = {
@@ -414,9 +411,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "arm": name,
                 "warmup": day <= config.warmup_days,
                 "n_sessions": config.sessions_per_day,
-                **{m: float(np.mean(v[m])) for m in METRIC_NAMES},
+                **{m: float(np.mean(log[day - 1][1][m])) for m in METRIC_NAMES},
             }
-            for day, name, _, v in records
+            for day in range(1, config.days + 1)
+            for name, log in logs.items()
         ),
         region_weights={
             name: None if rw is None else rw.as_tuple()
@@ -517,17 +515,24 @@ def config_to_json(config: Any) -> dict[str, Any]:
 REPORT_SCHEMA_VERSION = 2
 
 
-def report_to_dict(report: ExperimentReport) -> dict[str, Any]:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "experiment_report",
-        **config_to_json(report),
-    }
+def json_text(payload: Any) -> str:
+    """``payload`` as the JSON text of every artifact: indent 2, sorted keys
+    and a closing newline. A NaN or infinite number is an InvariantViolation."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvariantViolation(f"artifact holds a non-finite number: {exc}") from None
+
+
+def report_json(report: ExperimentReport) -> str:
+    """The report as `json_text`, tagged with its kind and schema version."""
+    tags = {"schema_version": REPORT_SCHEMA_VERSION, "kind": "experiment_report"}
+    return json_text({**tags, **config_to_json(report)})
 
 
 def report_from_dict(payload: Any) -> ExperimentReport:
-    """The report a `report_to_dict` payload describes, every field read by
-    its annotation; a malformed payload is a DomainError naming its path."""
+    """The report a `report_json` payload describes, every field read by its
+    annotation; a malformed payload is a DomainError naming its path."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind != "experiment_report":
         raise DomainError(f"not a report payload: kind={kind!r}")
@@ -538,22 +543,6 @@ def report_from_dict(payload: Any) -> ExperimentReport:
         )
     body = {k: v for k, v in payload.items() if k not in ("schema_version", "kind")}
     return config_from_json(ExperimentReport, body, "report")
-
-
-def report_json(report: ExperimentReport) -> str:
-    """The report as JSON text; a NaN or infinite number is an InvariantViolation."""
-    try:
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise InvariantViolation(f"report holds a non-finite number: {exc}") from None
-
-
-def save_report(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(report_json(report))
-
-
-def load_report(path: str | Path) -> ExperimentReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
 
 
 def write_per_day_csv(report: ExperimentReport, path: str | Path) -> None:

@@ -354,7 +354,6 @@ def apply_impression_per_row(bundle: RankerBundle, record: ImpressionRecord) -> 
         revenue_model=revenue_model,
         non_abandonment_model=non_ab,
         satisfaction_model=satisfaction_model,
-        rows_trained=bundle.rows_trained + 1,
     )
 
 

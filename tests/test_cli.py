@@ -20,7 +20,8 @@ from wpxlab.harness.experiment import (
     ArmConfig,
     ExperimentConfig,
     default_experiment_config,
-    load_report,
+    json_text,
+    report_from_dict,
     report_json,
 )
 from wpxlab.sim.world import WorldConfig
@@ -540,7 +541,7 @@ class TestExperimentAndReport:
     @pytest.mark.parametrize(
         "key, value, field",
         [
-            (None, [1, 2], "kind=None"),
+            (None, [1, 2], "report must be a JSON object"),
             ("region_weights", [], "report.region_weights"),
             ("region_weights", {"t1": [0.5, 0.5]}, "report.region_weights.t1"),
             ("arm_means", {"a": 5}, "report.arm_means.a"),
@@ -660,13 +661,36 @@ class TestNonFiniteNumbers:
         assert captured.out == ""
         assert captured.err.startswith("error: report.arm_means.t1.ctr must be finite")
 
-    def test_report_with_a_non_finite_number_is_not_written(self, saved_report, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(saved_report))
-        report = load_report(path)
+    def test_report_with_a_non_finite_number_is_not_written(self, saved_report):
+        report = report_from_dict(saved_report)
         report.arm_means["t1"]["ctr"] = math.nan
         with pytest.raises(InvariantViolation, match="non-finite"):
             report_json(report)
+
+    @pytest.mark.parametrize("label", NON_FINITE)
+    @pytest.mark.parametrize(
+        "wrap", [lambda v: {"a": [1.0, {"b": v}]}, lambda v: [0, [v]]], ids=["dict", "list"]
+    )
+    def test_json_text_refuses_a_nested_non_finite_number(self, wrap, label):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            json_text(wrap(NON_FINITE[label]))
+
+    def test_estimate_with_a_non_finite_diagnostic_writes_nothing(
+        self, sim_dir, tmp_path, monkeypatch, capsys
+    ):
+        real = cli.estimate_dvwpx
+
+        def planted(panel, config):
+            model = real(panel, config)
+            model.estimate.diagnostics["test_rmse"] = math.nan
+            return model
+
+        monkeypatch.setattr(cli, "estimate_dvwpx", planted)
+        cfg = _write(tmp_path, "est.json", {"panel": str(sim_dir / "panel.csv")})
+        out = tmp_path / "out"
+        assert cli.main(["estimate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("invariant violation: artifact holds a non-finite")
+        assert not (out / "estimate.json").exists()
 
     def test_int_beyond_float_range_is_not_finite(self, tmp_path, capsys):
         cfg = tmp_path / "sim.json"

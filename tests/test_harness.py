@@ -33,15 +33,12 @@ from wpxlab.harness.experiment import (
     default_experiment_config,
     draw_sessions,
     estimate_dvwpx_region_weights,
-    load_report,
     render_report,
     report_from_dict,
     report_json,
-    report_to_dict,
     request_table,
     run_experiment,
     same_day_targets,
-    save_report,
     write_per_day_csv,
 )
 from wpxlab.metrics import CTR_REGION_WEIGHTS, layout_region_bmrs, weighted_bmr
@@ -207,15 +204,13 @@ class TestRunExperiment:
         assert len(lines) == 1 + 3 * 2
         assert lines[0].split(",") == ["day", "arm", "warmup", "n_sessions", *METRIC_NAMES]
 
-    def test_report_save_load_round_trip(self, two_arm_report, tmp_path):
-        path = tmp_path / "report.json"
-        save_report(two_arm_report, path)
-        loaded = load_report(path)
+    def test_report_save_load_round_trip(self, two_arm_report):
+        loaded = report_from_dict(json.loads(report_json(two_arm_report)))
         assert report_json(loaded) == report_json(two_arm_report)
 
     @pytest.mark.parametrize("version", ["missing", True, 1.0])
     def test_loading_another_schema_version_rejected(self, two_arm_report, version):
-        payload = report_to_dict(two_arm_report)
+        payload = json.loads(report_json(two_arm_report))
         if version == "missing":
             del payload["schema_version"]
         else:
@@ -223,11 +218,9 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="report.schema_version must be 2"):
             report_from_dict(payload)
 
-    def test_loading_non_report_payload_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"kind": "other"}))
+    def test_loading_non_report_payload_rejected(self):
         with pytest.raises(DomainError):
-            load_report(path)
+            report_from_dict({"kind": "other"})
 
 
 class TestServing:
@@ -388,7 +381,6 @@ class TestTrainingBlock:
         for seed in (1, 2):
             by_block = incremental_retrain(by_block, block, rng=np.random.default_rng(seed))
             by_records = incremental_retrain(by_records, records, rng=np.random.default_rng(seed))
-        assert by_block.rows_trained == by_records.rows_trained == n
         names = [REVENUE, NON_ABANDONMENT] + ([] if region_weights is None else [SATISFACTION])
         for name in names:
             got, want = by_block.model_for(name).posterior, by_records.model_for(name).posterior

@@ -255,3 +255,12 @@ class TestLassoCv:
             lasso_cv_path(X, y, folds=1)
         with pytest.raises(EstimationError):
             lasso_cv_path(X[:2], y[:2], folds=3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argument", ["X", "y"])
+    def test_non_finite_input_is_a_domain_error(self, argument, value):
+        rng = np.random.default_rng(23)
+        data = {"X": rng.normal(size=(30, 2)), "y": rng.normal(size=30)}
+        data[argument].flat[7] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            lasso_cv_path(data["X"], data["y"])

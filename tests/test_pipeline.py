@@ -158,6 +158,15 @@ class TestCrossfitResidualize:
         with pytest.raises(EstimationError):
             crossfit_residualize(rng.normal(size=3), rng.normal(size=(3, 2)), 2, 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argument", ["outcomes", "features"])
+    def test_non_finite_input_is_a_domain_error(self, argument, value):
+        rng = np.random.default_rng(41)
+        data = {"outcomes": rng.normal(size=(40, 2)), "features": rng.normal(size=(40, 3))}
+        data[argument][11, 1] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            crossfit_residualize(data["outcomes"], data["features"], folds=2, seed=0)
+
 
 class TestEstimateDvwpx:
     def test_matches_plain_ols_without_confounding_or_fixed_effects(self):

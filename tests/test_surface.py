@@ -241,6 +241,12 @@ def test_only_stream_builds_generators():
     assert callers_of({"Philox", "Generator", "default_rng"}) == {"rng.py:stream"}
 
 
+def test_one_json_writer_and_one_json_reader():
+    # every artifact is written by json_text, every file read by _load_json
+    assert callers_of({"dumps"}) == {"harness/experiment.py:json_text"}
+    assert callers_of({"loads"}) == {"harness/cli.py:_load_json"}
+
+
 def test_every_config_field_is_read_outside_its_class():
     assert unread_config_fields() == []
 
